@@ -19,6 +19,7 @@ from .lattice import HEADINGS, LatticeError, LatticeNode, build_lattice
 from .render import render_svg
 from .trajectory import (TrajectoryError, eval_costs, timed_from_json,
                          timed_to_json, to_segment_path, to_timed)
+from .validate import finite_number
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -39,16 +40,18 @@ def _env_float(name: str) -> float | None:
         raise CliError(f"environment variable PNAV_{name} is not a number: {raw!r}")
 
 
-def _resolve(flag_value, env_name: str, default=None, required_as: str | None = None):
+def _resolve(flag_value, env_name: str, default=None):
+    """Flag --<env_name lowercased>, else PNAV_<env_name>, else default; the
+    value must be a finite number > 0."""
+    flag = f"--{env_name.lower()}"
     if flag_value is not None:
-        return flag_value
+        return finite_number(flag_value, flag, positive=True, error=CliError)
     env = _env_float(env_name)
     if env is not None:
-        return env
+        return finite_number(env, f"PNAV_{env_name}", positive=True, error=CliError)
     if default is not None:
         return default
-    raise CliError(f"missing required parameter {required_as} "
-                   f"(flag or PNAV_{env_name})")
+    raise CliError(f"missing required parameter {flag} (flag or PNAV_{env_name})")
 
 
 def _read_map(path: str):
@@ -64,9 +67,10 @@ def _parse_xy(text: str, what: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise CliError(f"{what} must be X,Y")
     try:
-        return (float(parts[0]), float(parts[1]))
+        xy = (float(parts[0]), float(parts[1]))
     except ValueError:
         raise CliError(f"{what} must be numeric X,Y")
+    return tuple(finite_number(v, what, error=CliError) for v in xy)
 
 
 def _parse_pose(text: str, what: str, heading_optional: bool):
@@ -80,6 +84,7 @@ def _parse_pose(text: str, what: str, heading_optional: bool):
         x, y, th = float(parts[0]), float(parts[1]), float(parts[2])
     except ValueError:
         raise CliError(f"{what} must be numeric")
+    x, y, th = (finite_number(v, what, error=CliError) for v in (x, y, th))
     heading = int(round(th)) % 360
     if heading not in HEADINGS:
         raise CliError(f"{what} heading must be one of {sorted(HEADINGS)}")
@@ -120,8 +125,8 @@ def _entry_record(cost, nodes, spath, timed, report) -> dict:
 def cmd_plan(args) -> int:
     wmap = _read_map(args.map)
     delta = _resolve(args.delta, "DELTA", default=2.0 * wmap.resolution)
-    rho = _resolve(args.rho, "RHO", required_as="--rho")
-    r = _resolve(args.r, "R", required_as="--r")
+    rho = _resolve(args.rho, "RHO")
+    r = _resolve(args.r, "R")
     v = _resolve(args.v, "V", default=1.0)
     omega = _resolve(args.omega, "OMEGA", default=90.0)
     dt = _resolve(args.dt, "DT", default=0.05)
@@ -179,8 +184,8 @@ def cmd_plan(args) -> int:
 
 def cmd_rrt(args) -> int:
     wmap = _read_map(args.map)
-    rho = _resolve(args.rho, "RHO", required_as="--rho")
-    r = _resolve(args.r, "R", required_as="--r")
+    rho = _resolve(args.rho, "RHO")
+    r = _resolve(args.r, "R")
     v = _resolve(args.v, "V", default=1.0)
     omega = _resolve(args.omega, "OMEGA", default=90.0)
     dt = _resolve(args.dt, "DT", default=0.05)
@@ -233,7 +238,7 @@ def cmd_rrt(args) -> int:
 
 def cmd_eval(args) -> int:
     wmap = _read_map(args.map)
-    r = _resolve(args.r, "R", required_as="--r")
+    r = _resolve(args.r, "R")
     for traj_path in args.trajectories:
         try:
             text = Path(traj_path).read_text()
@@ -252,7 +257,7 @@ def cmd_eval(args) -> int:
 
 def cmd_render(args) -> int:
     wmap = _read_map(args.map)
-    r = _resolve(args.r, "R", required_as="--r")
+    r = _resolve(args.r, "R")
     rendered = []
     for traj_path in args.trajectories:
         try:

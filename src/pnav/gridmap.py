@@ -4,6 +4,14 @@ The map is a uniform grid of square cells.  Cell (0, 0) sits at the map
 origin corner; cell indices grow with world x (ix) and world y (iy).
 Everything outside the map bounds is treated as obstacle, so queries near
 the border behave conservatively.
+
+The obstruction ratio has one implementation, the batched
+obstruction_ratios; obstruction_ratio and obstruction_field call it.  Its
+result for a point does not depend on the other points of the batch or on
+the chunking: it is bit for bit the ratio of one point computed alone, with
+the same window, the same floating-point predicate dx^2 + dy^2 <= r^2 and
+the same division of integer counts.  Plans, reports and front.json depend
+on that.
 """
 
 from __future__ import annotations
@@ -13,6 +21,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .validate import finite_number
 
 # Subsamples per cell side when rasterizing the obstruction disc.
 DISC_SAMPLES_PER_CELL = 4
@@ -30,10 +40,9 @@ class RobotModel:
     camera_clearance_radius: float
 
     def __post_init__(self):
-        if self.footprint_radius <= 0:
-            raise ValueError("footprint_radius must be > 0")
-        if self.camera_clearance_radius <= 0:
-            raise ValueError("camera_clearance_radius must be > 0")
+        finite_number(self.footprint_radius, "footprint_radius", positive=True)
+        finite_number(self.camera_clearance_radius, "camera_clearance_radius",
+                      positive=True)
 
 
 @dataclass(frozen=True)
@@ -52,8 +61,9 @@ class WorkspaceMap:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError("width and height must be >= 1")
-        if self.resolution <= 0:
-            raise ValueError("resolution must be > 0")
+        finite_number(self.resolution, "resolution", positive=True)
+        for i, v in enumerate(self.origin):
+            finite_number(v, f"origin[{i}]")
         occ = np.asarray(self.occupancy, dtype=bool)
         if occ.shape != (self.height, self.width):
             raise ValueError("occupancy shape must be (height, width)")
@@ -106,18 +116,15 @@ def load_map(source: str | bytes | dict) -> WorkspaceMap:
         if key not in data:
             raise MapFormatError(f"missing field '{key}'")
 
-    width, height = data["width"], data["height"]
-    if not isinstance(width, int) or width < 1:
-        raise MapFormatError("'width' must be a positive integer")
-    if not isinstance(height, int) or height < 1:
-        raise MapFormatError("'height' must be a positive integer")
-    resolution = data["resolution"]
-    if not isinstance(resolution, (int, float)) or resolution <= 0:
-        raise MapFormatError("'resolution' must be a positive number")
+    width, height = (finite_number(data[key], f"'{key}'", positive=True, integer=True,
+                                   error=MapFormatError) for key in ("width", "height"))
+    resolution = finite_number(data["resolution"], "'resolution'", positive=True,
+                               error=MapFormatError)
     origin = data["origin"]
-    if (not isinstance(origin, (list, tuple)) or len(origin) != 2
-            or not all(isinstance(v, (int, float)) for v in origin)):
+    if not isinstance(origin, (list, tuple)) or len(origin) != 2:
         raise MapFormatError("'origin' must be [x, y]")
+    origin = [finite_number(v, f"'origin[{i}]'", error=MapFormatError)
+              for i, v in enumerate(origin)]
 
     rows = data["rows"]
     if not isinstance(rows, list) or not rows:
@@ -135,8 +142,8 @@ def load_map(source: str | bytes | dict) -> WorkspaceMap:
             elif ch != ".":
                 raise MapFormatError(f"'rows[{i}]' has invalid character {ch!r}")
 
-    return WorkspaceMap(width=width, height=height, resolution=float(resolution),
-                        origin=(float(origin[0]), float(origin[1])), occupancy=occ)
+    return WorkspaceMap(width=width, height=height, resolution=resolution,
+                        origin=(origin[0], origin[1]), occupancy=occ)
 
 
 def dump_map(wmap: WorkspaceMap) -> str:
@@ -258,56 +265,89 @@ def swept_footprint_free(wmap: WorkspaceMap, p0: tuple[float, float],
     return True
 
 
-def _obstruction_cell_units(wmap: WorkspaceMap, px: float, py: float, r_cells: float) -> float:
-    """Obstruction ratio with position and radius expressed in cell units.
+# Disc subsamples evaluated per chunk of points.  The chunk length follows
+# from the window size, so the working buffers stay near 200 KB whatever r is.
+_CHUNK_SUBSAMPLES = 1 << 14
 
-    Each cell is subsampled on an s x s grid; sample points inside the disc
-    are counted and those falling on obstacle (or out-of-bounds) cells form
-    the obstructed fraction.  Deterministic by construction.
+
+def obstruction_ratios(wmap: WorkspaceMap, xy, r: float) -> np.ndarray:
+    """Obstruction ratio at every point of xy, an (n, 2) array; shape (n,).
+
+    Works in cell units.  Each cell is subsampled on an s x s grid at offsets
+    (k + 0.5) / s.  A point p sees the cells floor(p - r) .. floor(p + r) on
+    each axis; a subsample of those cells is in the disc when
+    dx^2 + dy^2 <= r^2, and obstructed when its cell is an obstacle or out of
+    bounds.  The ratio is obstructed / total on the integer counts; when no
+    subsample is in the disc, it is 1.0 or 0.0 by the cell holding p.
     """
+    r = finite_number(r, "r", positive=True)
+    xy = np.asarray(xy, dtype=float)
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        raise ValueError(f"xy must have shape (n, 2), not {xy.shape}")
+    if not np.isfinite(xy).all():
+        raise ValueError("xy must be finite")
+    n = len(xy)
+    if not n:
+        return np.empty(0)
     s = DISC_SAMPLES_PER_CELL
-    ix0 = int(math.floor(px - r_cells))
-    ix1 = int(math.floor(px + r_cells))
-    iy0 = int(math.floor(py - r_cells))
-    iy1 = int(math.floor(py + r_cells))
-
+    ox, oy = wmap.origin
+    res = wmap.resolution
+    rc = r / res
+    px = (xy[:, 0] - ox) / res
+    py = (xy[:, 1] - oy) / res
+    ix0 = np.floor(px - rc).astype(np.int64)
+    iy0 = np.floor(py - rc).astype(np.int64)
+    # Every point gets the widest window.  The cells past a point's own
+    # window add nothing: their subsamples lie more than r + 1/(2 s) beyond
+    # the point along that axis, outside the disc.
+    win = int(max((np.floor(px + rc).astype(np.int64) - ix0).max(),
+                  (np.floor(py + rc).astype(np.int64) - iy0).max())) + 1
+    chunk = max(1, _CHUNK_SUBSAMPLES // (win * s) ** 2)
+    cells = np.arange(win)
     offs = (np.arange(s) + 0.5) / s
-    xs = (np.arange(ix0, ix1 + 1)[:, None] + offs[None, :]).ravel()
-    ys = (np.arange(iy0, iy1 + 1)[:, None] + offs[None, :]).ravel()
-    dx2 = (xs - px) ** 2
-    dy2 = (ys - py) ** 2
-    inside = dx2[None, :] + dy2[:, None] <= r_cells * r_cells  # [y, x]
-    total = int(inside.sum())
-    if total == 0:
-        # radius small relative to the subsample grid: fall back to the host cell
-        return 1.0 if wmap.is_obstacle(int(math.floor(px)), int(math.floor(py))) else 0.0
+    # occupancy framed by win obstacle cells; a window that starts further
+    # out lies wholly outside the map, so its start clips onto the frame
+    occ = np.ones((wmap.height + 2 * win, wmap.width + 2 * win), dtype=bool)
+    occ[win:-win, win:-win] = wmap.occupancy
+    bx0 = np.clip(ix0, -win, wmap.width) + win
+    by0 = np.clip(iy0, -win, wmap.height) + win
 
-    cxs = np.floor(xs).astype(int)
-    cys = np.floor(ys).astype(int)
-    occ_x = (cxs < 0) | (cxs >= wmap.width)
-    occ_y = (cys < 0) | (cys >= wmap.height)
-    occupied = np.ones((len(cys), len(cxs)), dtype=bool)
-    valid = ~occ_y[:, None] & ~occ_x[None, :]
-    if valid.any():
-        occupied[valid] = wmap.occupancy[
-            np.broadcast_to(cys[:, None], valid.shape)[valid],
-            np.broadcast_to(cxs[None, :], valid.shape)[valid],
-        ]
-    obstructed = int((inside & occupied).sum())
-    return obstructed / total
+    total = np.empty(n, dtype=np.int64)
+    obstructed = np.empty(n, dtype=np.int64)
+    d2 = np.empty((chunk, win * s, win * s))
+    inside = np.empty(d2.shape, dtype=bool)
+    for lo in range(0, n, chunk):
+        sl = slice(lo, lo + chunk)
+        m = min(chunk, n - lo)
+        xs = ((ix0[sl, None] + cells)[:, :, None] + offs).reshape(m, -1)
+        ys = ((iy0[sl, None] + cells)[:, :, None] + offs).reshape(m, -1)
+        dx2 = (xs - px[sl, None]) ** 2
+        dy2 = (ys - py[sl, None]) ** 2
+        ins = inside[:m]  # [point, y subsample, x subsample]
+        np.less_equal(np.add(dx2[:, None, :], dy2[:, :, None], out=d2[:m]), rc * rc,
+                      out=ins)
+        total[sl] = np.count_nonzero(ins.reshape(m, -1), axis=1)
+        blocked = occ[(by0[sl, None] + cells)[:, :, None],
+                      (bx0[sl, None] + cells)[:, None, :]]
+        np.logical_and(ins, blocked.repeat(s, axis=1).repeat(s, axis=2), out=ins)
+        obstructed[sl] = np.count_nonzero(ins.reshape(m, -1), axis=1)
+    out = obstructed / np.maximum(total, 1)
+    empty = np.flatnonzero(total == 0)
+    if len(empty):
+        # radius small relative to the subsample grid: use the host cell
+        hx = np.clip(np.floor(px[empty]).astype(np.int64), -1, wmap.width)
+        hy = np.clip(np.floor(py[empty]).astype(np.int64), -1, wmap.height)
+        out[empty] = np.where(occ[hy + win, hx + win], 1.0, 0.0)
+    return out
 
 
 def obstruction_ratio(wmap: WorkspaceMap, position: tuple[float, float], r: float) -> float:
     """Fraction of the radius-r disc around position occupied by obstacles.
 
     Area ratio over the 2-D disc; cells outside map bounds count as obstructed.
+    One-point call of obstruction_ratios.
     """
-    if r <= 0:
-        raise ValueError("r must be > 0")
-    ox, oy = wmap.origin
-    res = wmap.resolution
-    return _obstruction_cell_units(wmap, (position[0] - ox) / res,
-                                   (position[1] - oy) / res, r / res)
+    return float(obstruction_ratios(wmap, np.array([position], dtype=float), r)[0])
 
 
 def obstruction_field(wmap: WorkspaceMap, r: float) -> np.ndarray:
@@ -315,10 +355,9 @@ def obstruction_field(wmap: WorkspaceMap, r: float) -> np.ndarray:
 
     Identical to per-point obstruction_ratio calls at cell centers.
     """
-    if r <= 0:
-        raise ValueError("r must be > 0")
-    out = np.empty((wmap.height, wmap.width), dtype=float)
-    for iy in range(wmap.height):
-        for ix in range(wmap.width):
-            out[iy, ix] = obstruction_ratio(wmap, wmap.cell_center(ix, iy), r)
-    return out
+    ox, oy = wmap.origin
+    xs = ox + (np.arange(wmap.width) + 0.5) * wmap.resolution
+    ys = oy + (np.arange(wmap.height) + 0.5) * wmap.resolution
+    gx, gy = np.meshgrid(xs, ys)
+    xy = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    return obstruction_ratios(wmap, xy, r).reshape(wmap.height, wmap.width)

@@ -14,8 +14,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .gridmap import (RobotModel, WorkspaceMap, footprint_free,
-                      obstruction_ratio, swept_footprint_free)
+                      obstruction_ratios, swept_footprint_free)
+from .validate import finite_number
 
 HEADINGS = (0, 45, 90, 135, 180, 225, 270, 315)
 AXIS_HEADINGS = frozenset((0, 90, 180, 270))
@@ -189,8 +192,7 @@ def build_lattice(wmap: WorkspaceMap, model: RobotModel, delta: float) -> Lattic
 
     delta must be a positive integer multiple of the map resolution.
     """
-    if delta <= 0:
-        raise LatticeError("delta must be > 0")
+    finite_number(delta, "delta", positive=True, error=LatticeError)
     ratio = delta / wmap.resolution
     if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
         raise LatticeError(
@@ -203,12 +205,14 @@ def build_lattice(wmap: WorkspaceMap, model: RobotModel, delta: float) -> Lattic
     r = model.camera_clearance_radius
 
     # free positions and their obstruction ratios
-    phi: dict[tuple[int, int], float] = {}
+    free = {}
     for iy in range(ny):
         for ix in range(nx):
             pos = node_position(LatticeNode(ix, iy, 0), wmap, delta)
             if footprint_free(wmap, pos, rho):
-                phi[(ix, iy)] = obstruction_ratio(wmap, pos, r)
+                free[(ix, iy)] = pos
+    xy = np.array(list(free.values()), dtype=float).reshape(-1, 2)
+    phi = dict(zip(free, obstruction_ratios(wmap, xy, r).tolist()))
 
     adjacency: dict[LatticeNode, tuple[LatticeEdge, ...]] = {}
     for (ix, iy) in sorted(phi):

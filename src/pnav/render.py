@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gridmap import WorkspaceMap
-from .trajectory import TimedTrajectory, _heading_changes
+from .trajectory import TimedTrajectory, heading_change_runs
 
 PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#e377c2", "#17becf")
@@ -29,16 +29,13 @@ def rotation_points(timed: TimedTrajectory) -> list[tuple[float, float]]:
     s = timed.samples
     if len(s) < 2:
         return []
-    changing = _heading_changes(s[:, 3])
     moved = np.hypot(np.diff(s[:, 1]), np.diff(s[:, 2])) > 1e-9
     points = []
-    in_run = False
-    for i, c in enumerate(changing):
-        if c and not moved[i] and not in_run:
+    for start, stop in heading_change_runs(s[:, 3]):
+        first = np.flatnonzero(~moved[start:stop])  # the run's first still interval
+        if len(first):
+            i = start + int(first[0])
             points.append((float(s[i, 1]), float(s[i, 2])))
-            in_run = True
-        elif not c:
-            in_run = False
     return points
 
 

@@ -14,12 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridmap import WorkspaceMap, obstruction_ratio
+from .gridmap import WorkspaceMap, obstruction_ratios
 from .lattice import LatticeNode, node_position
 from .rrt import PolyPath
+from .validate import finite_number
 
 HEADING_EPS_DEG = 1e-9
 POSITION_EPS = 1e-9
+# Most samples one timed trajectory may hold; a museum plan entry has about
+# 500 at the default tick, so only a degenerate dt reaches it.
+MAX_SAMPLES = 1_000_000
 
 
 class TrajectoryError(ValueError):
@@ -155,8 +159,8 @@ def to_timed(spath: SegmentPath, v: float = 1.0, omega_deg: float = 90.0,
              dt: float = 0.05) -> TimedTrajectory:
     """Sample the path executed at constant speed v with in-place rotations at
     constant rate omega_deg."""
-    if v <= 0 or omega_deg <= 0 or dt <= 0:
-        raise TrajectoryError("v, omega and dt must be > 0")
+    for value, name in ((v, "v"), (omega_deg, "omega_deg"), (dt, "dt")):
+        finite_number(value, name, positive=True, error=TrajectoryError)
 
     # per-segment schedule: (t_start, t_end, segment)
     schedule = []
@@ -169,6 +173,9 @@ def to_timed(spath: SegmentPath, v: float = 1.0, omega_deg: float = 90.0,
         schedule.append((t, t + dur, seg))
         t += dur
     total = t
+    if total / dt > MAX_SAMPLES:  # checked before any tick is built
+        raise TrajectoryError(f"dt {dt!r} gives more than {MAX_SAMPLES} samples "
+                              f"over the {total:.6g} s trajectory")
 
     def pose_at(tq: float) -> tuple[float, float, float]:
         for t0, t1, seg in schedule:
@@ -219,9 +226,15 @@ class CostReport:
         return out
 
 
-def _heading_changes(theta: np.ndarray) -> np.ndarray:
+def heading_change_runs(theta: np.ndarray) -> list[tuple[int, int]]:
+    """Maximal runs of sample intervals over which the heading changes, as
+    half-open [start, stop) ranges of interval indices (interval i joins
+    samples i and i + 1)."""
     d = (np.diff(theta) + 180.0) % 360.0 - 180.0
-    return np.abs(d) > HEADING_EPS_DEG
+    changing = np.concatenate(([False], np.abs(d) > HEADING_EPS_DEG, [False]))
+    edges = np.diff(changing.astype(np.int8))
+    return list(zip(np.flatnonzero(edges == 1).tolist(),
+                    np.flatnonzero(edges == -1).tolist()))
 
 
 def eval_costs(timed: TimedTrajectory, wmap: WorkspaceMap, r: float,
@@ -235,7 +248,7 @@ def eval_costs(timed: TimedTrajectory, wmap: WorkspaceMap, r: float,
     """
     s = timed.samples
     t, x, y, theta = s[:, 0], s[:, 1], s[:, 2], s[:, 3]
-    phi = np.array([obstruction_ratio(wmap, (xi, yi), r) for xi, yi in zip(x, y)])
+    phi = obstruction_ratios(wmap, s[:, 1:3], r)
 
     T = float(t[-1])
     if len(s) == 1 or T == 0.0:
@@ -245,15 +258,7 @@ def eval_costs(timed: TimedTrajectory, wmap: WorkspaceMap, r: float,
     V = float(np.sum(np.diff(t) * (phi[1:] + phi[:-1]) / 2.0) / T)
     D = float(np.sum(np.hypot(np.diff(x), np.diff(y))))
 
-    changing = _heading_changes(theta)
-    N = 0
-    in_run = False
-    for c in changing:
-        if c and not in_run:
-            N += 1
-            in_run = True
-        elif not c:
-            in_run = False
+    N = len(heading_change_runs(theta))
     return CostReport(V=V, N=N, D=D, T=T, search_w1_sum=search_w1_sum)
 
 
@@ -283,8 +288,7 @@ def timed_from_json(text: str | dict) -> TimedTrajectory:
         if key not in data:
             raise TrajectoryError(f"missing field '{key}'")
     for key in ("v", "omega_deg", "dt"):
-        if not isinstance(data[key], (int, float)) or data[key] <= 0:
-            raise TrajectoryError(f"'{key}' must be a positive number")
+        finite_number(data[key], f"'{key}'", positive=True, error=TrajectoryError)
     samples = data["samples"]
     if not isinstance(samples, list) or not samples:
         raise TrajectoryError("'samples' must be a non-empty list")
@@ -294,8 +298,7 @@ def timed_from_json(text: str | dict) -> TimedTrajectory:
         if not isinstance(rec, dict):
             raise TrajectoryError(f"'samples[{i}]' must be an object")
         for key in ("t", "x", "y", "theta_deg"):
-            if key not in rec or not isinstance(rec[key], (int, float)):
-                raise TrajectoryError(f"'samples[{i}].{key}' must be a number")
+            finite_number(rec.get(key), f"'samples[{i}].{key}'", error=TrajectoryError)
         if rec["t"] <= prev_t:
             raise TrajectoryError(f"'samples[{i}].t' must be strictly increasing")
         prev_t = rec["t"]

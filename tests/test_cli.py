@@ -279,3 +279,67 @@ class TestRenderCommand:
                          "--out", str(out), t]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestNumericInputs:
+    """Every numeric input is a finite number (> 0 for parameters); a bad one
+    exits 1 with a message that names it, never a traceback or a hang."""
+
+    PLAN_FLAGS = {"--delta": "1.0", "--rho": "0.2", "--r": "0.8"}
+
+    def plan_argv(self, map_path, tmp_path, flags):
+        argv = ["plan", "--map", map_path, "--start", "0.5,0.5,0",
+                "--goal", "2.5,2.5", "--out", str(tmp_path / "out")]
+        for flag, value in flags.items():
+            argv += [flag, value]
+        return argv
+
+    @pytest.mark.parametrize("flag", ["--delta", "--rho", "--r", "--v", "--omega", "--dt"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_plan_flag(self, map_file, tmp_path, capsys, flag, bad):
+        flags = dict(self.PLAN_FLAGS, **{flag: bad})
+        assert main(self.plan_argv(map_file(free_map(3, 3)), tmp_path, flags)) == 1
+        assert f"{flag} must be a finite number > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["DELTA", "RHO", "R", "V", "OMEGA", "DT"])
+    def test_plan_environment_variable(self, map_file, tmp_path, capsys,
+                                       monkeypatch, name):
+        monkeypatch.setenv(f"PNAV_{name}", "nan")
+        flags = dict(self.PLAN_FLAGS)
+        flags.pop(f"--{name.lower()}", None)
+        assert main(self.plan_argv(map_file(free_map(3, 3)), tmp_path, flags)) == 1
+        assert f"PNAV_{name} must be a finite number > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("env", [None, "inf"])
+    def test_rrt_step(self, map_file, tmp_path, capsys, monkeypatch, env):
+        argv = ["rrt", "--map", map_file(free_map(8, 8)), "--start", "1.0,1.0",
+                "--goal", "7.0,7.0", "--n", "2", "--rho", "0.2", "--r", "0.8",
+                "--out", str(tmp_path / "out")]
+        if env is None:
+            argv += ["--step", "nan"]
+            name = "--step"
+        else:
+            monkeypatch.setenv("PNAV_STEP", env)
+            name = "PNAV_STEP"
+        assert main(argv) == 1
+        assert f"{name} must be a finite number > 0" in capsys.readouterr().err
+
+    def test_start_coordinate(self, map_file, tmp_path, capsys):
+        assert run_plan(map_file(free_map(3, 3)), tmp_path / "out",
+                        start="inf,0.5,0") == 1
+        assert "--start must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,bad", [("width", True), ("resolution", math.nan)])
+    def test_map_header(self, tmp_path, capsys, field, bad):
+        doc = json.loads(dump_map(free_map(3, 3)))
+        doc[field] = bad
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(doc))
+        assert run_plan(str(path), tmp_path / "out") == 1
+        assert f"'{field}' must be a finite" in capsys.readouterr().err
+
+    def test_tiny_dt_is_an_input_error(self, map_file, tmp_path, capsys):
+        # about 3e9 ticks per entry: refused by arithmetic before any is built
+        assert run_plan(map_file(free_map(3, 3)), tmp_path / "out",
+                        extra=("--dt", "1e-9")) == 1
+        assert "dt 1e-09 gives more than" in capsys.readouterr().err

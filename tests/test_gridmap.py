@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnav.gridmap import (MapFormatError, WorkspaceMap, dump_map, footprint_free,
-                          load_map, obstruction_field, obstruction_ratio)
+from pnav.gridmap import (DISC_SAMPLES_PER_CELL, MapFormatError, WorkspaceMap,
+                          dump_map, footprint_free, load_map, obstruction_field,
+                          obstruction_ratio, obstruction_ratios)
 
 from conftest import free_map, make_map
 
@@ -42,6 +43,15 @@ class TestLoadMap:
         ("resolution", -0.5),
         ("width", 0),
         ("origin", [1.0]),
+        ("width", True),
+        ("height", True),
+        ("width", 2.0),
+        ("resolution", math.nan),
+        ("resolution", math.inf),
+        ("resolution", True),
+        ("origin", [math.nan, 0.0]),
+        ("origin", [0.0, -math.inf]),
+        ("origin", [False, 0.0]),
     ])
     def test_malformed_header(self, field, bad):
         doc = {"width": 2, "height": 1, "resolution": 1.0,
@@ -49,6 +59,15 @@ class TestLoadMap:
         doc[field] = bad
         with pytest.raises(MapFormatError, match=field):
             load_map(json.dumps(doc))
+
+    @pytest.mark.parametrize("resolution,origin,field", [
+        (math.nan, (0.0, 0.0), "resolution"),
+        (math.inf, (0.0, 0.0), "resolution"),
+        (1.0, (0.0, math.nan), "origin"),
+    ])
+    def test_constructor_rejects_non_finite_geometry(self, resolution, origin, field):
+        with pytest.raises(ValueError, match=field):
+            WorkspaceMap(2, 2, resolution, origin, np.zeros((2, 2), dtype=bool))
 
     def test_row_length_mismatch(self):
         doc = {"width": 3, "height": 2, "resolution": 1.0,
@@ -183,3 +202,106 @@ def test_obstruction_at_obstacle_center_positive(ix, iy, r):
     occ[iy, ix] = True
     m = WorkspaceMap(6, 6, 1.0, (0.0, 0.0), occ)
     assert obstruction_ratio(m, m.cell_center(ix, iy), r) > 0.0
+
+
+def _obstruction_cell_units(wmap: WorkspaceMap, px: float, py: float, r_cells: float) -> float:
+    """Obstruction ratio with position and radius expressed in cell units.
+
+    Each cell is subsampled on an s x s grid; sample points inside the disc
+    are counted and those falling on obstacle (or out-of-bounds) cells form
+    the obstructed fraction.  Deterministic by construction.
+    """
+    s = DISC_SAMPLES_PER_CELL
+    ix0 = int(math.floor(px - r_cells))
+    ix1 = int(math.floor(px + r_cells))
+    iy0 = int(math.floor(py - r_cells))
+    iy1 = int(math.floor(py + r_cells))
+
+    offs = (np.arange(s) + 0.5) / s
+    xs = (np.arange(ix0, ix1 + 1)[:, None] + offs[None, :]).ravel()
+    ys = (np.arange(iy0, iy1 + 1)[:, None] + offs[None, :]).ravel()
+    dx2 = (xs - px) ** 2
+    dy2 = (ys - py) ** 2
+    inside = dx2[None, :] + dy2[:, None] <= r_cells * r_cells  # [y, x]
+    total = int(inside.sum())
+    if total == 0:
+        # radius small relative to the subsample grid: fall back to the host cell
+        return 1.0 if wmap.is_obstacle(int(math.floor(px)), int(math.floor(py))) else 0.0
+
+    cxs = np.floor(xs).astype(int)
+    cys = np.floor(ys).astype(int)
+    occ_x = (cxs < 0) | (cxs >= wmap.width)
+    occ_y = (cys < 0) | (cys >= wmap.height)
+    occupied = np.ones((len(cys), len(cxs)), dtype=bool)
+    valid = ~occ_y[:, None] & ~occ_x[None, :]
+    if valid.any():
+        occupied[valid] = wmap.occupancy[
+            np.broadcast_to(cys[:, None], valid.shape)[valid],
+            np.broadcast_to(cxs[None, :], valid.shape)[valid],
+        ]
+    obstructed = int((inside & occupied).sum())
+    return obstructed / total
+
+
+class TestObstructionRatios:
+    """The batched kernel against the former one-point implementation,
+    kept above verbatim as an independent oracle."""
+
+    @staticmethod
+    def oracle(wmap, p, r):
+        ox, oy = wmap.origin
+        res = wmap.resolution
+        return _obstruction_cell_units(wmap, (p[0] - ox) / res, (p[1] - oy) / res,
+                                       r / res)
+
+    @pytest.mark.parametrize("resolution,r", [
+        (0.5, 2.0), (0.5, 1.3), (0.3, 0.7), (0.3, 0.9),
+        (1.0, 2.6), (0.5, 0.06),  # 0.06: the disc can miss every subsample
+    ])
+    def test_bit_identical_to_oracle(self, resolution, r):
+        rng = np.random.default_rng(int(r * 1000) + int(resolution * 100))
+        occ = rng.random((9, 13)) < 0.3
+        wmap = WorkspaceMap(13, 9, resolution, (-1.7, 2.3), occ)
+        xmin, ymin, xmax, ymax = wmap.world_bounds
+        # inside the map and up to 2 r beyond each border
+        xy = np.column_stack([rng.uniform(xmin - 2 * r, xmax + 2 * r, 300),
+                              rng.uniform(ymin - 2 * r, ymax + 2 * r, 300)])
+        got = obstruction_ratios(wmap, xy, r)
+        want = np.array([self.oracle(wmap, p, r) for p in xy])
+        assert got.shape == (300,)
+        assert np.array_equal(got, want)
+
+    def test_subsample_on_the_circle_is_inside(self):
+        # Points on subsample positions with r = 1.25 cells: the subsample
+        # at (dx, dy) = (0.75, 1.0) cells lies exactly on the circle.
+        rng = np.random.default_rng(4)
+        occ = rng.random((8, 8)) < 0.4
+        wmap = WorkspaceMap(8, 8, 0.5, (-1.5, 2.0), occ)
+        k = rng.integers(-2, 10, size=(200, 2)) + rng.integers(0, 4, size=(200, 2)) / 4
+        xy = np.array(wmap.origin) + (k + 0.125) * 0.5
+        got = obstruction_ratios(wmap, xy, 0.625)
+        assert np.array_equal(got, [self.oracle(wmap, p, 0.625) for p in xy])
+
+    def test_fallback_uses_host_cell(self):
+        wmap = make_map(["#.", ".."], resolution=1.0, origin=(0.5, -0.5))
+        # a 0.01-cell disc around a cell centre holds no subsample
+        xy = np.array([[1.0, 1.0], [2.0, 1.0], [2.0, 0.0], [9.0, 9.0]])
+        assert obstruction_ratios(wmap, xy, 0.01).tolist() == [1.0, 0.0, 0.0, 1.0]
+
+    def test_batch_and_chunking_do_not_change_a_point(self, museum):
+        wmap, model = museum
+        r = model.camera_clearance_radius
+        rng = np.random.default_rng(8)
+        xy = np.column_stack([rng.uniform(-1, 23, 700), rng.uniform(-1, 16, 700)])
+        whole = obstruction_ratios(wmap, xy, r)
+        one_by_one = [obstruction_ratio(wmap, tuple(p), r) for p in xy[::7]]
+        assert whole[::7].tolist() == one_by_one
+
+    def test_empty_input(self):
+        out = obstruction_ratios(free_map(3, 3), np.empty((0, 2)), 1.0)
+        assert out.shape == (0,)
+
+    @pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_bad_radius_rejected(self, r):
+        with pytest.raises(ValueError, match="r must be"):
+            obstruction_ratios(free_map(3, 3), np.array([[1.0, 1.0]]), r)

@@ -8,7 +8,9 @@ from pnav.gridmap import obstruction_ratio
 from pnav.lattice import LatticeNode, build_lattice
 from pnav.moastar import GoalSpec, plan_pareto
 from pnav.rrt import PolyPath
-from pnav.trajectory import (Rotate, Translate, TrajectoryError, eval_costs,
+from pnav.render import rotation_points
+from pnav.trajectory import (Rotate, TimedTrajectory, Translate,
+                             TrajectoryError, eval_costs, heading_change_runs,
                              signed_arc_deg, timed_from_json, timed_to_json,
                              to_segment_path, to_timed)
 
@@ -95,6 +97,46 @@ class TestToTimed:
             to_timed(sp, v=0.0)
         with pytest.raises(TrajectoryError):
             to_timed(sp, dt=-0.1)
+
+    @pytest.mark.parametrize("name", ["v", "omega_deg", "dt"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, True])
+    def test_non_finite_or_bool_parameter_names_it(self, name, bad):
+        sp = to_segment_path(PolyPath(((0, 0), (1, 0), (1, 1))))
+        with pytest.raises(TrajectoryError, match=name):
+            to_timed(sp, **{name: bad})
+
+    def test_sample_cap_checked_before_allocating(self):
+        import tracemalloc
+        sp = to_segment_path(PolyPath(((0, 0), (3, 0), (3, 4))))
+        # 8 s / 5e-324 overflows to inf: without the cap this would build
+        # ticks forever
+        tracemalloc.start()
+        try:
+            with pytest.raises(TrajectoryError, match="dt"):
+                to_timed(sp, dt=5e-324)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+
+class TestRotationRuns:
+    @staticmethod
+    def timed(rows):
+        return TimedTrajectory(np.array(rows, dtype=float), 1.0, 90.0, 1.0)
+
+    def test_runs_are_maximal_and_half_open(self):
+        theta = np.array([0.0, 0.0, 45.0, 90.0, 90.0, 90.0, 350.0, 350.0, 10.0])
+        assert heading_change_runs(theta) == [(1, 3), (5, 6), (7, 8)]
+        assert heading_change_runs(np.array([7.0])) == []
+
+    def test_marker_at_first_still_interval_of_each_run(self):
+        # run 1 turns while moving, then in place; run 2 only while moving
+        tt = self.timed([[0, 0, 0, 0], [1, 1, 0, 10], [2, 1, 0, 20], [3, 1, 0, 30],
+                         [4, 2, 0, 30], [5, 3, 0, 40], [6, 4, 0, 40]])
+        assert heading_change_runs(tt.samples[:, 3]) == [(0, 3), (4, 5)]
+        assert rotation_points(tt) == [(1.0, 0.0)]
+        assert eval_costs(tt, free_map(8, 8), 0.5).N == 2
 
 
 class TestEvalCosts:
@@ -195,5 +237,25 @@ class TestTrajectoryJson:
         sp = to_segment_path(PolyPath(((0, 0), (1, 0))))
         doc = json.loads(timed_to_json(to_timed(sp)))
         mutate(doc)
+        with pytest.raises(TrajectoryError, match=field):
+            timed_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("path,bad", [
+        (("v",), True),
+        (("omega_deg",), math.inf),
+        (("dt",), math.nan),
+        (("samples", 1, "t"), math.nan),
+        (("samples", 1, "x"), math.inf),
+        (("samples", 0, "y"), -math.inf),
+        (("samples", 1, "theta_deg"), False),
+    ])
+    def test_non_finite_or_bool_value_names_the_field(self, path, bad):
+        sp = to_segment_path(PolyPath(((0, 0), (1, 0))))
+        doc = json.loads(timed_to_json(to_timed(sp)))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = bad
+        field = path[0] if len(path) == 1 else f"samples\\[{path[1]}\\].{path[2]}"
         with pytest.raises(TrajectoryError, match=field):
             timed_from_json(json.dumps(doc))
