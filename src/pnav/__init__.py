@@ -3,7 +3,7 @@
 from .gridmap import (RobotModel, WorkspaceMap, footprint_free, load_map,
                       obstruction_field, obstruction_ratio, obstruction_ratios)
 from .lattice import (CostVector, LatticeEdge, LatticeGraph, LatticeNode,
-                      build_lattice, edge_cost, validate_edge)
+                      build_lattice)
 from .moastar import (GoalSpec, ParetoFront, brute_force_front, dominates,
                       heuristic, pareto_filter, plan_pareto)
 from .rrt import PolyPath, RrtParams, best_of_n, curvature_sign_changes, rrt_plan
@@ -15,7 +15,7 @@ __all__ = [
     "RobotModel", "WorkspaceMap", "footprint_free", "load_map",
     "obstruction_field", "obstruction_ratio", "obstruction_ratios",
     "CostVector", "LatticeEdge", "LatticeGraph", "LatticeNode",
-    "build_lattice", "edge_cost", "validate_edge",
+    "build_lattice",
     "GoalSpec", "ParetoFront", "brute_force_front", "dominates",
     "heuristic", "pareto_filter", "plan_pareto",
     "PolyPath", "RrtParams", "best_of_n", "curvature_sign_changes", "rrt_plan",

@@ -5,6 +5,16 @@ origin corner; cell indices grow with world x (ix) and world y (iy).
 Everything outside the map bounds is treated as obstacle, so queries near
 the border behave conservatively.
 
+The collision test has one implementation, swept_footprint_free; a disc
+standing at p is the zero-length sweep from p to p (footprint_free).  The
+disc sweeping the segment ab collides when an obstacle cell square, closed,
+lies at squared distance d^2 < rho^2 from ab.  d^2 is 0 when ab meets the
+square, and otherwise the least of each endpoint's squared distance to the
+square and each corner's squared distance to ab.  Standing and sweeping
+discs decide tangency alike: d^2 == rho^2 in floating point is free.  So a
+disc of radius sqrt(1/8) at distance sqrt(1/8) from a corner collides,
+because rho^2 rounds up past d^2 = 1/8.
+
 The obstruction ratio has one implementation, the batched
 obstruction_ratios; obstruction_ratio and obstruction_field call it.  Its
 result for a point does not depend on the other points of the batch or on
@@ -162,75 +172,49 @@ def dump_map(wmap: WorkspaceMap) -> str:
 
 
 def footprint_free(wmap: WorkspaceMap, position: tuple[float, float], rho: float) -> bool:
-    """True iff a disc of radius rho at position overlaps no obstacle cell.
-
-    Conservative cell-overlap test: any obstacle (or out-of-bounds) cell whose
-    square strictly intersects the open disc makes the placement invalid.
-    """
-    if rho <= 0:
-        raise ValueError("rho must be > 0")
-    x, y = position
-    res = wmap.resolution
-    ox, oy = wmap.origin
-    # Disc must lie within map bounds (touching the border is allowed).
-    xmin, ymin, xmax, ymax = wmap.world_bounds
-    if x - rho < xmin or y - rho < ymin or x + rho > xmax or y + rho > ymax:
-        return False
-
-    ix0 = int(math.floor((x - rho - ox) / res))
-    ix1 = int(math.floor((x + rho - ox) / res))
-    iy0 = int(math.floor((y - rho - oy) / res))
-    iy1 = int(math.floor((y + rho - oy) / res))
-    for iy in range(iy0, iy1 + 1):
-        for ix in range(ix0, ix1 + 1):
-            if not wmap.is_obstacle(ix, iy):
-                continue
-            # closest point of the cell square to the disc center
-            cx0, cy0 = ox + ix * res, oy + iy * res
-            dx = x - min(max(x, cx0), cx0 + res)
-            dy = y - min(max(y, cy0), cy0 + res)
-            if dx * dx + dy * dy < rho * rho:
-                return False
-    return True
+    """True iff a disc of radius rho at position overlaps no obstacle cell:
+    the zero-length sweep swept_footprint_free(wmap, position, position, rho)."""
+    return swept_footprint_free(wmap, position, position, rho)
 
 
-def _dist_point_segment(px, py, ax, ay, bx, by):
-    vx, vy = bx - ax, by - ay
-    wx, wy = px - ax, py - ay
+def _dist2_point_square(px, py, x0, y0, x1, y1):
+    """Squared distance from a point to the closed square [x0, x1] x [y0, y1]."""
+    dx = px - min(max(px, x0), x1)
+    dy = py - min(max(py, y0), y1)
+    return dx * dx + dy * dy
+
+
+def _dist2_point_segment(px, py, ax, ay, vx, vy):
+    """Squared distance from a point to the segment a .. a + v."""
     vv = vx * vx + vy * vy
-    t = 0.0 if vv == 0.0 else min(max((wx * vx + wy * vy) / vv, 0.0), 1.0)
+    t = 0.0 if vv == 0.0 else min(max(((px - ax) * vx + (py - ay) * vy) / vv, 0.0), 1.0)
     dx, dy = px - (ax + t * vx), py - (ay + t * vy)
-    return math.hypot(dx, dy)
+    return dx * dx + dy * dy
 
 
-def _segment_box_distance(p0, p1, x0, y0, x1, y1):
-    """Exact distance between a segment and an axis-aligned box (0 if they touch)."""
-    # segment endpoint inside the box
-    for (px, py) in (p0, p1):
-        if x0 <= px <= x1 and y0 <= py <= y1:
-            return 0.0
-    corners = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
-    best = math.inf
-    ax, ay = p0
-    bx, by = p1
-    dxs, dys = bx - ax, by - ay
-    for i in range(4):
-        cx0, cy0 = corners[i]
-        cx1, cy1 = corners[(i + 1) % 4]
-        # segment-segment: check crossing, else closest endpoint distances
-        ex, ey = cx1 - cx0, cy1 - cy0
-        denom = dxs * ey - dys * ex
-        if denom != 0.0:
-            t = ((cx0 - ax) * ey - (cy0 - ay) * ex) / denom
-            u = ((cx0 - ax) * dys - (cy0 - ay) * dxs) / denom
-            if 0.0 <= t <= 1.0 and 0.0 <= u <= 1.0:
-                return 0.0
-        best = min(best,
-                   _dist_point_segment(cx0, cy0, ax, ay, bx, by),
-                   _dist_point_segment(cx1, cy1, ax, ay, bx, by),
-                   _dist_point_segment(ax, ay, cx0, cy0, cx1, cy1),
-                   _dist_point_segment(bx, by, cx0, cy0, cx1, cy1))
-    return best
+def _dist2_segment_square(ax, ay, bx, by, x0, y0, x1, y1):
+    """Squared distance between the segment ab and the closed square
+    [x0, x1] x [y0, y1]; 0.0 when they meet."""
+    vx, vy = bx - ax, by - ay
+    # Liang-Barsky: clip the parameter range [0, 1] of a + t v to the square
+    t0, t1 = 0.0, 1.0
+    for p, q in ((-vx, ax - x0), (vx, x1 - ax), (-vy, ay - y0), (vy, y1 - ay)):
+        if p == 0.0:
+            if q < 0.0:  # parallel to this side and outside it
+                t0 = 2.0
+        elif p < 0.0:
+            t0 = max(t0, q / p)
+        else:
+            t1 = min(t1, q / p)
+    if t0 <= t1:
+        return 0.0
+    # Apart: the closest pair has an endpoint of ab or a corner of the square.
+    return min(_dist2_point_square(ax, ay, x0, y0, x1, y1),
+               _dist2_point_square(bx, by, x0, y0, x1, y1),
+               _dist2_point_segment(x0, y0, ax, ay, vx, vy),
+               _dist2_point_segment(x1, y0, ax, ay, vx, vy),
+               _dist2_point_segment(x1, y1, ax, ay, vx, vy),
+               _dist2_point_segment(x0, y1, ax, ay, vx, vy))
 
 
 def swept_footprint_free(wmap: WorkspaceMap, p0: tuple[float, float],
@@ -238,29 +222,32 @@ def swept_footprint_free(wmap: WorkspaceMap, p0: tuple[float, float],
     """True iff the disc of radius rho stays obstacle-free while translating
     from p0 to p1.
 
-    Exact continuous test: collision iff some obstacle cell square lies
-    strictly closer than rho to the segment; the rho-inflated segment
-    bounding box must also stay inside the map.
+    Exact continuous test: collision iff some obstacle (or out-of-bounds)
+    cell square lies strictly closer than rho to the segment, compared as
+    d^2 < rho^2; the rho-inflated segment bounding box must also stay inside
+    the map (touching the border is allowed).
     """
     if rho <= 0:
         raise ValueError("rho must be > 0")
     res = wmap.resolution
     ox, oy = wmap.origin
     xmin, ymin, xmax, ymax = wmap.world_bounds
-    lo_x, hi_x = min(p0[0], p1[0]), max(p0[0], p1[0])
-    lo_y, hi_y = min(p0[1], p1[1]), max(p0[1], p1[1])
+    (ax, ay), (bx, by) = p0, p1
+    lo_x, hi_x = min(ax, bx), max(ax, bx)
+    lo_y, hi_y = min(ay, by), max(ay, by)
     if lo_x - rho < xmin or lo_y - rho < ymin or hi_x + rho > xmax or hi_y + rho > ymax:
         return False
     ix0 = int(math.floor((lo_x - rho - ox) / res))
     ix1 = int(math.floor((hi_x + rho - ox) / res))
     iy0 = int(math.floor((lo_y - rho - oy) / res))
     iy1 = int(math.floor((hi_y + rho - oy) / res))
+    rho2 = rho * rho
     for iy in range(iy0, iy1 + 1):
         for ix in range(ix0, ix1 + 1):
             if not wmap.is_obstacle(ix, iy):
                 continue
             cx0, cy0 = ox + ix * res, oy + iy * res
-            if _segment_box_distance(p0, p1, cx0, cy0, cx0 + res, cy0 + res) < rho:
+            if _dist2_segment_square(ax, ay, bx, by, cx0, cy0, cx0 + res, cy0 + res) < rho2:
                 return False
     return True
 
@@ -268,6 +255,8 @@ def swept_footprint_free(wmap: WorkspaceMap, p0: tuple[float, float],
 # Disc subsamples evaluated per chunk of points.  The chunk length follows
 # from the window size, so the working buffers stay near 200 KB whatever r is.
 _CHUNK_SUBSAMPLES = 1 << 14
+# Largest one-point window, in subsamples; its buffers take about 40 MB.
+MAX_WINDOW_SUBSAMPLES = 1 << 22
 
 
 def obstruction_ratios(wmap: WorkspaceMap, xy, r: float) -> np.ndarray:
@@ -281,6 +270,12 @@ def obstruction_ratios(wmap: WorkspaceMap, xy, r: float) -> np.ndarray:
     subsample is in the disc, it is 1.0 or 0.0 by the cell holding p.
     """
     r = finite_number(r, "r", positive=True)
+    s = DISC_SAMPLES_PER_CELL
+    rc = r / wmap.resolution
+    # checked before any buffer is built: a window spans at most 2 rc + 2 cells
+    if ((2 * rc + 2) * s) ** 2 > MAX_WINDOW_SUBSAMPLES:
+        raise ValueError(f"r {r!r} gives a disc window of more than "
+                         f"{MAX_WINDOW_SUBSAMPLES} subsamples")
     xy = np.asarray(xy, dtype=float)
     if xy.ndim != 2 or xy.shape[1] != 2:
         raise ValueError(f"xy must have shape (n, 2), not {xy.shape}")
@@ -289,10 +284,8 @@ def obstruction_ratios(wmap: WorkspaceMap, xy, r: float) -> np.ndarray:
     n = len(xy)
     if not n:
         return np.empty(0)
-    s = DISC_SAMPLES_PER_CELL
     ox, oy = wmap.origin
     res = wmap.resolution
-    rc = r / res
     px = (xy[:, 0] - ox) / res
     py = (xy[:, 1] - oy) / res
     ix0 = np.floor(px - rc).astype(np.int64)

@@ -9,7 +9,6 @@ cost vector (obstruction, turn count, distance).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -76,49 +75,6 @@ class LatticeEdge:
     cost: CostVector
 
 
-def edge_cost(kind: str, heading: int, phi_dst: float, delta: float) -> CostVector:
-    """Cost vector for an edge given its kind, the Type-B travel heading,
-    and the obstruction ratio at the destination position.
-
-    Rotations: w2 = 1, w3 = 0.  Translations: w2 = 0, w3 = delta for axis
-    headings and sqrt(2)*delta for diagonals.  Both kinds carry the
-    destination obstruction as w1.
-    """
-    if kind == "A":
-        return CostVector(phi_dst, 1, 0.0)
-    if kind == "B":
-        w3 = delta if heading in AXIS_HEADINGS else SQRT2 * delta
-        return CostVector(phi_dst, 0, w3)
-    raise ValueError(f"unknown edge kind {kind!r}")
-
-
-def validate_edge(wmap: WorkspaceMap, edge: LatticeEdge, rho: float,
-                  delta: float | None = None) -> bool:
-    """Swept collision check for an edge.
-
-    Type-A needs only the endpoint disc (rotation-symmetric footprint);
-    Type-B sweeps the disc along the full segment.
-    """
-    graph_delta = delta
-    if graph_delta is None:
-        raise ValueError("delta required to place lattice nodes in the world")
-    p0 = node_position(edge.src, wmap, graph_delta)
-    if edge.kind == "A":
-        return footprint_free(wmap, p0, rho)
-    p1 = node_position(edge.dst, wmap, graph_delta)
-    return segment_free(wmap, p0, p1, rho)
-
-
-def segment_free(wmap: WorkspaceMap, p0: tuple[float, float],
-                 p1: tuple[float, float], rho: float) -> bool:
-    """Swept footprint validation along a straight segment.
-
-    Delegates to the exact continuous swept-disc test, which is at least as
-    strict as footprint checks at any interpolation density.
-    """
-    return swept_footprint_free(wmap, p0, p1, rho)
-
-
 def node_position(node: LatticeNode, wmap: WorkspaceMap, delta: float) -> tuple[float, float]:
     """World coordinates of a lattice position (center of its delta-block)."""
     ox, oy = wmap.origin
@@ -160,9 +116,6 @@ class LatticeGraph:
         except KeyError:
             raise LatticeError(f"node {node} not in graph") from None
 
-    def position(self, node: LatticeNode) -> tuple[float, float]:
-        return node_position(node, self.map, self.delta)
-
     def path_cost(self, path: list[LatticeNode]) -> CostVector:
         """Componentwise sum of edge costs along a node path."""
         total = ZERO_COST
@@ -174,17 +127,6 @@ class LatticeGraph:
             else:
                 raise LatticeError(f"no edge {a} -> {b}")
         return total
-
-    def dump_json(self) -> str:
-        """Debug dump; not a stability-guaranteed format."""
-        nodes = [[n.ix, n.iy, n.heading] for n in sorted(self._adjacency)]
-        edges = [
-            [e.src.ix, e.src.iy, e.src.heading,
-             e.dst.ix, e.dst.iy, e.dst.heading,
-             e.kind, e.cost.w1, e.cost.w2, e.cost.w3]
-            for n in sorted(self._adjacency) for e in self._adjacency[n]
-        ]
-        return json.dumps({"delta": self.delta, "nodes": nodes, "edges": edges})
 
 
 def build_lattice(wmap: WorkspaceMap, model: RobotModel, delta: float) -> LatticeGraph:
@@ -214,25 +156,20 @@ def build_lattice(wmap: WorkspaceMap, model: RobotModel, delta: float) -> Lattic
     xy = np.array(list(free.values()), dtype=float).reshape(-1, 2)
     phi = dict(zip(free, obstruction_ratios(wmap, xy, r).tolist()))
 
+    step = {h: delta if h in AXIS_HEADINGS else SQRT2 * delta for h in HEADINGS}
+    nodes = {pos: tuple(LatticeNode(*pos, h) for h in HEADINGS) for pos in sorted(phi)}
     adjacency: dict[LatticeNode, tuple[LatticeEdge, ...]] = {}
-    for (ix, iy) in sorted(phi):
-        for heading in HEADINGS:
-            src = LatticeNode(ix, iy, heading)
-            edges = []
-            for h2 in HEADINGS:  # Type-A: every other heading at this position
-                if h2 == heading:
-                    continue
-                dst = LatticeNode(ix, iy, h2)
-                edges.append(LatticeEdge(src, dst, "A",
-                                         edge_cost("A", heading, phi[(ix, iy)], delta)))
-            dx, dy = HEADING_STEP[heading]
-            jx, jy = ix + dx, iy + dy
-            if 0 <= jx < nx and 0 <= jy < ny and (jx, jy) in phi:
-                dst = LatticeNode(jx, jy, heading)
-                cand = LatticeEdge(src, dst, "B",
-                                   edge_cost("B", heading, phi[(jx, jy)], delta))
-                if validate_edge(wmap, cand, rho, delta):
-                    edges.append(cand)
+    for (ix, iy), here in nodes.items():
+        turn = CostVector(phi[(ix, iy)], 1, 0.0)
+        for k, src in enumerate(here):
+            # Type-A: every other heading at this position, ascending
+            edges = [LatticeEdge(src, dst, "A", turn) for dst in here if dst is not src]
+            dx, dy = HEADING_STEP[src.heading]
+            dst_pos = (ix + dx, iy + dy)
+            if dst_pos in phi and swept_footprint_free(wmap, free[(ix, iy)],
+                                                       free[dst_pos], rho):
+                edges.append(LatticeEdge(src, nodes[dst_pos][k], "B",
+                                         CostVector(phi[dst_pos], 0, step[src.heading])))
             adjacency[src] = tuple(edges)
 
     return LatticeGraph(wmap, model, delta, nx, ny, phi, adjacency)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from dataclasses import dataclass, field
 
 from .lattice import SQRT2, CostVector, LatticeGraph, LatticeNode
@@ -95,6 +94,19 @@ def heuristic(node: LatticeNode, goal: GoalSpec, delta: float) -> CostVector:
     return CostVector(0.0, 0, octile(dx, dy))
 
 
+def _distance_bound(goal: GoalSpec, delta: float):
+    """node -> heuristic(node, goal, delta).w3, cached per position."""
+    cache: dict[tuple[int, int], float] = {}
+
+    def h3(node: LatticeNode) -> float:
+        key = (node.ix, node.iy)
+        val = cache.get(key)
+        if val is None:
+            val = cache[key] = heuristic(node, goal, delta).w3
+        return val
+    return h3
+
+
 @dataclass
 class ParetoFront:
     """Mutually non-dominated (cost, node path) entries plus query metadata."""
@@ -148,16 +160,7 @@ def plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> Pare
         raise PlanningError("invalid goal")
 
     delta = graph.delta
-    h_cache: dict[tuple[int, int], float] = {}
-
-    def h3(node: LatticeNode) -> float:
-        key = (node.ix, node.iy)
-        val = h_cache.get(key)
-        if val is None:
-            val = octile((goal.ix - node.ix) * delta, (goal.iy - node.iy) * delta)
-            h_cache[key] = val
-        return val
-
+    h3 = _distance_bound(goal, delta)
     counter = itertools.count()
     root = _Label((0.0, 0, 0.0), start, None)
     open_heap = [(h3(start), 0, 0.0, next(counter), root)]
@@ -224,10 +227,7 @@ def brute_force_front(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -
         raise PlanningError("invalid goal")
 
     delta = graph.delta
-
-    def h3(node: LatticeNode) -> float:
-        return octile((goal.ix - node.ix) * delta, (goal.iy - node.iy) * delta)
-
+    h3 = _distance_bound(goal, delta)
     solutions: list[tuple[tuple, list[LatticeNode]]] = []
 
     # deterministic successor order biased toward the goal so pruning bites early

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridmap import RobotModel, WorkspaceMap, footprint_free
-from .lattice import segment_free
+from .gridmap import RobotModel, WorkspaceMap, footprint_free, swept_footprint_free
 
 COLLINEAR_EPS = 1e-9
 
@@ -40,10 +39,6 @@ class RrtParams:
     @property
     def tolerance(self) -> float:
         return self.step_size if self.goal_tolerance is None else self.goal_tolerance
-
-
-def default_params(wmap: WorkspaceMap, seed: int = 0) -> RrtParams:
-    return RrtParams(step_size=2.0 * wmap.resolution, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -90,7 +85,8 @@ def rrt_plan(wmap: WorkspaceMap, model: RobotModel,
 
     nodes = [start]
     parents = [-1]
-    coords = np.array([start], dtype=float)
+    coords = np.empty((64, 2))  # nodes' coordinates in its first len(nodes) rows
+    coords[0] = start
 
     def backtrace(idx: int) -> PolyPath:
         verts = []
@@ -106,7 +102,7 @@ def rrt_plan(wmap: WorkspaceMap, model: RobotModel,
 
     # start may already be within tolerance of the goal
     if math.hypot(goal[0] - start[0], goal[1] - start[1]) <= tol \
-            and segment_free(wmap, start, goal, rho):
+            and swept_footprint_free(wmap, start, goal, rho):
         return PolyPath((start, goal)) if goal != start else PolyPath((start,))
 
     for _ in range(params.max_iterations):
@@ -115,7 +111,8 @@ def rrt_plan(wmap: WorkspaceMap, model: RobotModel,
         else:
             sample = (xmin + rng.random() * (xmax - xmin),
                       ymin + rng.random() * (ymax - ymin))
-        d2 = (coords[:, 0] - sample[0]) ** 2 + (coords[:, 1] - sample[1]) ** 2
+        filled = coords[:len(nodes)]
+        d2 = (filled[:, 0] - sample[0]) ** 2 + (filled[:, 1] - sample[1]) ** 2
         near_idx = int(np.argmin(d2))
         near = nodes[near_idx]
         dist = math.sqrt(d2[near_idx])
@@ -124,16 +121,19 @@ def rrt_plan(wmap: WorkspaceMap, model: RobotModel,
         scale = min(1.0, params.step_size / dist)
         new = (near[0] + scale * (sample[0] - near[0]),
                near[1] + scale * (sample[1] - near[1]))
+        # the standing disc first: it is cheaper and rejects about a quarter
         if not footprint_free(wmap, new, rho):
             continue
-        if not segment_free(wmap, near, new, rho):
+        if not swept_footprint_free(wmap, near, new, rho):
             continue
+        if len(nodes) == len(coords):  # doubling: amortised O(1) per node
+            coords = np.concatenate([coords, np.empty_like(coords)])
+        coords[len(nodes)] = new
         nodes.append(new)
         parents.append(near_idx)
-        coords = np.vstack([coords, new])
 
         if math.hypot(goal[0] - new[0], goal[1] - new[1]) <= tol \
-                and segment_free(wmap, new, goal, rho):
+                and swept_footprint_free(wmap, new, goal, rho):
             idx = len(nodes) - 1
             if goal != new:
                 nodes.append(goal)

@@ -343,3 +343,19 @@ class TestNumericInputs:
         assert run_plan(map_file(free_map(3, 3)), tmp_path / "out",
                         extra=("--dt", "1e-9")) == 1
         assert "dt 1e-09 gives more than" in capsys.readouterr().err
+
+    def test_huge_camera_radius_is_an_input_error(self, map_file, tmp_path, capsys):
+        # r = 1000 m on 0.5 m cells is a window of about 16,000^2 subsamples
+        # per point: refused by arithmetic before any buffer is built
+        import tracemalloc
+        argv = ["plan", "--map", map_file(museum_map()), "--start", "3.5,3.5,0",
+                "--goal", "18.5,3.5", "--delta", "1.0", "--rho", "0.3",
+                "--r", "1000", "--out", str(tmp_path / "out")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "r 1000.0 gives a disc window of more than" in capsys.readouterr().err
+        assert peak < 1_000_000

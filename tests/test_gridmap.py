@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnav.gridmap import (DISC_SAMPLES_PER_CELL, MapFormatError, WorkspaceMap,
-                          dump_map, footprint_free, load_map, obstruction_field,
-                          obstruction_ratio, obstruction_ratios)
+from pnav.gridmap import (DISC_SAMPLES_PER_CELL, MAX_WINDOW_SUBSAMPLES, MapFormatError,
+                          WorkspaceMap, dump_map, footprint_free, load_map,
+                          obstruction_field, obstruction_ratio, obstruction_ratios,
+                          swept_footprint_free)
 
 from conftest import free_map, make_map
 
@@ -110,6 +111,178 @@ class TestFootprintFree:
             r2 = rng.uniform(r1, 1.2)
             if footprint_free(m, p, r2):
                 assert footprint_free(m, p, r1)
+
+
+# The two former collision tests, kept verbatim (renamed) as oracles.  The
+# standing test compared d^2 < rho^2, the swept one hypot(d) < rho.
+
+def _former_footprint_free(wmap: WorkspaceMap, position: tuple[float, float], rho: float) -> bool:
+    """True iff a disc of radius rho at position overlaps no obstacle cell.
+
+    Conservative cell-overlap test: any obstacle (or out-of-bounds) cell whose
+    square strictly intersects the open disc makes the placement invalid.
+    """
+    if rho <= 0:
+        raise ValueError("rho must be > 0")
+    x, y = position
+    res = wmap.resolution
+    ox, oy = wmap.origin
+    # Disc must lie within map bounds (touching the border is allowed).
+    xmin, ymin, xmax, ymax = wmap.world_bounds
+    if x - rho < xmin or y - rho < ymin or x + rho > xmax or y + rho > ymax:
+        return False
+
+    ix0 = int(math.floor((x - rho - ox) / res))
+    ix1 = int(math.floor((x + rho - ox) / res))
+    iy0 = int(math.floor((y - rho - oy) / res))
+    iy1 = int(math.floor((y + rho - oy) / res))
+    for iy in range(iy0, iy1 + 1):
+        for ix in range(ix0, ix1 + 1):
+            if not wmap.is_obstacle(ix, iy):
+                continue
+            # closest point of the cell square to the disc center
+            cx0, cy0 = ox + ix * res, oy + iy * res
+            dx = x - min(max(x, cx0), cx0 + res)
+            dy = y - min(max(y, cy0), cy0 + res)
+            if dx * dx + dy * dy < rho * rho:
+                return False
+    return True
+
+
+def _dist_point_segment(px, py, ax, ay, bx, by):
+    vx, vy = bx - ax, by - ay
+    wx, wy = px - ax, py - ay
+    vv = vx * vx + vy * vy
+    t = 0.0 if vv == 0.0 else min(max((wx * vx + wy * vy) / vv, 0.0), 1.0)
+    dx, dy = px - (ax + t * vx), py - (ay + t * vy)
+    return math.hypot(dx, dy)
+
+
+def _segment_box_distance(p0, p1, x0, y0, x1, y1):
+    """Exact distance between a segment and an axis-aligned box (0 if they touch)."""
+    # segment endpoint inside the box
+    for (px, py) in (p0, p1):
+        if x0 <= px <= x1 and y0 <= py <= y1:
+            return 0.0
+    corners = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
+    best = math.inf
+    ax, ay = p0
+    bx, by = p1
+    dxs, dys = bx - ax, by - ay
+    for i in range(4):
+        cx0, cy0 = corners[i]
+        cx1, cy1 = corners[(i + 1) % 4]
+        # segment-segment: check crossing, else closest endpoint distances
+        ex, ey = cx1 - cx0, cy1 - cy0
+        denom = dxs * ey - dys * ex
+        if denom != 0.0:
+            t = ((cx0 - ax) * ey - (cy0 - ay) * ex) / denom
+            u = ((cx0 - ax) * dys - (cy0 - ay) * dxs) / denom
+            if 0.0 <= t <= 1.0 and 0.0 <= u <= 1.0:
+                return 0.0
+        best = min(best,
+                   _dist_point_segment(cx0, cy0, ax, ay, bx, by),
+                   _dist_point_segment(cx1, cy1, ax, ay, bx, by),
+                   _dist_point_segment(ax, ay, cx0, cy0, cx1, cy1),
+                   _dist_point_segment(bx, by, cx0, cy0, cx1, cy1))
+    return best
+
+
+def _former_swept_footprint_free(wmap: WorkspaceMap, p0: tuple[float, float],
+                         p1: tuple[float, float], rho: float) -> bool:
+    """True iff the disc of radius rho stays obstacle-free while translating
+    from p0 to p1.
+
+    Exact continuous test: collision iff some obstacle cell square lies
+    strictly closer than rho to the segment; the rho-inflated segment
+    bounding box must also stay inside the map.
+    """
+    if rho <= 0:
+        raise ValueError("rho must be > 0")
+    res = wmap.resolution
+    ox, oy = wmap.origin
+    xmin, ymin, xmax, ymax = wmap.world_bounds
+    lo_x, hi_x = min(p0[0], p1[0]), max(p0[0], p1[0])
+    lo_y, hi_y = min(p0[1], p1[1]), max(p0[1], p1[1])
+    if lo_x - rho < xmin or lo_y - rho < ymin or hi_x + rho > xmax or hi_y + rho > ymax:
+        return False
+    ix0 = int(math.floor((lo_x - rho - ox) / res))
+    ix1 = int(math.floor((hi_x + rho - ox) / res))
+    iy0 = int(math.floor((lo_y - rho - oy) / res))
+    iy1 = int(math.floor((hi_y + rho - oy) / res))
+    for iy in range(iy0, iy1 + 1):
+        for ix in range(ix0, ix1 + 1):
+            if not wmap.is_obstacle(ix, iy):
+                continue
+            cx0, cy0 = ox + ix * res, oy + iy * res
+            if _segment_box_distance(p0, p1, cx0, cy0, cx0 + res, cy0 + res) < rho:
+                return False
+    return True
+
+
+class TestOneCollisionTest:
+    """footprint_free is the zero-length sweep; both agree with the former
+    separate implementations everywhere except at exact tangency."""
+
+    RHOS = (0.2, 0.25, 0.3, math.sqrt(0.125), 0.5)
+
+    @staticmethod
+    def random_map():
+        occ = np.random.default_rng(17).random((12, 16)) < 0.12
+        return WorkspaceMap(16, 12, 0.5, (-1.75, 0.5), occ)
+
+    @pytest.mark.parametrize("rho", RHOS)
+    def test_footprint_equals_former_on_aligned_grid(self, rho):
+        wmap = self.random_map()
+        ox, oy = wmap.origin
+        for i in range(-4, 16 * 4 + 5):
+            for j in range(-4, 12 * 4 + 5):
+                p = (ox + 0.125 * i, oy + 0.125 * j)
+                assert footprint_free(wmap, p, rho) == _former_footprint_free(wmap, p, rho)
+
+    @pytest.mark.parametrize("rho", RHOS)
+    def test_footprint_equals_former_at_random_points(self, rho):
+        wmap = self.random_map()
+        xmin, ymin, xmax, ymax = wmap.world_bounds
+        rng = np.random.default_rng(int(rho * 1000))
+        for p in zip(rng.uniform(xmin - 1, xmax + 1, 2000).tolist(),
+                     rng.uniform(ymin - 1, ymax + 1, 2000).tolist()):
+            assert footprint_free(wmap, p, rho) == _former_footprint_free(wmap, p, rho)
+
+    def test_swept_equals_former_on_random_segments(self):
+        wmap = self.random_map()
+        xmin, ymin, xmax, ymax = wmap.world_bounds
+        rng = np.random.default_rng(23)
+        n = 20_000
+        a = np.column_stack([rng.uniform(xmin - 0.5, xmax + 0.5, n),
+                             rng.uniform(ymin - 0.5, ymax + 0.5, n)])
+        b = a + rng.uniform(-1.0, 1.0, (n, 2))
+        b[::10] = a[::10]  # zero-length sweeps
+        rhos = rng.choice(self.RHOS + (0.05, 0.1), n)
+        collide = 0
+        for p0, p1, rho in zip(a.tolist(), b.tolist(), rhos.tolist()):
+            p0, p1 = tuple(p0), tuple(p1)
+            got = swept_footprint_free(wmap, p0, p1, rho)
+            assert got == _former_swept_footprint_free(wmap, p0, p1, rho)
+            collide += not got
+        assert 0.2 * n < collide < 0.8 * n  # both outcomes well covered
+
+    def test_corner_tangency_decided_as_for_a_standing_disc(self):
+        # On 0.5 m cells a node at a cell centre lies sqrt(1/8) from the
+        # nearest corner of a diagonal-neighbour cell.  d^2 = 1/8 is exact and
+        # rho^2 rounds up, so d^2 < rho^2: a collision, standing or sweeping.
+        rho = math.sqrt(0.125)
+        occ = np.zeros((6, 6), dtype=bool)
+        occ[2, 3] = True  # the cell [1.5, 2] x [1, 1.5]
+        wmap = WorkspaceMap(6, 6, 0.5, (0.0, 0.0), occ)
+        p0 = wmap.cell_center(2, 3)  # (1.25, 1.75): tangent at corner (1.5, 1.5)
+        p1 = wmap.cell_center(1, 4)  # one diagonal step away from the corner
+        assert rho * rho > 0.125
+        for p in (p0, p1):
+            assert swept_footprint_free(wmap, p, p, rho) == footprint_free(wmap, p, rho)
+        assert not footprint_free(wmap, p0, rho)
+        assert footprint_free(wmap, p1, rho)
+        assert swept_footprint_free(wmap, p0, p1, rho) == footprint_free(wmap, p0, rho)
 
 
 class TestObstructionRatio:
@@ -305,3 +478,12 @@ class TestObstructionRatios:
     def test_bad_radius_rejected(self, r):
         with pytest.raises(ValueError, match="r must be"):
             obstruction_ratios(free_map(3, 3), np.array([[1.0, 1.0]]), r)
+
+    def test_window_cap(self):
+        # a window spans at most 2 r + 2 cells of DISC_SAMPLES_PER_CELL subsamples
+        widest = math.isqrt(MAX_WINDOW_SUBSAMPLES) // DISC_SAMPLES_PER_CELL
+        r = (widest - 2) / 2
+        xy = np.array([[1.5, 1.5]])
+        assert obstruction_ratios(free_map(3, 3), xy, r).shape == (1,)
+        with pytest.raises(ValueError, match=f"r {r + 0.125!r} gives a disc window"):
+            obstruction_ratios(free_map(3, 3), xy, r + 0.125)

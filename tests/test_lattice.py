@@ -1,11 +1,9 @@
-import math
-
 import pytest
 
-from pnav.gridmap import RobotModel, footprint_free
+from pnav.gridmap import RobotModel, footprint_free, swept_footprint_free
 from pnav.lattice import (AXIS_HEADINGS, HEADING_STEP, HEADINGS, SQRT2,
-                          CostVector, LatticeEdge, LatticeError, LatticeNode,
-                          build_lattice, edge_cost, node_position, validate_edge)
+                          CostVector, LatticeError, LatticeNode,
+                          build_lattice, node_position)
 
 from conftest import free_map, make_map
 
@@ -87,10 +85,11 @@ class TestBuild:
             dx, dy = HEADING_STEP[node.heading]
             jx, jy = node.ix + dx, node.iy + dy
             if g.has_position(jx, jy) and 0 <= jx < g.nx and 0 <= jy < g.ny:
+                # the swept gate, written out between the two node positions
                 dst = LatticeNode(jx, jy, node.heading)
-                cand = LatticeEdge(node, dst, "B",
-                                   edge_cost("B", node.heading, 0.0, 1.0))
-                if validate_edge(wmap, cand, SMALL.footprint_radius, 1.0):
+                if swept_footprint_free(wmap, node_position(node, wmap, 1.0),
+                                        node_position(dst, wmap, 1.0),
+                                        SMALL.footprint_radius):
                     expect_b = 1
             a, b = count_kinds(g.neighbors(node))
             assert a == 7 and b == expect_b
@@ -99,7 +98,8 @@ class TestBuild:
         wmap = make_map(["....", ".#..", "....", "..#."])
         g1 = build_lattice(wmap, SMALL, 1.0)
         g2 = build_lattice(wmap, SMALL, 1.0)
-        assert g1.dump_json() == g2.dump_json()
+        assert ([(n, g1.neighbors(n)) for n in g1.nodes]
+                == [(n, g2.neighbors(n)) for n in g2.nodes])
 
     def test_type_b_reversibility_in_free_space(self):
         g = build_lattice(free_map(5, 5), SMALL, 1.0)
@@ -114,18 +114,28 @@ class TestBuild:
 
 
 class TestEdgeCost:
+    """Stored edge costs: (phi at the destination, turns, distance)."""
+
+    @staticmethod
+    def free_space_edges(heading):
+        # interior node of a 7 x 7 free map: no disc of r = 0.4 around it or
+        # its neighbours meets an obstacle or the border, so phi = 0
+        g = build_lattice(free_map(7, 7), SMALL, 1.0)
+        return g.neighbors(LatticeNode(3, 3, heading))
+
     def test_type_a_free_space(self):
-        c = edge_cost("A", 0, 0.0, 1.0)
-        assert c == CostVector(0.0, 1, 0.0)
+        turns = [e.cost for e in self.free_space_edges(0) if e.kind == "A"]
+        assert turns == [CostVector(0.0, 1, 0.0)] * 7
 
     @pytest.mark.parametrize("heading", sorted(AXIS_HEADINGS))
     def test_type_b_axis(self, heading):
-        assert edge_cost("B", heading, 0.0, 1.0) == CostVector(0.0, 0, 1.0)
+        moves = [e.cost for e in self.free_space_edges(heading) if e.kind == "B"]
+        assert moves == [CostVector(0.0, 0, 1.0)]
 
     @pytest.mark.parametrize("heading", [45, 135, 225, 315])
     def test_type_b_diagonal(self, heading):
-        c = edge_cost("B", heading, 0.3, 1.0)
-        assert c.w1 == 0.3 and c.w2 == 0 and c.w3 == pytest.approx(SQRT2)
+        moves = [e.cost for e in self.free_space_edges(heading) if e.kind == "B"]
+        assert moves == [CostVector(0.0, 0, SQRT2)]
 
     def test_negative_components_rejected(self):
         with pytest.raises(ValueError):
@@ -135,44 +145,50 @@ class TestEdgeCost:
         wmap = make_map(["....", ".#..", "....", "...."])
         model = RobotModel(footprint_radius=0.2, camera_clearance_radius=0.9)
         g = build_lattice(wmap, model, 1.0)
+        # step length per heading: delta on the axes, sqrt(2) delta on diagonals
+        step = {0: 1.0, 90: 1.0, 180: 1.0, 270: 1.0,
+                45: SQRT2, 135: SQRT2, 225: SQRT2, 315: SQRT2}
         for node in g.nodes:
+            p0 = node_position(node, wmap, 1.0)
             for e in g.neighbors(node):
                 phi = g.phi[(e.dst.ix, e.dst.iy)]
-                assert e.cost == edge_cost(e.kind, node.heading, phi, 1.0)
                 if e.kind == "A":
                     assert (e.src.ix, e.src.iy) == (e.dst.ix, e.dst.iy)
                     assert e.src.heading != e.dst.heading
+                    assert e.cost == CostVector(phi, 1, 0.0)
+                    assert footprint_free(wmap, p0, model.footprint_radius)
                 else:
                     dx, dy = HEADING_STEP[node.heading]
                     assert (e.dst.ix - e.src.ix, e.dst.iy - e.src.iy) == (dx, dy)
                     assert e.src.heading == e.dst.heading
-                assert validate_edge(wmap, e, model.footprint_radius, 1.0)
+                    assert e.cost == CostVector(phi, 0, step[node.heading])
+                    assert swept_footprint_free(wmap, p0, node_position(e.dst, wmap, 1.0),
+                                                model.footprint_radius)
 
 
 class TestValidateEdge:
+    """The gate of a lattice edge: swept_footprint_free between its node
+    positions; a rotation sweeps no distance."""
+
     def test_type_a_free(self):
-        wmap = free_map(3, 3)
-        e = LatticeEdge(LatticeNode(1, 1, 0), LatticeNode(1, 1, 90), "A",
-                        edge_cost("A", 0, 0.0, 1.0))
-        assert validate_edge(wmap, e, 0.3, 1.0)
+        p = node_position(LatticeNode(1, 1, 0), free_map(3, 3), 1.0)
+        assert swept_footprint_free(free_map(3, 3), p, p, 0.3)
 
     def test_type_b_through_wall(self):
         wmap = make_map([".#."])
-        e = LatticeEdge(LatticeNode(0, 0, 0), LatticeNode(2, 0, 0), "B",
-                        edge_cost("B", 0, 0.0, 1.0))
-        assert not validate_edge(wmap, e, 0.2, 1.0)
+        p0 = node_position(LatticeNode(0, 0, 0), wmap, 1.0)
+        p1 = node_position(LatticeNode(2, 0, 0), wmap, 1.0)
+        assert not swept_footprint_free(wmap, p0, p1, 0.2)
 
     def test_diagonal_squeeze(self):
         # obstacles diagonal-adjacent: the 45-degree move pinches between them
         wmap = make_map(["#.",
                          ".#"])
-        e = LatticeEdge(LatticeNode(0, 0, 45), LatticeNode(1, 1, 45), "B",
-                        edge_cost("B", 45, 0.0, 1.0))
-        rho = 0.15
-        assert not validate_edge(wmap, e, rho, 1.0)
-        # oracle: dense 1000-sample sweep agrees
         p0 = node_position(LatticeNode(0, 0, 45), wmap, 1.0)
         p1 = node_position(LatticeNode(1, 1, 45), wmap, 1.0)
+        rho = 0.15
+        assert not swept_footprint_free(wmap, p0, p1, rho)
+        # oracle: dense 1000-sample sweep agrees
         dense_free = all(
             footprint_free(wmap, (p0[0] + t * (p1[0] - p0[0]),
                                   p0[1] + t * (p1[1] - p0[1])), rho)

@@ -40,6 +40,15 @@ class TestRrtPlan:
         straight = math.dist(start, goal)
         assert path.length() >= straight - 1e-9
 
+    def test_iteration_budget_is_not_allocated_up_front(self):
+        # the tree's storage grows with the tree, not with max_iterations
+        wmap = free_map(10, 10)
+        start, goal = (1.5, 1.5), (8.5, 8.5)
+        usual = rrt_plan(wmap, MODEL, start, goal, RrtParams(step_size=0.3, seed=7))
+        huge = rrt_plan(wmap, MODEL, start, goal,
+                        RrtParams(step_size=0.3, seed=7, max_iterations=10**12))
+        assert usual is not None and huge == usual
+
     def test_start_in_collision(self):
         wmap = make_map(["#....", ".....", "....."])
         with pytest.raises(ValueError, match="start"):
