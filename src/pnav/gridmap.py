@@ -227,8 +227,8 @@ def swept_footprint_free(wmap: WorkspaceMap, p0: tuple[float, float],
     d^2 < rho^2; the rho-inflated segment bounding box must also stay inside
     the map (touching the border is allowed).
     """
-    if rho <= 0:
-        raise ValueError("rho must be > 0")
+    if not 0 < rho < math.inf:  # also NaN, which fails every comparison
+        raise ValueError(f"rho must be a finite number > 0, got {rho!r}")
     res = wmap.resolution
     ox, oy = wmap.origin
     xmin, ymin, xmax, ymax = wmap.world_bounds

@@ -84,12 +84,10 @@ def node_position(node: LatticeNode, wmap: WorkspaceMap, delta: float) -> tuple[
 class LatticeGraph:
     """Immutable directed graph over (ix, iy, heading) lattice nodes."""
 
-    def __init__(self, wmap: WorkspaceMap, model: RobotModel, delta: float,
-                 nx: int, ny: int,
+    def __init__(self, wmap: WorkspaceMap, delta: float, nx: int, ny: int,
                  phi: dict[tuple[int, int], float],
                  adjacency: dict[LatticeNode, tuple[LatticeEdge, ...]]):
         self.map = wmap
-        self.model = model
         self.delta = delta
         self.nx = nx
         self.ny = ny
@@ -108,6 +106,11 @@ class LatticeGraph:
 
     def has_position(self, ix: int, iy: int) -> bool:
         return (ix, iy) in self.phi
+
+    def adjacency(self) -> Iterable[tuple[LatticeNode, tuple[LatticeEdge, ...]]]:
+        """(node, outgoing edges) for every node, for whole-graph passes that
+        should not count as neighbors() calls of a search."""
+        return self._adjacency.items()
 
     def neighbors(self, node: LatticeNode) -> tuple[LatticeEdge, ...]:
         """Outgoing edges: Type-A by ascending destination heading, then Type-B."""
@@ -172,4 +175,4 @@ def build_lattice(wmap: WorkspaceMap, model: RobotModel, delta: float) -> Lattic
                                          CostVector(phi[dst_pos], 0, step[src.heading])))
             adjacency[src] = tuple(edges)
 
-    return LatticeGraph(wmap, model, delta, nx, ny, phi, adjacency)
+    return LatticeGraph(wmap, delta, nx, ny, phi, adjacency)

@@ -1,11 +1,26 @@
 """Pareto dominance algebra and multiobjective label-setting A* over the lattice.
 
-The search optimizes the componentwise sum of edge cost vectors.  A label is
-pruned when an existing label at the same node, or an already found solution
-(after adding the admissible heuristic), is at least as good in every
-component.  With all edge costs non-negative and no zero-cost cycles this
-returns exactly the non-dominated goal-reaching cost vectors, one
-representative path per distinct vector.
+The search optimizes the componentwise sum g = (g1, g2, g3) of edge cost
+vectors.  A label is pruned at generation when an existing label at the same
+node is at least as good in every component (or equal up to tolerance).  It
+is pruned at pop and at generation when an already found solution is at
+least as good as its bound f = (g1 + h1, g2 + h2, g3 + h3): h3 is the octile
+distance, and h1 and h2 are the least obstruction sum and the least turn
+count still needed to reach the goal, each found on its own by a backward
+Dijkstra pass over reversed edges (the ideal-point heuristic of NAMOA*,
+Mandow & Perez-de-la-Cruz 2010).  A node with no path to the goal has no
+bound and is never entered.  The open list stays ordered by
+(g3 + h3, g2, g1), not by f: the path kept for a cost vector is the first
+one generated, which depends on the pop order, so this order keeps the
+representative paths.  With all edge costs non-negative and no zero-cost
+cycles the search returns exactly the non-dominated goal-reaching cost
+vectors, one representative path per distinct vector.
+
+plan_pareto's front carries deterministic search counters in its metadata:
+labels generated (one per edge of an expanded label) and expanded, labels
+pruned at a node and pruned by a solution (at pop plus at generation),
+dead_ends (lattice nodes with no path to the goal), peak_open (the largest
+open-list size) and front_size.
 
 brute_force_front is the independent oracle: exhaustive depth-first path
 enumeration (no repeated (position, heading) state within a path), with
@@ -16,6 +31,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .lattice import SQRT2, CostVector, LatticeGraph, LatticeNode
@@ -148,11 +164,47 @@ def _sorted_front(solutions) -> list[tuple[CostVector, list[LatticeNode]]]:
     return entries
 
 
+def _ideal_bounds(graph: LatticeGraph, goal: GoalSpec) -> dict[LatticeNode, tuple[float, int]]:
+    """node -> (h1, h2): the least obstruction sum and the least turn count
+    still needed to reach a goal node, each minimised on its own by a
+    backward Dijkstra pass over reversed edges.  Nodes with no path to the
+    goal are absent."""
+    nodes = list(graph.nodes)
+    index = {node: i for i, node in enumerate(nodes)}
+    # integer ids, so heap ties never compare LatticeNode dataclasses
+    preds: list[list[tuple[int, float, int]]] = [[] for _ in nodes]
+    for node, edges in graph.adjacency():
+        src = index[node]
+        for e in edges:
+            preds[index[e.dst]].append((src, e.cost.w1, e.cost.w2))
+    targets = [i for i, node in enumerate(nodes) if goal.satisfied_by(node)]
+
+    def backward(k: int) -> list:
+        dist = [math.inf] * len(nodes)
+        for t in targets:
+            dist[t] = 0
+        heap = [(0, t) for t in targets]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            for p in preds[u]:
+                nd = d + p[k]
+                if nd < dist[p[0]]:
+                    dist[p[0]] = nd
+                    heapq.heappush(heap, (nd, p[0]))
+        return dist
+
+    h1, h2 = backward(1), backward(2)
+    return {nodes[i]: (a, b) for i, (a, b) in enumerate(zip(h1, h2)) if a < math.inf}
+
+
 def plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> ParetoFront:
     """All non-dominated goal-reaching cost vectors with one path each.
 
     Goal labels across the 8 headings are pooled when the goal heading is
-    free.  Deterministic for identical inputs.
+    free.  Deterministic for identical inputs.  The front's metadata holds
+    the search counters described in the module docstring.
     """
     if start not in graph:
         raise PlanningError("invalid start")
@@ -161,12 +213,16 @@ def plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> Pare
 
     delta = graph.delta
     h3 = _distance_bound(goal, delta)
+    bounds = _ideal_bounds(graph, goal)
     counter = itertools.count()
     root = _Label((0.0, 0, 0.0), start, None)
-    open_heap = [(h3(start), 0, 0.0, next(counter), root)]
+    # empty at once when the start has no path to the goal
+    open_heap = [(h3(start), 0, 0.0, next(counter), root)] if start in bounds else []
     # non-dominated g-vectors known per node (open or expanded)
     node_labels: dict[LatticeNode, list[tuple]] = {start: [root.g]}
     solutions: list[tuple[tuple, list[LatticeNode]]] = []
+    generated = expanded = at_node = by_solution = 0
+    peak_open = len(open_heap)
 
     def solution_prunes(f: tuple) -> bool:
         return any(_prunes(s, f) for s, _ in solutions)
@@ -174,33 +230,51 @@ def plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> Pare
     while open_heap:
         _, _, _, _, lab = heapq.heappop(open_heap)
         g = lab.g
-        if g not in node_labels.get(lab.node, ()):  # removed by a dominator
+        node = lab.node
+        if g not in node_labels.get(node, ()):  # removed by a dominator
             continue
-        f = (g[0], g[1], g[2] + h3(lab.node))
-        if solution_prunes(f):
+        h1, h2 = bounds[node]
+        if solution_prunes((g[0] + h1, g[1] + h2, g[2] + h3(node))):
+            by_solution += 1
             continue
 
-        if goal.satisfied_by(lab.node):
+        if goal.satisfied_by(node):
             solutions[:] = [(s, p) for s, p in solutions if not _prunes(g, s)]
             solutions.append((g, lab.path()))
             # any extension strictly worsens some component; no expansion
             continue
 
-        for edge in graph.neighbors(lab.node):
+        edges = graph.neighbors(node)
+        expanded += 1
+        generated += len(edges)
+        for edge in edges:
+            dst = edge.dst
+            h = bounds.get(dst)
+            if h is None:  # dst cannot reach the goal
+                continue
             c = edge.cost
             g2 = (g[0] + c.w1, g[1] + c.w2, g[2] + c.w3)
-            existing = node_labels.setdefault(edge.dst, [])
+            existing = node_labels.setdefault(dst, [])
             if any(_prunes(old, g2) for old in existing):
+                at_node += 1
                 continue
-            f2 = (g2[0], g2[1], g2[2] + h3(edge.dst))
-            if solution_prunes(f2):
+            f3 = g2[2] + h3(dst)
+            if solution_prunes((g2[0] + h[0], g2[1] + h[1], f3)):
+                by_solution += 1
                 continue
             existing[:] = [old for old in existing if not _prunes(g2, old)]
             existing.append(g2)
-            child = _Label(g2, edge.dst, lab)
-            heapq.heappush(open_heap, (f2[2], f2[1], f2[0], next(counter), child))
+            child = _Label(g2, dst, lab)
+            heapq.heappush(open_heap, (f3, g2[1], g2[0], next(counter), child))
+            if len(open_heap) > peak_open:
+                peak_open = len(open_heap)
 
-    return ParetoFront(_sorted_front(solutions), start=start, goal=goal, delta=delta)
+    entries = _sorted_front(solutions)
+    metadata = {"generated": generated, "expanded": expanded,
+                "pruned_at_node": at_node, "pruned_by_solution": by_solution,
+                "dead_ends": len(graph) - len(bounds), "peak_open": peak_open,
+                "front_size": len(entries)}
+    return ParetoFront(entries, start=start, goal=goal, delta=delta, metadata=metadata)
 
 
 def brute_force_front(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> ParetoFront:

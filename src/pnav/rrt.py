@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gridmap import RobotModel, WorkspaceMap, footprint_free, swept_footprint_free
+from .validate import finite_number
 
 COLLINEAR_EPS = 1e-9
 
@@ -70,6 +71,9 @@ def rrt_plan(wmap: WorkspaceMap, model: RobotModel,
              start: tuple[float, float], goal: tuple[float, float],
              params: RrtParams) -> PolyPath | None:
     """Single seeded RRT run; None when max_iterations is exhausted."""
+    for name, xy in (("start", start), ("goal", goal)):
+        for i, v in enumerate(xy):
+            finite_number(v, f"{name}[{i}]")
     rho = model.footprint_radius
     if not footprint_free(wmap, start, rho):
         raise ValueError("start in collision")

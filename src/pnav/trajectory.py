@@ -71,15 +71,6 @@ class SegmentPath:
     start_heading: float
     segments: tuple
 
-    def rotation_count(self) -> int:
-        return sum(1 for s in self.segments if isinstance(s, Rotate))
-
-    def polyline_length(self) -> float:
-        return sum(s.length for s in self.segments if isinstance(s, Translate))
-
-    def rotate_points(self) -> list[tuple[float, float]]:
-        return [s.point for s in self.segments if isinstance(s, Rotate)]
-
 
 def to_segment_path(path, wmap: WorkspaceMap | None = None,
                     delta: float | None = None) -> SegmentPath:

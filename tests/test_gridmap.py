@@ -112,6 +112,14 @@ class TestFootprintFree:
             if footprint_free(m, p, r2):
                 assert footprint_free(m, p, r1)
 
+    @pytest.mark.parametrize("rho", [math.nan, math.inf])
+    def test_non_finite_rho_names_rho(self, rho):
+        m = free_map(5, 5)
+        with pytest.raises(ValueError, match="rho must be a finite number > 0"):
+            footprint_free(m, (2.5, 2.5), rho)
+        with pytest.raises(ValueError, match="rho must be a finite number > 0"):
+            swept_footprint_free(m, (1.5, 1.5), (2.5, 2.5), rho)
+
 
 # The two former collision tests, kept verbatim (renamed) as oracles.  The
 # standing test compared d^2 < rho^2, the swept one hypot(d) < rho.

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnav.gridmap import RobotModel
-from pnav.lattice import HEADINGS, CostVector, LatticeNode, build_lattice
-from pnav.moastar import (GoalSpec, PlanningError, brute_force_front,
-                          costs_equal, dominates, heuristic, octile,
-                          pareto_filter, plan_pareto)
+from pnav.lattice import HEADINGS, CostVector, LatticeGraph, LatticeNode, build_lattice
+from pnav.moastar import (FLOAT_TOL, GoalSpec, PlanningError, _ideal_bounds,
+                          brute_force_front, costs_equal, dominates, heuristic,
+                          octile, pareto_filter, plan_pareto)
 
 from conftest import free_map, make_map
 
@@ -246,3 +246,86 @@ class TestBruteForce:
         for c1 in f1.costs():
             for c0 in f0.costs():
                 assert not dominates(c1, c0)
+
+
+# a one-cell pocket at (2, 2) behind walls: its 8 nodes reach nothing else
+POCKET = ["......",
+          ".###..",
+          ".#.#..",
+          ".###..",
+          "......"]
+
+
+class TestIdealBounds:
+    def test_bounds_are_the_oracles_least_w1_and_w2(self):
+        rng = random.Random(606)
+        checked = 0
+        for _ in range(12):
+            w, h = rng.randint(3, 5), rng.randint(2, 4)
+            rows = ["".join("#" if rng.random() < 0.2 else "."
+                            for _ in range(w)) for _ in range(h)]
+            g = build_lattice(make_map(rows),
+                              RobotModel(footprint_radius=0.2,
+                                         camera_clearance_radius=1.2), 1.0)
+            free = sorted(g.phi)
+            if not free:
+                continue
+            gp = rng.choice(free)
+            goal = GoalSpec(gp[0], gp[1], rng.choice([None] + list(HEADINGS)))
+            bounds = _ideal_bounds(g, goal)
+            for _ in range(4):
+                sp = rng.choice(free)
+                start = LatticeNode(sp[0], sp[1], rng.choice(HEADINGS))
+                costs = brute_force_front(g, start, goal).costs()
+                if not costs:
+                    assert start not in bounds
+                    continue
+                h1, h2 = bounds[start]
+                assert abs(h1 - min(c.w1 for c in costs)) <= FLOAT_TOL
+                assert h2 == min(c.w2 for c in costs)
+                checked += 1
+        assert checked >= 30
+
+    def test_walled_pocket_counts_dead_ends(self):
+        g = build_lattice(make_map(POCKET), SMALL, 1.0)
+        start, goal = LatticeNode(0, 0, 0), GoalSpec(5, 4)
+        front = plan_pareto(g, start, goal)
+        assert len(front) > 0
+        assert_fronts_equal(front, brute_force_front(g, start, goal))
+        assert front.metadata["dead_ends"] == 8
+
+    def test_start_that_cannot_reach_the_goal(self):
+        g = build_lattice(make_map(POCKET), SMALL, 1.0)
+        start, goal = LatticeNode(2, 2, 90), GoalSpec(5, 4)
+        front = plan_pareto(g, start, goal)
+        assert len(front) == 0 and len(brute_force_front(g, start, goal)) == 0
+        assert front.metadata["expanded"] == front.metadata["generated"] == 0
+        assert front.metadata["dead_ends"] == 8
+
+    def test_expanded_counts_neighbors_calls(self, monkeypatch):
+        rows = ["............",
+                "..#....#....",
+                "....#.....#.",
+                ".#....#.....",
+                "......##....",
+                "..#.........",
+                ".....#...#..",
+                ".#.......#..",
+                "............"]
+        g = build_lattice(make_map(rows), SMALL, 1.0)
+        start, goal = LatticeNode(0, 0, 0), GoalSpec(11, 8)
+        calls = []
+        neighbors = LatticeGraph.neighbors
+
+        def counted(graph, node):
+            edges = neighbors(graph, node)
+            calls.append(len(edges))
+            return edges
+        monkeypatch.setattr(LatticeGraph, "neighbors", counted)
+        front = plan_pareto(g, start, goal)
+        meta = front.metadata
+        assert len(front) > 0 and meta["front_size"] == len(front)
+        assert meta["expanded"] == len(calls) > 0
+        assert meta["generated"] == sum(calls)
+        assert meta["pruned_at_node"] + meta["pruned_by_solution"] <= meta["generated"]
+        assert meta["peak_open"] >= 1

@@ -55,6 +55,14 @@ class TestRrtPlan:
             rrt_plan(wmap, MODEL, (0.5, 2.5), (4.5, 0.5),
                      RrtParams(step_size=0.5, seed=0))
 
+    @pytest.mark.parametrize("start, goal, field", [
+        ((math.nan, 2.5), (4.5, 0.5), r"start\[0\]"),
+        ((0.5, 2.5), (4.5, math.inf), r"goal\[1\]"),
+    ], ids=["nan_start", "inf_goal"])
+    def test_non_finite_endpoint_names_it(self, start, goal, field):
+        with pytest.raises(ValueError, match=field + " must be a finite number"):
+            rrt_plan(free_map(5, 3), MODEL, start, goal, RrtParams(step_size=0.5, seed=0))
+
     def test_exhaustion_returns_none(self):
         # goal sealed inside a ring: every iteration fails to connect
         wmap = make_map([".....",
