@@ -13,8 +13,10 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import moastar, rrt, trajectory
-from .gridmap import MapFormatError, RobotModel, load_map
+from .gridmap import MapFormatError, RobotModel, load_map, obstruction_ratios
 from .lattice import HEADINGS, LatticeError, LatticeNode, build_lattice
 from .render import render_svg
 from .trajectory import (TrajectoryError, eval_costs, timed_from_json,
@@ -103,7 +105,7 @@ def _dump_json(obj) -> str:
 # -- plan -----------------------------------------------------------------------
 
 
-def _entry_record(cost, nodes, spath, timed, report) -> dict:
+def _entry_record(cost, nodes, spath, trajectory_json: str, report) -> dict:
     segs = []
     for seg in spath.segments:
         if isinstance(seg, trajectory.Rotate):
@@ -118,8 +120,43 @@ def _entry_record(cost, nodes, spath, timed, report) -> dict:
         "report": report.to_dict(),
         "nodes": [[n.ix, n.iy, n.heading] for n in nodes],
         "segments": segs,
-        "trajectory": json.loads(timed_to_json(timed)),
+        "trajectory": trajectory_json,  # timed_to_json text, spliced by _dump_front
     }
+
+
+def _front_phi(wmap, timeds, r: float) -> list[np.ndarray]:
+    """Obstruction ratios of each trajectory's sample positions, from one
+    obstruction_ratios batch over the distinct positions of all of them
+    (rotations in place and shared prefixes repeat positions)."""
+    if not timeds:
+        return []
+    xy = np.concatenate([t.samples[:, 1:3] for t in timeds])
+    unique, inverse = np.unique(xy, axis=0, return_inverse=True)
+    phi = obstruction_ratios(wmap, unique, r)[inverse.reshape(-1)]
+    return np.split(phi, np.cumsum([len(t.samples) for t in timeds])[:-1])
+
+
+# stands for an entry's trajectory in the document that _dump_front dumps; a
+# map path, the only string read from input, cannot hold a NUL (_read_map fails)
+_TRAJECTORY_SLOT = "\0"
+# indent of a trajectory's lines in front.json: entries > entry > "trajectory"
+_TRAJECTORY_INDENT = "   "
+
+
+def _dump_front(doc: dict) -> str:
+    """_dump_json(doc), with each entry's "trajectory" the JSON text it holds.
+
+    The document is dumped with a placeholder string in place of each
+    trajectory, and the texts are spliced in at their depth, never decoded.
+    """
+    entries = doc["entries"]
+    slotted = dict(doc, entries=[dict(e, trajectory=_TRAJECTORY_SLOT) for e in entries])
+    parts = _dump_json(slotted).split(json.dumps(_TRAJECTORY_SLOT))
+    if len(parts) != len(entries) + 1:
+        raise RuntimeError(f"front.json has {len(parts) - 1} trajectory slots "
+                           f"for {len(entries)} entries")
+    texts = [e["trajectory"].replace("\n", "\n" + _TRAJECTORY_INDENT) for e in entries]
+    return "".join(part + text for part, text in zip(parts, texts + [""]))
 
 
 def cmd_plan(args) -> int:
@@ -151,13 +188,14 @@ def cmd_plan(args) -> int:
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    spaths = [to_segment_path(nodes, wmap, delta) for _, nodes in front.entries]
+    timeds = [to_timed(spath, v=v, omega_deg=omega, dt=dt) for spath in spaths]
     entries = []
     rendered = []
-    for i, (cost, nodes) in enumerate(front.entries):
-        spath = to_segment_path(nodes, wmap, delta)
-        timed = to_timed(spath, v=v, omega_deg=omega, dt=dt)
-        report = eval_costs(timed, wmap, r, search_w1_sum=cost.w1)
-        entries.append(_entry_record(cost, nodes, spath, timed, report))
+    for i, ((cost, nodes), spath, timed, phi) in enumerate(
+            zip(front.entries, spaths, timeds, _front_phi(wmap, timeds, r))):
+        report = eval_costs(timed, wmap, r, search_w1_sum=cost.w1, phi=phi)
+        entries.append(_entry_record(cost, nodes, spath, timed_to_json(timed), report))
         label = (f"#{i} V={report.V:.4f} N={report.N} D={report.D:.3f}")
         rendered.append((label, timed))
         if args.svg:
@@ -172,7 +210,7 @@ def cmd_plan(args) -> int:
         "goal": [gix, giy] + ([gth] if gth is not None else []),
         "entries": entries,
     }
-    (outdir / "front.json").write_text(_dump_json(doc) + "\n")
+    (outdir / "front.json").write_text(_dump_front(doc) + "\n")
     if args.svg:
         (outdir / "front.svg").write_text(render_svg(wmap, rendered))
     print(f"front: {len(entries)} entries -> {outdir / 'front.json'}")

@@ -10,7 +10,7 @@ cost vector (obstruction, turn count, distance).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -61,10 +61,17 @@ class LatticeNode:
     ix: int
     iy: int
     heading: int
+    # hash((ix, iy, heading)), the value the generated __hash__ would build on
+    # every call; the search hashes a node at every dict lookup
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.heading not in HEADING_STEP:
             raise ValueError(f"heading {self.heading} not in the 8-value set")
+        object.__setattr__(self, "_hash", hash((self.ix, self.iy, self.heading)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)

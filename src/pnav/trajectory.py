@@ -229,17 +229,26 @@ def heading_change_runs(theta: np.ndarray) -> list[tuple[int, int]]:
 
 
 def eval_costs(timed: TimedTrajectory, wmap: WorkspaceMap, r: float,
-               search_w1_sum: float | None = None) -> CostReport:
+               search_w1_sum: float | None = None, *,
+               phi: np.ndarray | None = None) -> CostReport:
     """Evaluate (V, N, D) on a timed trajectory.
 
     V: trapezoidal time integral of the obstruction ratio divided by T (the
     single-pose value when T = 0).  D: summed sample-to-sample displacement.
     N: maximal runs of sample intervals over which the heading changes
     (rotations in place show up as zero-displacement heading drift).
+
+    phi, when given, is obstruction_ratios(wmap, positions, r) of timed's
+    sample positions, computed by a caller that evaluates many trajectories
+    in one batch; a point's ratio does not depend on its batch, so the report
+    is the same.  When omitted it is computed here.
     """
     s = timed.samples
     t, x, y, theta = s[:, 0], s[:, 1], s[:, 2], s[:, 3]
-    phi = obstruction_ratios(wmap, s[:, 1:3], r)
+    if phi is None:
+        phi = obstruction_ratios(wmap, s[:, 1:3], r)
+    elif len(phi) != len(s):
+        raise TrajectoryError(f"phi has {len(phi)} values for {len(s)} samples")
 
     T = float(t[-1])
     if len(s) == 1 or T == 0.0:
@@ -256,12 +265,36 @@ def eval_costs(timed: TimedTrajectory, wmap: WorkspaceMap, r: float,
 # -- timed-trajectory JSON ------------------------------------------------------
 
 
+# one sample of the "samples" list at indent=1, keys in sorted order
+_SAMPLE_JSON = '  {\n   "t": %r,\n   "theta_deg": %r,\n   "x": %r,\n   "y": %r\n  }'
+_SAMPLE_KEYS = ("t", "x", "y", "theta_deg")  # column order of TimedTrajectory.samples
+
+
 def timed_to_json(timed: TimedTrajectory) -> str:
-    samples = [{"t": float(r[0]), "x": float(r[1]), "y": float(r[2]),
-                "theta_deg": float(r[3])} for r in timed.samples]
-    return json.dumps({"v": timed.v, "omega_deg": timed.omega_deg,
-                       "dt": timed.dt, "samples": samples},
-                      indent=1, sort_keys=True)
+    """The trajectory document, exactly the text of
+
+        json.dumps({"v": v, "omega_deg": omega_deg, "dt": dt,
+                    "samples": [{"t": t, "x": x, "y": y, "theta_deg": th}, ...]},
+                   indent=1, sort_keys=True)
+
+    The header scalars go through json.dumps, so an int v stays 1.  The
+    sample block is one fixed per-sample template over %r of the float
+    samples: for a finite float, float.__repr__ is what json writes.  A
+    non-finite sample raises TrajectoryError naming it (json would write
+    NaN, which timed_from_json rejects).
+    """
+    s = timed.samples
+    if not np.isfinite(s).all():
+        i, k = np.argwhere(~np.isfinite(s))[0].tolist()
+        raise TrajectoryError(f"'samples[{i}].{_SAMPLE_KEYS[k]}' must be a finite "
+                              f"number, not {float(s[i, k])!r}")
+    block = "[]"
+    if len(s):
+        values = tuple(s[:, [0, 3, 1, 2]].ravel().tolist())  # t, theta_deg, x, y
+        block = "[\n" + (",\n".join([_SAMPLE_JSON] * len(s)) % values) + "\n ]"
+    return (f'{{\n "dt": {json.dumps(timed.dt)},\n'
+            f' "omega_deg": {json.dumps(timed.omega_deg)},\n'
+            f' "samples": {block},\n "v": {json.dumps(timed.v)}\n}}')
 
 
 def timed_from_json(text: str | dict) -> TimedTrajectory:

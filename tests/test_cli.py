@@ -359,3 +359,74 @@ class TestNumericInputs:
             tracemalloc.stop()
         assert "r 1000.0 gives a disc window of more than" in capsys.readouterr().err
         assert peak < 1_000_000
+
+
+def assert_canonical(path):
+    """The file is exactly the indent=1, sort_keys dump of what it holds."""
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
+
+
+class TestCanonicalOutput:
+    """front.json is spliced from per-entry trajectory texts; it must still
+    read as one json.dumps of the whole document."""
+
+    def test_museum_front(self, tmp_path):
+        museum_path = tmp_path / "museum.json"
+        museum_path.write_text(dump_map(museum_map()))
+        code = main(["plan", "--map", str(museum_path),
+                     "--start", "3.5,3.5,0", "--goal", "18.5,3.5",
+                     "--delta", "1.0", "--rho", "0.3", "--r", "2.0",
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert_canonical(tmp_path / "out" / "front.json")
+
+    def test_small_map_front(self, map_file, tmp_path):
+        wmap = make_map(["....", ".#..", "....", "...."])
+        assert run_plan(map_file(wmap), tmp_path / "out", goal="3.5,3.5",
+                        extra=("--v", "2", "--dt", "0.1")) == 0
+        doc = json.loads((tmp_path / "out" / "front.json").read_text())
+        assert len(doc["entries"]) > 1
+        assert_canonical(tmp_path / "out" / "front.json")
+
+    def test_empty_front(self, map_file, tmp_path):
+        wmap = make_map([".....", ".###.", ".#.#.", ".###.", "....."])
+        assert run_plan(map_file(wmap), tmp_path / "out", goal="2.5,2.5") == 2
+        assert_canonical(tmp_path / "out" / "front.json")
+
+    def test_rrt_json(self, map_file, tmp_path):
+        code = main(["rrt", "--map", map_file(free_map(8, 8)), "--start", "1.0,1.0",
+                     "--goal", "7.0,7.0", "--n", "3", "--seed", "5",
+                     "--rho", "0.2", "--r", "0.8", "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert_canonical(tmp_path / "out" / "rrt.json")
+
+    def test_nul_in_map_path_never_reaches_the_document(self, tmp_path, capsys):
+        # the splice's placeholder is a NUL; the map path is the only input
+        # string front.json holds, and reading it fails first
+        code = main(["plan", "--map", str(tmp_path / "a\0b.json"),
+                     "--start", "0.5,0.5,0", "--goal", "2.5,2.5", "--rho", "0.2",
+                     "--r", "0.8", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "null byte" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_batched_phi_gives_the_same_reports(self):
+        from pnav.cli import _front_phi
+        from pnav.fixtures import (MUSEUM_DELTA, MUSEUM_GOAL, MUSEUM_R, MUSEUM_START,
+                                   museum_model)
+        from pnav.lattice import LatticeNode, build_lattice
+        from pnav.moastar import GoalSpec, plan_pareto
+        from pnav.trajectory import eval_costs, to_segment_path, to_timed
+
+        wmap = museum_map()
+        graph = build_lattice(wmap, museum_model(), MUSEUM_DELTA)
+        front = plan_pareto(graph, LatticeNode(*MUSEUM_START), GoalSpec(*MUSEUM_GOAL))
+        timeds = [to_timed(to_segment_path(nodes, wmap, MUSEUM_DELTA))
+                  for _, nodes in front.entries]
+        phis = _front_phi(wmap, timeds, MUSEUM_R)
+        assert len(front.entries) == len(phis) == 18
+        for timed, phi in zip(timeds, phis):
+            batched = eval_costs(timed, wmap, MUSEUM_R, phi=phi)
+            alone = eval_costs(timed, wmap, MUSEUM_R)
+            assert batched.to_dict() == alone.to_dict()

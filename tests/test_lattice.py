@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from pnav.gridmap import RobotModel, footprint_free, swept_footprint_free
@@ -199,3 +201,41 @@ class TestValidateEdge:
         with pytest.raises(ValueError):
             LatticeNode(0, 0, 30)
         assert len(HEADINGS) == 8
+
+
+@dataclasses.dataclass(frozen=True, order=True)
+class PlainNode:
+    """LatticeNode as a plain frozen dataclass, with the generated __hash__."""
+
+    ix: int
+    iy: int
+    heading: int
+
+
+class TestNodeHash:
+    """The stored hash changes no observable behavior of a node."""
+
+    NODES = [(0, 0, 0), (3, -2, 45), (-1, 7, 315), (2, 2, 180), (2, 2, 90),
+             (10**12, 1, 270)]
+
+    def test_hash_eq_order_repr_match_a_plain_node(self):
+        nodes = [LatticeNode(*k) for k in self.NODES]
+        plain = [PlainNode(*k) for k in self.NODES]
+        for node, ref, key in zip(nodes, plain, self.NODES):
+            assert hash(node) == hash(ref) == hash(key)
+            assert node == LatticeNode(*key) and node != LatticeNode(*key[:2], 135)
+            assert repr(node) == repr(ref).replace("PlainNode", "LatticeNode")
+        assert ([(n.ix, n.iy, n.heading) for n in sorted(nodes)]
+                == [(p.ix, p.iy, p.heading) for p in sorted(plain)])
+        # set and dict orders follow the hashes, so they cannot move
+        assert ([(n.ix, n.iy, n.heading) for n in set(nodes)]
+                == [(p.ix, p.iy, p.heading) for p in set(plain)])
+
+    def test_node_stays_frozen(self):
+        node = LatticeNode(1, 2, 45)
+        for name, value in (("ix", 3), ("heading", 90), ("_hash", 0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, value)
+        assert hash(node) == hash((1, 2, 45))
+        assert dataclasses.replace(node, heading=90) == LatticeNode(1, 2, 90)
+        assert hash(dataclasses.replace(node, heading=90)) == hash((1, 2, 90))

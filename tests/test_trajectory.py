@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pnav.gridmap import obstruction_ratio
+from pnav.gridmap import obstruction_ratio, obstruction_ratios
 from pnav.lattice import LatticeNode, build_lattice
 from pnav.moastar import GoalSpec, plan_pareto
 from pnav.rrt import PolyPath
@@ -179,6 +181,14 @@ class TestEvalCosts:
         for d1, d2 in zip(deltas, deltas[1:]):
             assert d2 <= d1 + 1e-12
 
+    def test_phi_argument_must_match_the_samples(self):
+        wmap = make_map(["#" * 8] + ["." * 8] * 7)
+        timed = to_timed(to_segment_path(PolyPath(((1.5, 1.5), (6.5, 4.5)))), dt=0.5)
+        phi = obstruction_ratios(wmap, timed.samples[:, 1:3], 2.0)
+        assert eval_costs(timed, wmap, 2.0, phi=phi) == eval_costs(timed, wmap, 2.0)
+        with pytest.raises(TrajectoryError, match="phi has 2 values"):
+            eval_costs(timed, wmap, 2.0, phi=phi[:2])
+
     def test_v_is_trapezoid_mean_of_obstruction(self, monkeypatch):
         # V must not depend on np.trapz, which numpy 2.4 removed
         monkeypatch.delattr(np, "trapz", raising=False)
@@ -259,3 +269,48 @@ class TestTrajectoryJson:
         field = path[0] if len(path) == 1 else f"samples\\[{path[1]}\\].{path[2]}"
         with pytest.raises(TrajectoryError, match=field):
             timed_from_json(json.dumps(doc))
+
+
+def reference_timed_json(timed):
+    """timed_to_json as it was written with json.dumps; the writer's oracle."""
+    samples = [{"t": float(r[0]), "x": float(r[1]), "y": float(r[2]),
+                "theta_deg": float(r[3])} for r in timed.samples]
+    return json.dumps({"v": timed.v, "omega_deg": timed.omega_deg,
+                       "dt": timed.dt, "samples": samples},
+                      indent=1, sort_keys=True)
+
+
+# finite floats, with the ones whose repr is easiest to get wrong
+FINITE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7,
+                                    0.1, 359.99999999999994, 1.7976931348623157e308]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+SCALAR = st.one_of(st.integers(1, 10**6), st.floats(min_value=1e-9, max_value=1e9))
+
+
+class TestTrajectoryWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.tuples(FINITE, FINITE, FINITE, FINITE), max_size=12),
+           v=SCALAR, omega_deg=SCALAR, dt=SCALAR)
+    def test_text_equals_json_dumps(self, rows, v, omega_deg, dt):
+        samples = np.array(rows, dtype=float).reshape(-1, 4)
+        timed = TimedTrajectory(samples, v, omega_deg, dt)
+        assert timed_to_json(timed) == reference_timed_json(timed)
+
+    def test_lattice_and_polyline_trajectories(self):
+        wmap = free_map(6, 6)
+        nodes = [LatticeNode(0, 0, 0), LatticeNode(0, 0, 45), LatticeNode(1, 1, 45),
+                 LatticeNode(1, 1, 90), LatticeNode(1, 2, 90)]
+        for sp in (to_segment_path(nodes, wmap, 1.0),
+                   to_segment_path(PolyPath(((0.3, 0.1), (2.9, 0.1), (2.9, 4.7))))):
+            for v, dt in ((1.0, 0.05), (1, 0.3), (0.7, 1)):
+                timed = to_timed(sp, v=v, omega_deg=90.0, dt=dt)
+                assert timed_to_json(timed) == reference_timed_json(timed)
+
+    @pytest.mark.parametrize("row,col,field", [
+        (0, 0, "t"), (2, 1, "x"), (1, 2, "y"), (3, 3, "theta_deg")])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_is_refused(self, row, col, field, bad):
+        samples = np.arange(16, dtype=float).reshape(4, 4)
+        samples[row, col] = bad
+        with pytest.raises(TrajectoryError, match=f"samples\\[{row}\\].{field}"):
+            timed_to_json(TimedTrajectory(samples, 1.0, 90.0, 0.05))
