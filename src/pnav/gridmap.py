@@ -15,6 +15,15 @@ discs decide tangency alike: d^2 == rho^2 in floating point is free.  So a
 disc of radius sqrt(1/8) at distance sqrt(1/8) from a corner collides,
 because rho^2 rounds up past d^2 = 1/8.
 
+The test has a broad phase.  Each WorkspaceMap keeps a summed-area table
+(Crow 1984) of its occupancy, framed by one obstacle cell on every side, so
+four lookups count the obstacles in the cell window that the rho-inflated
+bounding box of ab covers.  A window with none is free at once; otherwise
+only its obstacle cells get the exact d^2 < rho^2 test.  This cannot change
+a decision: the exact scan of a window returns False only on an obstacle or
+out-of-map cell of that window, and the frame holds every out-of-map cell
+a window can reach.
+
 The obstruction ratio has one implementation, the batched
 obstruction_ratios; obstruction_ratio and obstruction_field call it.  Its
 result for a point does not depend on the other points of the batch or on
@@ -36,6 +45,8 @@ from .validate import finite_number
 
 # Subsamples per cell side when rasterizing the obstruction disc.
 DISC_SAMPLES_PER_CELL = 4
+# Bound on |origin| / resolution + cells along each axis of a map.
+_MAX_CELL_COORDINATE = 2 ** 50
 
 
 class MapFormatError(ValueError):
@@ -67,18 +78,34 @@ class WorkspaceMap:
     resolution: float
     origin: tuple[float, float]
     occupancy: np.ndarray = field(repr=False)
+    # Derived for swept_footprint_free, both over the occupancy framed by one
+    # obstacle cell on every side, so that cell (ix, iy) is framed[iy + 1][ix + 1]:
+    # _framed_rows is that framed occupancy as nested lists of bools, and
+    # _obstacle_sat its summed-area table, _obstacle_sat[j][i] being the
+    # number of obstacles in framed[:j + 1, :i + 1], as nested lists of ints.
+    _framed_rows: list = field(init=False, repr=False, compare=False)
+    _obstacle_sat: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError("width and height must be >= 1")
         finite_number(self.resolution, "resolution", positive=True)
-        for i, v in enumerate(self.origin):
+        for i, (v, n) in enumerate(zip(self.origin, (self.width, self.height))):
             finite_number(v, f"origin[{i}]")
+            # keeps cell indices exact to far less than a cell, which the
+            # collision test's windows need (see swept_footprint_free)
+            if abs(v) / self.resolution + n > _MAX_CELL_COORDINATE:
+                raise ValueError(f"origin[{i}] {v!r} puts the map past 2**50 cells")
         occ = np.asarray(self.occupancy, dtype=bool)
         if occ.shape != (self.height, self.width):
             raise ValueError("occupancy shape must be (height, width)")
         occ.setflags(write=False)
         object.__setattr__(self, "occupancy", occ)
+        framed = np.ones((self.height + 2, self.width + 2), dtype=bool)
+        framed[1:-1, 1:-1] = occ
+        object.__setattr__(self, "_framed_rows", framed.tolist())
+        object.__setattr__(self, "_obstacle_sat",
+                           framed.cumsum(axis=0).cumsum(axis=1).tolist())
 
     # -- coordinate transforms -------------------------------------------------
 
@@ -241,10 +268,26 @@ def swept_footprint_free(wmap: WorkspaceMap, p0: tuple[float, float],
     ix1 = int(math.floor((hi_x + rho - ox) / res))
     iy0 = int(math.floor((lo_y - rho - oy) / res))
     iy1 = int(math.floor((hi_y + rho - oy) / res))
+    # The window ix0..ix1 x iy0..iy1 lies in the framed map, -1 <= i <= width
+    # (height), so no lookup below wraps or overruns.  Low side: rounding is
+    # monotone, so fl(lo_x - rho) >= ox gives fl(fl(lo_x - rho) - ox) >= 0
+    # and ix0 >= 0.  High side: fl(hi_x + rho) <= xmax = fl(ox + fl(width res))
+    # gives ix1 <= floor(fl(fl(xmax - ox) / res)).  With unit roundoff
+    # u = 2**-53 and K = |ox| / res + width, that quotient is below
+    # width + 6 u K < width + 1, as WorkspaceMap keeps K <= 2**50.  So
+    # ix1 <= width: a disc touching the border (hi_x + rho == xmax) reaches
+    # the frame column, an out-of-bounds obstacle as in is_obstacle, no
+    # further.  Likewise for y.
+    sat = wmap._obstacle_sat
+    below, top = sat[iy0], sat[iy1 + 1]
+    if top[ix1 + 1] - top[ix0] - below[ix1 + 1] + below[ix0] == 0:
+        return True  # no obstacle cell in the window
     rho2 = rho * rho
+    rows = wmap._framed_rows
     for iy in range(iy0, iy1 + 1):
+        row = rows[iy + 1]
         for ix in range(ix0, ix1 + 1):
-            if not wmap.is_obstacle(ix, iy):
+            if not row[ix + 1]:
                 continue
             cx0, cy0 = ox + ix * res, oy + iy * res
             if _dist2_segment_square(ax, ay, bx, by, cx0, cy0, cx0 + res, cy0 + res) < rho2:

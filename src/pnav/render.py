@@ -24,6 +24,12 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
+def _fill(template: str, xy: np.ndarray, sep: str) -> str:
+    """template % (x, y) for each row (x, y) of xy, joined by sep; the
+    template's %.3f writes a float as _fmt does."""
+    return sep.join([template] * len(xy)) % tuple(xy.ravel().tolist())
+
+
 def rotation_points(timed: TimedTrajectory) -> list[tuple[float, float]]:
     """Positions of zero-displacement heading-change spans in the samples."""
     s = timed.samples
@@ -47,11 +53,10 @@ def render_svg(wmap: WorkspaceMap,
     h_px = (ymax - ymin) * _SCALE + 2 * _MARGIN
     legend_h = _LEGEND_ROW * len(trajectories) + (10 if trajectories else 0)
 
-    def sx(x: float) -> float:
-        return _MARGIN + (x - xmin) * _SCALE
-
-    def sy(y: float) -> float:
-        return _MARGIN + (ymax - y) * _SCALE  # world y up, svg y down
+    def screen(x, y) -> np.ndarray:
+        """(n, 2) screen coordinates of world points (x[i], y[i])."""
+        return np.column_stack([_MARGIN + (x - xmin) * _SCALE,
+                                _MARGIN + (ymax - y) * _SCALE])  # world y up, svg y down
 
     out = []
     out.append(f'<svg xmlns="http://www.w3.org/2000/svg" '
@@ -61,23 +66,24 @@ def render_svg(wmap: WorkspaceMap,
                f'height="{_fmt(h_px + legend_h)}" fill="#ffffff"/>')
 
     cell = wmap.resolution * _SCALE
-    for iy in range(wmap.height):
-        for ix in range(wmap.width):
-            if wmap.occupancy[iy, ix]:
-                cx, cy = wmap.cell_center(ix, iy)
-                out.append(f'<rect x="{_fmt(sx(cx) - cell / 2)}" '
-                           f'y="{_fmt(sy(cy) - cell / 2)}" '
-                           f'width="{_fmt(cell)}" height="{_fmt(cell)}" '
-                           f'fill="#444444"/>')
+    iy, ix = np.nonzero(wmap.occupancy)  # row-major: by iy, then ix
+    if len(ix):
+        ox, oy = wmap.origin
+        # the cell centres, as WorkspaceMap.cell_center computes them
+        corners = screen(ox + (ix + 0.5) * wmap.resolution,
+                         oy + (iy + 0.5) * wmap.resolution) - cell / 2
+        out.append(_fill(f'<rect x="%.3f" y="%.3f" width="{_fmt(cell)}" '
+                         f'height="{_fmt(cell)}" fill="#444444"/>', corners, "\n"))
 
     for i, (label, timed) in enumerate(trajectories):
         color = PALETTE[i % len(PALETTE)]
         s = timed.samples
-        pts = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(s[:, 1], s[:, 2]))
+        pts = _fill("%.3f,%.3f", screen(s[:, 1], s[:, 2]), " ")
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="2"/>')
         for (rx, ry) in rotation_points(timed):
-            out.append(f'<circle cx="{_fmt(sx(rx))}" cy="{_fmt(sy(ry))}" r="4" '
+            (cx, cy), = screen(rx, ry)
+            out.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="4" '
                        f'fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = h_px + _LEGEND_ROW * (i + 1) - 4
         out.append(f'<rect x="{_fmt(float(_MARGIN))}" y="{_fmt(ly - 9)}" '

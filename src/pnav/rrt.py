@@ -17,6 +17,9 @@ from .gridmap import RobotModel, WorkspaceMap, footprint_free, swept_footprint_f
 from .validate import finite_number
 
 COLLINEAR_EPS = 1e-9
+# Uniforms rrt_plan draws from its Generator at a time; fixed, so memory does
+# not grow with max_iterations.
+_UNIFORM_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -89,8 +92,10 @@ def rrt_plan(wmap: WorkspaceMap, model: RobotModel,
 
     nodes = [start]
     parents = [-1]
-    coords = np.empty((64, 2))  # nodes' coordinates in its first len(nodes) rows
-    coords[0] = start
+    # nodes' x and y in the first len(nodes) entries
+    xs, ys = np.empty(64), np.empty(64)
+    xs[0], ys[0] = start
+    uniform = _uniforms(rng).__next__
 
     def backtrace(idx: int) -> PolyPath:
         verts = []
@@ -110,14 +115,14 @@ def rrt_plan(wmap: WorkspaceMap, model: RobotModel,
         return PolyPath((start, goal)) if goal != start else PolyPath((start,))
 
     for _ in range(params.max_iterations):
-        if rng.random() < params.goal_bias:
+        if uniform() < params.goal_bias:
             sample = goal
         else:
-            sample = (xmin + rng.random() * (xmax - xmin),
-                      ymin + rng.random() * (ymax - ymin))
-        filled = coords[:len(nodes)]
-        d2 = (filled[:, 0] - sample[0]) ** 2 + (filled[:, 1] - sample[1]) ** 2
-        near_idx = int(np.argmin(d2))
+            sample = (xmin + uniform() * (xmax - xmin),
+                      ymin + uniform() * (ymax - ymin))
+        n = len(nodes)
+        d2 = (xs[:n] - sample[0]) ** 2 + (ys[:n] - sample[1]) ** 2
+        near_idx = int(d2.argmin())
         near = nodes[near_idx]
         dist = math.sqrt(d2[near_idx])
         if dist < 1e-12:
@@ -125,14 +130,15 @@ def rrt_plan(wmap: WorkspaceMap, model: RobotModel,
         scale = min(1.0, params.step_size / dist)
         new = (near[0] + scale * (sample[0] - near[0]),
                near[1] + scale * (sample[1] - near[1]))
-        # the standing disc first: it is cheaper and rejects about a quarter
-        if not footprint_free(wmap, new, rho):
-            continue
+        # No separate standing test at new: a free sweep contains its end
+        # disc, and its cell window contains the standing window, so the
+        # sweep from near to new is free only if new is.
         if not swept_footprint_free(wmap, near, new, rho):
             continue
-        if len(nodes) == len(coords):  # doubling: amortised O(1) per node
-            coords = np.concatenate([coords, np.empty_like(coords)])
-        coords[len(nodes)] = new
+        if n == len(xs):  # doubling: amortised O(1) per node
+            xs = np.concatenate([xs, np.empty_like(xs)])
+            ys = np.concatenate([ys, np.empty_like(ys)])
+        xs[n], ys[n] = new
         nodes.append(new)
         parents.append(near_idx)
 
@@ -146,6 +152,13 @@ def rrt_plan(wmap: WorkspaceMap, model: RobotModel,
             return backtrace(idx)
 
     return None
+
+
+def _uniforms(rng: np.random.Generator):
+    """rng's stream of uniforms on [0, 1), drawn in blocks: the values and
+    order of repeated rng.random() calls, at a fraction of their cost."""
+    while True:
+        yield from rng.random(_UNIFORM_BLOCK).tolist()
 
 
 def curvature_sign_changes(path: PolyPath) -> int:

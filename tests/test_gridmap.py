@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnav.gridmap import (DISC_SAMPLES_PER_CELL, MAX_WINDOW_SUBSAMPLES, MapFormatError,
-                          WorkspaceMap, dump_map, footprint_free, load_map,
-                          obstruction_field, obstruction_ratio, obstruction_ratios,
-                          swept_footprint_free)
+                          WorkspaceMap, _dist2_segment_square, dump_map, footprint_free,
+                          load_map, obstruction_field, obstruction_ratio,
+                          obstruction_ratios, swept_footprint_free)
 
 from conftest import free_map, make_map
 
@@ -291,6 +291,183 @@ class TestOneCollisionTest:
         assert not footprint_free(wmap, p0, rho)
         assert footprint_free(wmap, p1, rho)
         assert swept_footprint_free(wmap, p0, p1, rho) == footprint_free(wmap, p0, rho)
+
+
+def _exact_swept_footprint_free(wmap: WorkspaceMap, p0: tuple[float, float],
+                                p1: tuple[float, float], rho: float) -> bool:
+    """True iff the disc of radius rho stays obstacle-free while translating
+    from p0 to p1.
+
+    Exact continuous test: collision iff some obstacle (or out-of-bounds)
+    cell square lies strictly closer than rho to the segment, compared as
+    d^2 < rho^2; the rho-inflated segment bounding box must also stay inside
+    the map (touching the border is allowed).
+    """
+    if not 0 < rho < math.inf:  # also NaN, which fails every comparison
+        raise ValueError(f"rho must be a finite number > 0, got {rho!r}")
+    res = wmap.resolution
+    ox, oy = wmap.origin
+    xmin, ymin, xmax, ymax = wmap.world_bounds
+    (ax, ay), (bx, by) = p0, p1
+    lo_x, hi_x = min(ax, bx), max(ax, bx)
+    lo_y, hi_y = min(ay, by), max(ay, by)
+    if lo_x - rho < xmin or lo_y - rho < ymin or hi_x + rho > xmax or hi_y + rho > ymax:
+        return False
+    ix0 = int(math.floor((lo_x - rho - ox) / res))
+    ix1 = int(math.floor((hi_x + rho - ox) / res))
+    iy0 = int(math.floor((lo_y - rho - oy) / res))
+    iy1 = int(math.floor((hi_y + rho - oy) / res))
+    rho2 = rho * rho
+    for iy in range(iy0, iy1 + 1):
+        for ix in range(ix0, ix1 + 1):
+            if not wmap.is_obstacle(ix, iy):
+                continue
+            cx0, cy0 = ox + ix * res, oy + iy * res
+            if _dist2_segment_square(ax, ay, bx, by, cx0, cy0, cx0 + res, cy0 + res) < rho2:
+                return False
+    return True
+
+
+class TestBroadPhase:
+    """swept_footprint_free with its summed-area broad phase against the
+    exact scan of every window cell it replaced, kept above verbatim
+    (renamed) as the oracle.  The broad phase only skips windows that hold
+    no obstacle cell, so every decision must be equal (==)."""
+
+    @staticmethod
+    def collisions(wmap, segments, rho):
+        """Compare on every segment; the number that collide."""
+        collide = 0
+        for p0, p1 in segments:
+            got = swept_footprint_free(wmap, p0, p1, rho)
+            assert got == _exact_swept_footprint_free(wmap, p0, p1, rho), (p0, p1, rho)
+            collide += not got
+        return collide
+
+    @staticmethod
+    def window(wmap, p0, p1, rho):
+        """The cells ix0..ix1, iy0..iy1 that swept_footprint_free examines."""
+        ox, oy = wmap.origin
+        res = wmap.resolution
+        lo_x, hi_x = sorted((p0[0], p1[0]))
+        lo_y, hi_y = sorted((p0[1], p1[1]))
+        return (math.floor((lo_x - rho - ox) / res), math.floor((hi_x + rho - ox) / res),
+                math.floor((lo_y - rho - oy) / res), math.floor((hi_y + rho - oy) / res))
+
+    @pytest.mark.parametrize("rho", [0.25, 0.375, 0.5, 0.3])
+    def test_inflated_box_touching_each_border(self, rho):
+        # dyadic origin, cells and coordinates: for rho 0.25, 0.375 and 0.5
+        # the inflated box meets the border exactly, and a box touching the
+        # right or top border takes in the frame column or row
+        occ = np.random.default_rng(11).random((12, 16)) < 0.2
+        wmap = WorkspaceMap(16, 12, 0.5, (-1.25, 0.75), occ)
+        xmin, ymin, xmax, ymax = wmap.world_bounds
+        rng = np.random.default_rng(int(rho * 1000))
+
+        def inside(lo, hi):
+            """Two coordinates on the 1/8 grid of [lo + rho, hi - rho]."""
+            return (lo + rho + (hi - lo - 2 * rho) * rng.integers(0, 9, 2) / 8).tolist()
+
+        segments = []
+        for _ in range(300):
+            u, v = (rng.integers(0, 9, 2) / 8).tolist()
+            tx, sx = inside(xmin, xmax)
+            ty, sy = inside(ymin, ymax)
+            touching = [((xmin + rho, ty), (xmin + rho + u, sy)),  # left
+                        ((xmax - rho, ty), (xmax - rho - u, sy)),  # right
+                        ((tx, ymin + rho), (sx, ymin + rho + v)),  # bottom
+                        ((tx, ymax - rho), (sx, ymax - rho - v)),  # top
+                        ((xmax - rho, ymax - rho), (xmax - rho - u, ymax - rho - v)),
+                        ((xmin + rho, ymin + rho), (xmin + rho + u, ymin + rho + v))]
+            for p0, p1 in touching:
+                segments += [(p0, p1), (p1, p0), (p0, p0)]
+        if rho != 0.3:
+            assert any(max(a[0], b[0]) + rho == xmax for a, b in segments)
+            assert any(max(a[1], b[1]) + rho == ymax for a, b in segments)
+        collide = self.collisions(wmap, segments, rho)
+        assert 0 < collide < len(segments)
+
+    def test_one_obstacle_in_a_window_corner(self):
+        rng = np.random.default_rng(31)
+        free = WorkspaceMap(12, 10, 0.5, (0.25, -0.5), np.zeros((10, 12), dtype=bool))
+        xmin, ymin, xmax, ymax = free.world_bounds
+        collide = cases = 0
+        for _ in range(400):
+            rho = float(rng.choice([0.2, 0.3, 0.45, 0.7]))
+            m = rho + 1e-9
+            lo, hi = [xmin + m, ymin + m], [xmax - m, ymax - m]
+            p0 = tuple(rng.uniform(lo, hi).tolist())
+            p1 = tuple(np.clip(p0 + rng.uniform(-1.0, 1.0, 2), lo, hi).tolist())
+            if rng.random() < 0.2:
+                p1 = p0
+            assert swept_footprint_free(free, p0, p1, rho)
+            ix0, ix1, iy0, iy1 = self.window(free, p0, p1, rho)
+            for ix, iy in {(ix0, iy0), (ix1, iy0), (ix0, iy1), (ix1, iy1)}:
+                if not free.in_bounds(ix, iy):
+                    continue
+                occ = np.zeros((10, 12), dtype=bool)
+                occ[iy, ix] = True
+                wmap = WorkspaceMap(12, 10, 0.5, (0.25, -0.5), occ)
+                collide += self.collisions(wmap, [(p0, p1)], rho)
+                cases += 1
+        assert 0.1 * cases < collide < 0.9 * cases
+
+    def test_offset_origin_and_resolution_0_3(self):
+        occ = np.random.default_rng(5).random((14, 11)) < 0.1
+        wmap = WorkspaceMap(11, 14, 0.3, (-2.1, 1.7), occ)
+        xmin, ymin, xmax, ymax = wmap.world_bounds
+        rng = np.random.default_rng(6)
+        n = 6000
+        a = np.column_stack([rng.uniform(xmin - 0.3, xmax + 0.3, n),
+                             rng.uniform(ymin - 0.3, ymax + 0.3, n)])
+        b = a + rng.uniform(-0.9, 0.9, (n, 2))
+        b[::7] = a[::7]  # zero-length sweeps
+        rhos = rng.choice([0.1, 0.15, 0.2, 0.3, 0.45], n)
+        collide = 0
+        for p0, p1, rho in zip(a.tolist(), b.tolist(), rhos.tolist()):
+            collide += self.collisions(wmap, [(tuple(p0), tuple(p1))], rho)
+        assert 0.2 * n < collide < 0.8 * n
+
+    @pytest.mark.parametrize("rho", [0.125, 0.25, math.sqrt(0.125), 0.3, 0.5])
+    def test_zero_length_sweeps_on_an_aligned_grid(self, rho):
+        occ = np.random.default_rng(9).random((9, 10)) < 0.15
+        wmap = WorkspaceMap(10, 9, 0.5, (1.5, -2.0), occ)
+        ox, oy = wmap.origin
+        points = [(ox + 0.125 * i, oy + 0.125 * j)
+                  for i in range(-2, 43) for j in range(-2, 39)]
+        collide = self.collisions(wmap, [(p, p) for p in points], rho)
+        assert 0 < collide < len(points)
+        for p in points[::5]:
+            assert footprint_free(wmap, p, rho) == swept_footprint_free(wmap, p, p, rho)
+
+    @pytest.mark.parametrize("scale", [2 ** 46, -2 ** 48, 2 ** 49 - 64])
+    def test_far_origin_within_the_cell_bound(self, scale):
+        # |origin| / resolution + cells close to the 2**50 bound: the windows
+        # still stay inside the frame
+        res = 0.3
+        occ = np.random.default_rng(3).random((6, 8)) < 0.2
+        wmap = WorkspaceMap(8, 6, res, (scale * res, -scale * res), occ)
+        xmin, ymin, xmax, ymax = wmap.world_bounds
+        rng = np.random.default_rng(4)
+        for rho in (0.3, 0.5, 0.9):
+            xy = rng.uniform([xmin, ymin], [xmax, ymax], (100, 2)).tolist()
+            self.collisions(wmap, [((xmax - rho, y), (x, ymax - rho)) for x, y in xy], rho)
+            self.collisions(wmap, [((x, y), (x, y)) for x, y in xy], rho)
+
+    @pytest.mark.parametrize("origin", [(2.0 ** 49, 0.0), (0.0, -2.0 ** 49)])
+    def test_origin_past_the_cell_bound_rejected(self, origin):
+        with pytest.raises(ValueError, match=r"origin\[\d\] .* past 2\*\*50 cells"):
+            WorkspaceMap(4, 4, 0.5, origin, np.zeros((4, 4), dtype=bool))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(st.floats(-3.0, 2.0), st.floats(1.0, 6.0)),
+           st.tuples(st.floats(-3.0, 2.0), st.floats(1.0, 6.0)),
+           st.sampled_from([0.1, 0.2, 0.25, 0.3, 0.6]))
+    def test_swept_free_implies_both_endpoints_free(self, p0, p1, rho):
+        occ = np.random.default_rng(13).random((15, 12)) < 0.1
+        wmap = WorkspaceMap(12, 15, 0.3, (-2.4, 1.5), occ)
+        if swept_footprint_free(wmap, p0, p1, rho):
+            assert footprint_free(wmap, p0, rho) and footprint_free(wmap, p1, rho)
 
 
 class TestObstructionRatio:
