@@ -87,10 +87,9 @@ def _parse_pose(text: str, what: str, heading_optional: bool):
     except ValueError:
         raise CliError(f"{what} must be numeric")
     x, y, th = (finite_number(v, what, error=CliError) for v in (x, y, th))
-    heading = int(round(th)) % 360
-    if heading not in HEADINGS:
+    if th not in HEADINGS:
         raise CliError(f"{what} heading must be one of {sorted(HEADINGS)}")
-    return (x, y, heading)
+    return (x, y, int(th))
 
 
 def _world_to_lattice(x: float, y: float, wmap, delta: float) -> tuple[int, int]:
@@ -230,6 +229,8 @@ def cmd_rrt(args) -> int:
     step = _resolve(args.step, "STEP", default=2.0 * wmap.resolution)
     if args.n < 1:
         raise CliError("--n must be >= 1")
+    if args.seed < 0:
+        raise CliError("--seed must be >= 0")
 
     model = RobotModel(footprint_radius=rho, camera_clearance_radius=r)
     start = _parse_xy(args.start, "--start")

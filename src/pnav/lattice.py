@@ -5,13 +5,20 @@ resolution), each carrying one of 8 headings.  Type-A edges rotate in place
 between any two headings at a position; Type-B edges translate one
 heading-aligned step to an 8-neighbor.  Every edge carries a three-component
 cost vector (obstruction, turn count, distance).
+
+Nodes are also numbered, in `LatticeGraph.nodes` order: positions ascend by
+(ix, iy), and the node at position index p with heading HEADINGS[k] has id
+8 * p + k.  `LatticeGraph.rows[id]` lists that node's outgoing edges as
+(dst id, w1, w2, w3) tuples, in exactly `neighbors()` order and with the
+same cost components, so a whole-graph pass or a search can run on integer
+ids and never hash a node.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +27,7 @@ from .gridmap import (RobotModel, WorkspaceMap, footprint_free,
 from .validate import finite_number
 
 HEADINGS = (0, 45, 90, 135, 180, 225, 270, 315)
+HEADING_INDEX = {h: k for k, h in enumerate(HEADINGS)}
 AXIS_HEADINGS = frozenset((0, 90, 180, 270))
 
 # unit grid step per heading
@@ -61,21 +69,13 @@ class LatticeNode:
     ix: int
     iy: int
     heading: int
-    # hash((ix, iy, heading)), the value the generated __hash__ would build on
-    # every call; the search hashes a node at every dict lookup
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.heading not in HEADING_STEP:
             raise ValueError(f"heading {self.heading} not in the 8-value set")
-        object.__setattr__(self, "_hash", hash((self.ix, self.iy, self.heading)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
-@dataclass(frozen=True)
-class LatticeEdge:
+class LatticeEdge(NamedTuple):
     src: LatticeNode
     dst: LatticeNode
     kind: str  # "A" or "B"
@@ -93,17 +93,20 @@ class LatticeGraph:
 
     def __init__(self, wmap: WorkspaceMap, delta: float, nx: int, ny: int,
                  phi: dict[tuple[int, int], float],
-                 adjacency: dict[LatticeNode, tuple[LatticeEdge, ...]]):
+                 adjacency: dict[LatticeNode, tuple[LatticeEdge, ...]],
+                 rows: list[tuple[tuple[int, float, int, float], ...]],
+                 first_id: dict[tuple[int, int], int]):
         self.map = wmap
         self.delta = delta
         self.nx = nx
         self.ny = ny
         self.phi = phi
         self._adjacency = adjacency
-
-    @property
-    def nodes(self) -> Iterable[LatticeNode]:
-        return self._adjacency.keys()
+        # id -> node; ids follow adjacency order, 8 headings per position
+        self.nodes: tuple[LatticeNode, ...] = tuple(adjacency)
+        # id -> ((dst id, w1, w2, w3), ...), in neighbors() order
+        self.rows = rows
+        self._first_id = first_id  # position -> id of its heading-0 node
 
     def __contains__(self, node: LatticeNode) -> bool:
         return node in self._adjacency
@@ -114,10 +117,12 @@ class LatticeGraph:
     def has_position(self, ix: int, iy: int) -> bool:
         return (ix, iy) in self.phi
 
-    def adjacency(self) -> Iterable[tuple[LatticeNode, tuple[LatticeEdge, ...]]]:
-        """(node, outgoing edges) for every node, for whole-graph passes that
-        should not count as neighbors() calls of a search."""
-        return self._adjacency.items()
+    def node_id(self, node: LatticeNode) -> int:
+        """The node's index in `nodes` and `rows`."""
+        try:
+            return self._first_id[(node.ix, node.iy)] + HEADING_INDEX[node.heading]
+        except KeyError:
+            raise LatticeError(f"node {node} not in graph") from None
 
     def neighbors(self, node: LatticeNode) -> tuple[LatticeEdge, ...]:
         """Outgoing edges: Type-A by ascending destination heading, then Type-B."""
@@ -167,19 +172,29 @@ def build_lattice(wmap: WorkspaceMap, model: RobotModel, delta: float) -> Lattic
     phi = dict(zip(free, obstruction_ratios(wmap, xy, r).tolist()))
 
     step = {h: delta if h in AXIS_HEADINGS else SQRT2 * delta for h in HEADINGS}
-    nodes = {pos: tuple(LatticeNode(*pos, h) for h in HEADINGS) for pos in sorted(phi)}
+    positions = sorted(phi)
+    first_id = {pos: 8 * p for p, pos in enumerate(positions)}
+    nodes = {pos: tuple(LatticeNode(*pos, h) for h in HEADINGS) for pos in positions}
     adjacency: dict[LatticeNode, tuple[LatticeEdge, ...]] = {}
+    rows: list[tuple[tuple[int, float, int, float], ...]] = []
     for (ix, iy), here in nodes.items():
-        turn = CostVector(phi[(ix, iy)], 1, 0.0)
+        w1 = phi[(ix, iy)]
+        turn = CostVector(w1, 1, 0.0)
+        base = first_id[(ix, iy)]
+        # one row entry per heading, shared by the position's 8 rows
+        turns = [(base + k, w1, 1, 0.0) for k in range(8)]
         for k, src in enumerate(here):
             # Type-A: every other heading at this position, ascending
             edges = [LatticeEdge(src, dst, "A", turn) for dst in here if dst is not src]
+            row = turns[:k] + turns[k + 1:]
             dx, dy = HEADING_STEP[src.heading]
             dst_pos = (ix + dx, iy + dy)
             if dst_pos in phi and swept_footprint_free(wmap, free[(ix, iy)],
                                                        free[dst_pos], rho):
-                edges.append(LatticeEdge(src, nodes[dst_pos][k], "B",
-                                         CostVector(phi[dst_pos], 0, step[src.heading])))
+                cost = CostVector(phi[dst_pos], 0, step[src.heading])
+                edges.append(LatticeEdge(src, nodes[dst_pos][k], "B", cost))
+                row.append((first_id[dst_pos] + k, cost.w1, 0, cost.w3))
             adjacency[src] = tuple(edges)
+            rows.append(tuple(row))
 
-    return LatticeGraph(wmap, delta, nx, ny, phi, adjacency)
+    return LatticeGraph(wmap, delta, nx, ny, phi, adjacency, rows, first_id)

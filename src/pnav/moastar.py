@@ -16,6 +16,12 @@ representative paths.  With all edge costs non-negative and no zero-cost
 cycles the search returns exactly the non-dominated goal-reaching cost
 vectors, one representative path per distinct vector.
 
+plan_pareto runs on the lattice's integer node ids (see pnav.lattice): it
+reads successors from LatticeGraph.rows, keeps its labels, bounds and goal
+flags in lists indexed by id, and maps ids back to nodes only for the paths
+it returns.  It still calls neighbors() once per expansion, so a count of
+those calls counts expansions.
+
 plan_pareto's front carries deterministic search counters in its metadata:
 labels generated (one per edge of an expanded label) and expanded, labels
 pruned at a node and pruned by a solution (at pop plus at generation),
@@ -34,7 +40,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .lattice import SQRT2, CostVector, LatticeGraph, LatticeNode
+from .lattice import HEADINGS, SQRT2, CostVector, LatticeGraph, LatticeNode
 
 # Cost vectors closer than this (absolute, on the float components) are the
 # same vector for the one-representative-per-vector rule.  w2 is exact.
@@ -140,47 +146,34 @@ class ParetoFront:
         return [c for c, _ in self.entries]
 
 
-class _Label:
-    __slots__ = ("g", "node", "parent")
-
-    def __init__(self, g, node, parent):
-        self.g = g
-        self.node = node
-        self.parent = parent
-
-    def path(self) -> list[LatticeNode]:
-        out = []
-        lab = self
-        while lab is not None:
-            out.append(lab.node)
-            lab = lab.parent
-        out.reverse()
-        return out
-
-
 def _sorted_front(solutions) -> list[tuple[CostVector, list[LatticeNode]]]:
     entries = [(CostVector(*g), path) for g, path in solutions]
     entries.sort(key=lambda e: (e[0].w3, e[0].w2, e[0].w1))
     return entries
 
 
-def _ideal_bounds(graph: LatticeGraph, goal: GoalSpec) -> dict[LatticeNode, tuple[float, int]]:
-    """node -> (h1, h2): the least obstruction sum and the least turn count
-    still needed to reach a goal node, each minimised on its own by a
-    backward Dijkstra pass over reversed edges.  Nodes with no path to the
-    goal are absent."""
-    nodes = list(graph.nodes)
-    index = {node: i for i, node in enumerate(nodes)}
-    # integer ids, so heap ties never compare LatticeNode dataclasses
-    preds: list[list[tuple[int, float, int]]] = [[] for _ in nodes]
-    for node, edges in graph.adjacency():
-        src = index[node]
-        for e in edges:
-            preds[index[e.dst]].append((src, e.cost.w1, e.cost.w2))
-    targets = [i for i, node in enumerate(nodes) if goal.satisfied_by(node)]
+def _goal_ids(graph: LatticeGraph, goal: GoalSpec) -> list[int]:
+    """Ids of the nodes that satisfy the goal, ascending."""
+    if not graph.has_position(goal.ix, goal.iy):
+        return []
+    base = graph.node_id(LatticeNode(goal.ix, goal.iy, 0))
+    return [i for i in range(base, base + 8) if goal.satisfied_by(graph.nodes[i])]
+
+
+def _ideal_bounds(graph: LatticeGraph, goal: GoalSpec) -> tuple[list, list]:
+    """(h1, h2), indexed by node id: the least obstruction sum and the least
+    turn count still needed to reach a goal node, each minimised on its own
+    by a backward Dijkstra pass over reversed edges.  Both are inf at a node
+    with no path to the goal."""
+    rows = graph.rows
+    preds: list[list[tuple[int, float, int]]] = [[] for _ in rows]
+    for src, row in enumerate(rows):
+        for dst, w1, w2, _ in row:
+            preds[dst].append((src, w1, w2))
+    targets = _goal_ids(graph, goal)
 
     def backward(k: int) -> list:
-        dist = [math.inf] * len(nodes)
+        dist = [math.inf] * len(rows)
         for t in targets:
             dist[t] = 0
         heap = [(0, t) for t in targets]
@@ -195,8 +188,17 @@ def _ideal_bounds(graph: LatticeGraph, goal: GoalSpec) -> dict[LatticeNode, tupl
                     heapq.heappush(heap, (nd, p[0]))
         return dist
 
-    h1, h2 = backward(1), backward(2)
-    return {nodes[i]: (a, b) for i, (a, b) in enumerate(zip(h1, h2)) if a < math.inf}
+    return backward(1), backward(2)
+
+
+def _path(label, nodes) -> list[LatticeNode]:
+    """The node path of a (g, id, parent) label chain."""
+    out = []
+    while label is not None:
+        out.append(nodes[label[1]])
+        label = label[2]
+    out.reverse()
+    return out
 
 
 def plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> ParetoFront:
@@ -212,67 +214,99 @@ def plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> Pare
         raise PlanningError("invalid goal")
 
     delta = graph.delta
-    h3 = _distance_bound(goal, delta)
-    bounds = _ideal_bounds(graph, goal)
+    nodes = graph.nodes
+    rows = graph.rows
+    H1, H2 = _ideal_bounds(graph, goal)
+    H3 = [octile((goal.ix - n.ix) * delta, (goal.iy - n.iy) * delta)
+          for n in nodes[::8] for _ in HEADINGS]
+    is_goal = [False] * len(nodes)
+    for t in _goal_ids(graph, goal):
+        is_goal[t] = True
+    inf, tol = math.inf, FLOAT_TOL
+    heappush, heappop = heapq.heappush, heapq.heappop
+
+    s = graph.node_id(start)
     counter = itertools.count()
-    root = _Label((0.0, 0, 0.0), start, None)
+    # a label is (g, node id, parent label)
+    root = ((0.0, 0, 0.0), s, None)
     # empty at once when the start has no path to the goal
-    open_heap = [(h3(start), 0, 0.0, next(counter), root)] if start in bounds else []
-    # non-dominated g-vectors known per node (open or expanded)
-    node_labels: dict[LatticeNode, list[tuple]] = {start: [root.g]}
-    solutions: list[tuple[tuple, list[LatticeNode]]] = []
+    open_heap = [(H3[s], 0, 0.0, next(counter), root)] if H1[s] < inf else []
+    # per node id: the non-dominated g-vectors known there (open or expanded)
+    labels: list[list | None] = [None] * len(nodes)
+    labels[s] = [root[0]]
+    solutions: list[tuple[tuple, tuple]] = []  # (g, label)
     generated = expanded = at_node = by_solution = 0
     peak_open = len(open_heap)
 
-    def solution_prunes(f: tuple) -> bool:
-        return any(_prunes(s, f) for s, _ in solutions)
-
+    # The scans below are _prunes(a, b) written out, with its sums:
+    # a[0] <= b[0] + tol and a[1] <= b[1] and a[2] <= b[2] + tol.
     while open_heap:
-        _, _, _, _, lab = heapq.heappop(open_heap)
-        g = lab.g
-        node = lab.node
-        if g not in node_labels.get(node, ()):  # removed by a dominator
+        lab = heappop(open_heap)[4]
+        g, u, _ = lab
+        if g not in labels[u]:  # removed by a dominator
             continue
-        h1, h2 = bounds[node]
-        if solution_prunes((g[0] + h1, g[1] + h2, g[2] + h3(node))):
+        g1, g2, g3 = g
+        f1 = (g1 + H1[u]) + tol
+        f2 = g2 + H2[u]
+        f3 = (g3 + H3[u]) + tol
+        pruned = False
+        for sg, _ in solutions:
+            if sg[0] <= f1 and sg[1] <= f2 and sg[2] <= f3:
+                pruned = True
+                break
+        if pruned:
             by_solution += 1
             continue
 
-        if goal.satisfied_by(node):
-            solutions[:] = [(s, p) for s, p in solutions if not _prunes(g, s)]
-            solutions.append((g, lab.path()))
+        if is_goal[u]:
+            solutions[:] = [(sg, sl) for sg, sl in solutions if not _prunes(g, sg)]
+            solutions.append((g, lab))
             # any extension strictly worsens some component; no expansion
             continue
 
-        edges = graph.neighbors(node)
+        edges = graph.neighbors(nodes[u])
         expanded += 1
         generated += len(edges)
-        for edge in edges:
-            dst = edge.dst
-            h = bounds.get(dst)
-            if h is None:  # dst cannot reach the goal
+        for v, w1, w2, w3 in rows[u]:
+            h1 = H1[v]
+            if h1 == inf:  # v cannot reach the goal
                 continue
-            c = edge.cost
-            g2 = (g[0] + c.w1, g[1] + c.w2, g[2] + c.w3)
-            existing = node_labels.setdefault(dst, [])
-            if any(_prunes(old, g2) for old in existing):
+            a, b, c = g1 + w1, g2 + w2, g3 + w3
+            existing = labels[v]
+            if existing is None:
+                existing = labels[v] = []
+            a_tol, c_tol = a + tol, c + tol
+            pruned = False
+            for old in existing:
+                if old[0] <= a_tol and old[1] <= b and old[2] <= c_tol:
+                    pruned = True
+                    break
+            if pruned:
                 at_node += 1
                 continue
-            f3 = g2[2] + h3(dst)
-            if solution_prunes((g2[0] + h[0], g2[1] + h[1], f3)):
+            f = c + H3[v]
+            f1 = (a + h1) + tol
+            f2 = b + H2[v]
+            f3 = f + tol
+            for sg, _ in solutions:
+                if sg[0] <= f1 and sg[1] <= f2 and sg[2] <= f3:
+                    pruned = True
+                    break
+            if pruned:
                 by_solution += 1
                 continue
-            existing[:] = [old for old in existing if not _prunes(g2, old)]
-            existing.append(g2)
-            child = _Label(g2, dst, lab)
-            heapq.heappush(open_heap, (f3, g2[1], g2[0], next(counter), child))
+            existing[:] = [old for old in existing
+                           if not (a <= old[0] + tol and b <= old[1] and c <= old[2] + tol)]
+            gv = (a, b, c)
+            existing.append(gv)
+            heappush(open_heap, (f, b, a, next(counter), (gv, v, lab)))
             if len(open_heap) > peak_open:
                 peak_open = len(open_heap)
 
-    entries = _sorted_front(solutions)
+    entries = _sorted_front([(sg, _path(sl, nodes)) for sg, sl in solutions])
     metadata = {"generated": generated, "expanded": expanded,
                 "pruned_at_node": at_node, "pruned_by_solution": by_solution,
-                "dead_ends": len(graph) - len(bounds), "peak_open": peak_open,
+                "dead_ends": H1.count(inf), "peak_open": peak_open,
                 "front_size": len(entries)}
     return ParetoFront(entries, start=start, goal=goal, delta=delta, metadata=metadata)
 

@@ -76,6 +76,29 @@ class TestExitCodes:
                         start="0.5,0.5,30")
         assert code == 1
 
+    @pytest.mark.parametrize("heading", ["44.6", "405", "-45", "1e300", "360"])
+    @pytest.mark.parametrize("flag", ["--start", "--goal"])
+    def test_heading_off_the_eight_values_rejected(self, map_file, tmp_path, capsys,
+                                                   flag, heading):
+        # neither rounded to a near heading nor reduced mod 360
+        start, goal = "0.5,0.5,0", "2.5,2.5"
+        if flag == "--start":
+            start = "0.5,0.5," + heading
+        else:
+            goal += "," + heading
+        code = run_plan(map_file(free_map(3, 3)), tmp_path / "out", start=start, goal=goal)
+        assert code == 1
+        assert f"{flag} heading must be one of" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_heading_as_float_text_accepted(self, map_file, tmp_path):
+        code = run_plan(map_file(free_map(3, 3)), tmp_path / "out",
+                        start="0.5,0.5,45.0", goal="2.5,2.5,315")
+        assert code == 0
+        doc = json.loads((tmp_path / "out" / "front.json").read_text())
+        assert doc["start"] == [0, 0, 45] and doc["goal"] == [2, 2, 315]
+        assert doc["entries"][0]["nodes"][-1] == [2, 2, 315]
+
     def test_missing_required_radius(self, map_file, tmp_path, monkeypatch):
         monkeypatch.delenv("PNAV_RHO", raising=False)
         code = main(["plan", "--map", map_file(free_map(3, 3)),
@@ -181,6 +204,15 @@ class TestRrtCommand:
         doc = json.loads((out / "rrt.json").read_text())
         verts = PolyPath(tuple(tuple(p) for p in doc["vertices"]))
         assert doc["curvature_sign_changes"] == curvature_sign_changes(verts)
+
+    def test_negative_seed_names_the_flag(self, map_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["rrt", "--map", map_file(free_map(8, 8)), "--start", "1.0,1.0",
+                     "--goal", "7.0,7.0", "--n", "3", "--seed", "-1",
+                     "--rho", "0.2", "--r", "0.8", "--out", str(out)])
+        assert code == 1
+        assert "--seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_blocked_goal_exit_two(self, map_file, tmp_path):
         wmap = make_map([".....",

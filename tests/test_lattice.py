@@ -1,10 +1,11 @@
 import dataclasses
+import random
 
 import pytest
 
 from pnav.gridmap import RobotModel, footprint_free, swept_footprint_free
 from pnav.lattice import (AXIS_HEADINGS, HEADING_STEP, HEADINGS, SQRT2,
-                          CostVector, LatticeError, LatticeNode,
+                          CostVector, LatticeEdge, LatticeError, LatticeNode,
                           build_lattice, node_position)
 
 from conftest import free_map, make_map
@@ -213,7 +214,7 @@ class PlainNode:
 
 
 class TestNodeHash:
-    """The stored hash changes no observable behavior of a node."""
+    """A node hashes, compares, orders and prints as a plain frozen dataclass."""
 
     NODES = [(0, 0, 0), (3, -2, 45), (-1, 7, 315), (2, 2, 180), (2, 2, 90),
              (10**12, 1, 270)]
@@ -239,3 +240,77 @@ class TestNodeHash:
         assert hash(node) == hash((1, 2, 45))
         assert dataclasses.replace(node, heading=90) == LatticeNode(1, 2, 90)
         assert hash(dataclasses.replace(node, heading=90)) == hash((1, 2, 90))
+
+
+def random_map(rng, w, h, density):
+    return make_map(["".join("#" if rng.random() < density else "." for _ in range(w))
+                     for _ in range(h)])
+
+
+class TestRows:
+    """rows[id] is neighbors(nodes[id]) on integer ids, entry for entry."""
+
+    @staticmethod
+    def assert_rows_match_edges(g):
+        assert len(g.rows) == len(g.nodes) == len(g)
+        positions = sorted(g.phi)
+        for i, node in enumerate(g.nodes):
+            assert i == 8 * positions.index((node.ix, node.iy)) + HEADINGS.index(node.heading)
+            assert g.node_id(node) == i
+            edges = g.neighbors(node)
+            assert len(g.rows[i]) == len(edges)
+            for (dst, w1, w2, w3), e in zip(g.rows[i], edges):
+                assert g.nodes[dst] == e.dst
+                # bit-equal: same type and same repr, so -0.0 differs from 0.0
+                got = [(type(w), repr(w)) for w in (w1, w2, w3)]
+                assert got == [(type(w), repr(w)) for w in e.cost.as_tuple()]
+
+    def test_museum(self, museum):
+        wmap, model = museum
+        self.assert_rows_match_edges(build_lattice(wmap, model, 1.0))
+
+    def test_random_maps(self):
+        rng = random.Random(8128)
+        for _ in range(12):
+            wmap = random_map(rng, rng.randint(1, 9), rng.randint(1, 7), 0.25)
+            model = RobotModel(footprint_radius=rng.choice([0.2, 0.3, 0.5]),
+                               camera_clearance_radius=rng.choice([0.4, 1.2]))
+            self.assert_rows_match_edges(build_lattice(wmap, model, 1.0))
+
+    def test_blocked_map_has_no_rows(self):
+        g = build_lattice(make_map(["##", "##"]), SMALL, 1.0)
+        assert g.rows == [] and g.nodes == ()
+
+    def test_unknown_node_id(self):
+        g = build_lattice(free_map(2, 2), SMALL, 1.0)
+        with pytest.raises(LatticeError, match="not in graph"):
+            g.node_id(LatticeNode(5, 5, 0))
+
+
+@dataclasses.dataclass(frozen=True)
+class PlainEdge:
+    """LatticeEdge as the frozen dataclass it was."""
+
+    src: LatticeNode
+    dst: LatticeNode
+    kind: str
+    cost: CostVector
+
+
+class TestEdgeTuple:
+    def test_eq_hash_repr_match_the_dataclass(self):
+        g = build_lattice(make_map(["....", ".#..", "...."]),
+                          RobotModel(footprint_radius=0.2, camera_clearance_radius=0.9), 1.0)
+        edges = [e for n in g.nodes for e in g.neighbors(n)]
+        plain = [PlainEdge(e.src, e.dst, e.kind, e.cost) for e in edges]
+        for e, ref in zip(edges, plain):
+            assert hash(e) == hash(ref)
+            assert repr(e) == repr(ref).replace("PlainEdge", "LatticeEdge")
+            assert e == LatticeEdge(ref.src, ref.dst, ref.kind, ref.cost)
+            for field, other in (("src", LatticeNode(9, 9, 0)), ("dst", LatticeNode(9, 9, 0)),
+                                 ("kind", "C"), ("cost", CostVector(9.0, 9, 9.0))):
+                assert e != e._replace(**{field: other})
+        # set and dict orders follow the hashes, so they cannot move
+        assert ([(e.src, e.dst, e.kind, e.cost) for e in set(edges)]
+                == [(p.src, p.dst, p.kind, p.cost) for p in set(plain)])
+        assert len(set(edges)) == len(edges)
