@@ -6,12 +6,14 @@ between any two headings at a position; Type-B edges translate one
 heading-aligned step to an 8-neighbor.  Every edge carries a three-component
 cost vector (obstruction, turn count, distance).
 
-Nodes are also numbered, in `LatticeGraph.nodes` order: positions ascend by
+Nodes are numbered in `LatticeGraph.nodes` order: positions ascend by
 (ix, iy), and the node at position index p with heading HEADINGS[k] has id
-8 * p + k.  `LatticeGraph.rows[id]` lists that node's outgoing edges as
-(dst id, w1, w2, w3) tuples, in exactly `neighbors()` order and with the
-same cost components, so a whole-graph pass or a search can run on integer
-ids and never hash a node.
+8 * p + k.  `LatticeGraph.rows[id]`, the only edge store, lists that node's
+outgoing edges as (dst id, w1, w2, w3) tuples, so a search can run on
+integer ids.  Entries 0-6 rotate to the other 7 headings, ascending, each
+costing (phi here, 1, 0.0); entry 7, present when the swept footprint is
+free, translates, so a node has at most one translation predecessor.
+`neighbors()` builds a node's edges from its row on first use and keeps them.
 """
 
 from __future__ import annotations
@@ -92,27 +94,23 @@ class LatticeGraph:
     """Immutable directed graph over (ix, iy, heading) lattice nodes."""
 
     def __init__(self, wmap: WorkspaceMap, delta: float, nx: int, ny: int,
-                 phi: dict[tuple[int, int], float],
-                 adjacency: dict[LatticeNode, tuple[LatticeEdge, ...]],
+                 phi: dict[tuple[int, int], float], nodes: tuple[LatticeNode, ...],
                  rows: list[tuple[tuple[int, float, int, float], ...]],
                  first_id: dict[tuple[int, int], int]):
         self.map = wmap
         self.delta = delta
-        self.nx = nx
-        self.ny = ny
+        self.nx, self.ny = nx, ny
         self.phi = phi
-        self._adjacency = adjacency
-        # id -> node; ids follow adjacency order, 8 headings per position
-        self.nodes: tuple[LatticeNode, ...] = tuple(adjacency)
-        # id -> ((dst id, w1, w2, w3), ...), in neighbors() order
-        self.rows = rows
+        self.nodes = nodes  # id -> node, 8 headings per position
+        self.rows = rows  # id -> ((dst id, w1, w2, w3), ...), in neighbors() order
         self._first_id = first_id  # position -> id of its heading-0 node
+        self._edges: list[tuple[LatticeEdge, ...] | None] = [None] * len(nodes)
 
     def __contains__(self, node: LatticeNode) -> bool:
-        return node in self._adjacency
+        return isinstance(node, LatticeNode) and (node.ix, node.iy) in self._first_id
 
     def __len__(self) -> int:
-        return len(self._adjacency)
+        return len(self.nodes)
 
     def has_position(self, ix: int, iy: int) -> bool:
         return (ix, iy) in self.phi
@@ -126,10 +124,16 @@ class LatticeGraph:
 
     def neighbors(self, node: LatticeNode) -> tuple[LatticeEdge, ...]:
         """Outgoing edges: Type-A by ascending destination heading, then Type-B."""
-        try:
-            return self._adjacency[node]
-        except KeyError:
-            raise LatticeError(f"node {node} not in graph") from None
+        i = self.node_id(node)
+        edges = self._edges[i]
+        if edges is None:
+            nodes, row = self.nodes, self.rows[i]
+            turn = CostVector(*row[0][1:])  # shared by the 7 rotations
+            edges = self._edges[i] = tuple(
+                LatticeEdge(nodes[i], nodes[dst], "A", turn) if w2 == 1
+                else LatticeEdge(nodes[i], nodes[dst], "B", CostVector(w1, w2, w3))
+                for dst, w1, w2, w3 in row)
+        return edges
 
     def path_cost(self, path: list[LatticeNode]) -> CostVector:
         """Componentwise sum of edge costs along a node path."""
@@ -155,12 +159,9 @@ def build_lattice(wmap: WorkspaceMap, model: RobotModel, delta: float) -> Lattic
         raise LatticeError(
             f"delta {delta} is not an integer multiple of resolution {wmap.resolution}")
     m = int(round(ratio))
-    nx = wmap.width // m
-    ny = wmap.height // m
+    nx, ny = wmap.width // m, wmap.height // m
 
     rho = model.footprint_radius
-    r = model.camera_clearance_radius
-
     # free positions and their obstruction ratios
     free = {}
     for iy in range(ny):
@@ -169,32 +170,25 @@ def build_lattice(wmap: WorkspaceMap, model: RobotModel, delta: float) -> Lattic
             if footprint_free(wmap, pos, rho):
                 free[(ix, iy)] = pos
     xy = np.array(list(free.values()), dtype=float).reshape(-1, 2)
-    phi = dict(zip(free, obstruction_ratios(wmap, xy, r).tolist()))
+    phi = dict(zip(free, obstruction_ratios(wmap, xy, model.camera_clearance_radius).tolist()))
 
     step = {h: delta if h in AXIS_HEADINGS else SQRT2 * delta for h in HEADINGS}
     positions = sorted(phi)
     first_id = {pos: 8 * p for p, pos in enumerate(positions)}
-    nodes = {pos: tuple(LatticeNode(*pos, h) for h in HEADINGS) for pos in positions}
-    adjacency: dict[LatticeNode, tuple[LatticeEdge, ...]] = {}
+    nodes = tuple(LatticeNode(ix, iy, h) for ix, iy in positions for h in HEADINGS)
     rows: list[tuple[tuple[int, float, int, float], ...]] = []
-    for (ix, iy), here in nodes.items():
+    for (ix, iy), base in first_id.items():
         w1 = phi[(ix, iy)]
-        turn = CostVector(w1, 1, 0.0)
-        base = first_id[(ix, iy)]
         # one row entry per heading, shared by the position's 8 rows
         turns = [(base + k, w1, 1, 0.0) for k in range(8)]
-        for k, src in enumerate(here):
+        for k, h in enumerate(HEADINGS):
             # Type-A: every other heading at this position, ascending
-            edges = [LatticeEdge(src, dst, "A", turn) for dst in here if dst is not src]
             row = turns[:k] + turns[k + 1:]
-            dx, dy = HEADING_STEP[src.heading]
+            dx, dy = HEADING_STEP[h]
             dst_pos = (ix + dx, iy + dy)
             if dst_pos in phi and swept_footprint_free(wmap, free[(ix, iy)],
                                                        free[dst_pos], rho):
-                cost = CostVector(phi[dst_pos], 0, step[src.heading])
-                edges.append(LatticeEdge(src, nodes[dst_pos][k], "B", cost))
-                row.append((first_id[dst_pos] + k, cost.w1, 0, cost.w3))
-            adjacency[src] = tuple(edges)
+                row.append((first_id[dst_pos] + k, phi[dst_pos], 0, step[h]))
             rows.append(tuple(row))
 
-    return LatticeGraph(wmap, delta, nx, ny, phi, adjacency, rows, first_id)
+    return LatticeGraph(wmap, delta, nx, ny, phi, nodes, rows, first_id)

@@ -104,6 +104,10 @@ class GoalSpec:
     iy: int
     heading: int | None = None
 
+    def __post_init__(self):
+        if self.heading is not None and self.heading not in HEADINGS:
+            raise ValueError(f"heading {self.heading} not in the 8-value set")
+
     def satisfied_by(self, node: LatticeNode) -> bool:
         return (node.ix == self.ix and node.iy == self.iy
                 and (self.heading is None or node.heading == self.heading))
@@ -164,12 +168,14 @@ def _ideal_bounds(graph: LatticeGraph, goal: GoalSpec) -> tuple[list, list]:
     """(h1, h2), indexed by node id: the least obstruction sum and the least
     turn count still needed to reach a goal node, each minimised on its own
     by a backward Dijkstra pass over reversed edges.  Both are inf at a node
-    with no path to the goal."""
+    with no path to the goal.  Rotations are all-to-all at a position, so a
+    node's rotation predecessors are its own row[:7] at the same costs, and
+    `mover` holds its one translation predecessor (see pnav.lattice)."""
     rows = graph.rows
-    preds: list[list[tuple[int, float, int]]] = [[] for _ in rows]
+    mover = [-1] * len(rows)  # id -> the node whose row[7] leads to it
     for src, row in enumerate(rows):
-        for dst, w1, w2, _ in row:
-            preds[dst].append((src, w1, w2))
+        if len(row) == 8:
+            mover[row[7][0]] = src
     targets = _goal_ids(graph, goal)
 
     def backward(k: int) -> list:
@@ -181,11 +187,17 @@ def _ideal_bounds(graph: LatticeGraph, goal: GoalSpec) -> tuple[list, list]:
             d, u = heapq.heappop(heap)
             if d > dist[u]:
                 continue
-            for p in preds[u]:
+            for p in rows[u][:7]:
                 nd = d + p[k]
                 if nd < dist[p[0]]:
                     dist[p[0]] = nd
                     heapq.heappush(heap, (nd, p[0]))
+            p = mover[u]
+            if p >= 0:
+                nd = d + rows[p][7][k]
+                if nd < dist[p]:
+                    dist[p] = nd
+                    heapq.heappush(heap, (nd, p))
         return dist
 
     return backward(1), backward(2)
@@ -264,9 +276,8 @@ def plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> Pare
             # any extension strictly worsens some component; no expansion
             continue
 
-        edges = graph.neighbors(nodes[u])
         expanded += 1
-        generated += len(edges)
+        generated += len(graph.neighbors(nodes[u]))
         for v, w1, w2, w3 in rows[u]:
             h1 = H1[v]
             if h1 == inf:  # v cannot reach the goal

@@ -168,34 +168,29 @@ def to_timed(spath: SegmentPath, v: float = 1.0, omega_deg: float = 90.0,
         raise TrajectoryError(f"dt {dt!r} gives more than {MAX_SAMPLES} samples "
                               f"over the {total:.6g} s trajectory")
 
-    def pose_at(tq: float) -> tuple[float, float, float]:
-        for t0, t1, seg in schedule:
-            if tq <= t1 or seg is schedule[-1][2]:
-                if tq < t0:
-                    tq = t0
-                frac = 0.0 if t1 == t0 else (tq - t0) / (t1 - t0)
-                frac = min(max(frac, 0.0), 1.0)
-                if isinstance(seg, Translate):
-                    x = seg.p0[0] + frac * (seg.p1[0] - seg.p0[0])
-                    y = seg.p0[1] + frac * (seg.p1[1] - seg.p0[1])
-                    return (x, y, wrap_deg(seg.heading))
-                h = wrap_deg(seg.from_heading + frac * seg.arc)
-                return (seg.point[0], seg.point[1], h)
-        return (spath.start[0], spath.start[1], wrap_deg(spath.start_heading))
+    n = 1  # ticks k * dt for k < n, then the end time
+    while n * dt < total - 1e-12:
+        n += 1
+    times = [k * dt for k in range(n)] + ([total] if total > 0.0 else [])
 
-    times = [0.0]
-    k = 1
-    while k * dt < total - 1e-12:
-        times.append(k * dt)
-        k += 1
-    if total > 0.0:
-        times.append(total)
-
-    rows = np.empty((len(times), 4), dtype=float)
-    for i, tq in enumerate(times):
-        x, y, h = pose_at(tq)
-        rows[i] = (tq, x, y, h)
-    return TimedTrajectory(rows, v, omega_deg, dt)
+    h = spath.start_heading  # a path with no segments stands at its start pose
+    schedule = schedule or [(0.0, 0.0, Rotate(spath.start, h, h, 0.0))]
+    rows = []
+    j, last = 0, len(schedule) - 1
+    for tq in times:
+        while tq > schedule[j][1] and j < last:  # the ticks ascend: walk on
+            j += 1
+        t0, t1, seg = schedule[j]
+        frac = 0.0 if t1 == t0 else (max(tq, t0) - t0) / (t1 - t0)
+        frac = min(max(frac, 0.0), 1.0)
+        if isinstance(seg, Translate):
+            x = seg.p0[0] + frac * (seg.p1[0] - seg.p0[0])
+            y = seg.p0[1] + frac * (seg.p1[1] - seg.p0[1])
+            rows.append((tq, x, y, wrap_deg(seg.heading)))
+        else:
+            rows.append((tq, seg.point[0], seg.point[1],
+                         wrap_deg(seg.from_heading + frac * seg.arc)))
+    return TimedTrajectory(np.array(rows, dtype=float), v, omega_deg, dt)
 
 
 @dataclass(frozen=True)

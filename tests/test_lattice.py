@@ -1,12 +1,18 @@
+import collections
 import dataclasses
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pnav.gridmap import RobotModel, footprint_free, swept_footprint_free
+from pnav.gridmap import (RobotModel, footprint_free, obstruction_ratios,
+                          swept_footprint_free)
 from pnav.lattice import (AXIS_HEADINGS, HEADING_STEP, HEADINGS, SQRT2,
                           CostVector, LatticeEdge, LatticeError, LatticeNode,
                           build_lattice, node_position)
+from pnav.validate import finite_number
 
 from conftest import free_map, make_map
 
@@ -314,3 +320,154 @@ class TestEdgeTuple:
         assert ([(e.src, e.dst, e.kind, e.cost) for e in set(edges)]
                 == [(p.src, p.dst, p.kind, p.cost) for p in set(plain)])
         assert len(set(edges)) == len(edges)
+
+
+# -- the former build, with its LatticeEdge adjacency, as the reference ---------
+
+
+def former_build(wmap, model, delta):
+    """build_lattice as it was when it stored every edge twice, as a
+    LatticeEdge and as a row entry; verbatim but for its last line, which
+    returns (adjacency, rows) where it built a LatticeGraph from them."""
+    finite_number(delta, "delta", positive=True, error=LatticeError)
+    ratio = delta / wmap.resolution
+    if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+        raise LatticeError(
+            f"delta {delta} is not an integer multiple of resolution {wmap.resolution}")
+    m = int(round(ratio))
+    nx = wmap.width // m
+    ny = wmap.height // m
+
+    rho = model.footprint_radius
+    r = model.camera_clearance_radius
+
+    # free positions and their obstruction ratios
+    free = {}
+    for iy in range(ny):
+        for ix in range(nx):
+            pos = node_position(LatticeNode(ix, iy, 0), wmap, delta)
+            if footprint_free(wmap, pos, rho):
+                free[(ix, iy)] = pos
+    xy = np.array(list(free.values()), dtype=float).reshape(-1, 2)
+    phi = dict(zip(free, obstruction_ratios(wmap, xy, r).tolist()))
+
+    step = {h: delta if h in AXIS_HEADINGS else SQRT2 * delta for h in HEADINGS}
+    positions = sorted(phi)
+    first_id = {pos: 8 * p for p, pos in enumerate(positions)}
+    nodes = {pos: tuple(LatticeNode(*pos, h) for h in HEADINGS) for pos in positions}
+    adjacency: dict[LatticeNode, tuple[LatticeEdge, ...]] = {}
+    rows: list[tuple[tuple[int, float, int, float], ...]] = []
+    for (ix, iy), here in nodes.items():
+        w1 = phi[(ix, iy)]
+        turn = CostVector(w1, 1, 0.0)
+        base = first_id[(ix, iy)]
+        # one row entry per heading, shared by the position's 8 rows
+        turns = [(base + k, w1, 1, 0.0) for k in range(8)]
+        for k, src in enumerate(here):
+            # Type-A: every other heading at this position, ascending
+            edges = [LatticeEdge(src, dst, "A", turn) for dst in here if dst is not src]
+            row = turns[:k] + turns[k + 1:]
+            dx, dy = HEADING_STEP[src.heading]
+            dst_pos = (ix + dx, iy + dy)
+            if dst_pos in phi and swept_footprint_free(wmap, free[(ix, iy)],
+                                                       free[dst_pos], rho):
+                cost = CostVector(phi[dst_pos], 0, step[src.heading])
+                edges.append(LatticeEdge(src, nodes[dst_pos][k], "B", cost))
+                row.append((first_id[dst_pos] + k, cost.w1, 0, cost.w3))
+            adjacency[src] = tuple(edges)
+            rows.append(tuple(row))
+
+    return adjacency, rows
+
+
+@st.composite
+def maps_and_models(draw):
+    """A random map of up to 9 x 7 cells, about 1 in 5 an obstacle, and a
+    robot whose footprint and camera disc vary."""
+    w, h = draw(st.integers(1, 9)), draw(st.integers(1, 7))
+    cells = draw(st.lists(st.sampled_from("....#"), min_size=w * h, max_size=w * h))
+    wmap = make_map(["".join(cells[i * w:(i + 1) * w]) for i in range(h)])
+    model = RobotModel(footprint_radius=draw(st.sampled_from([0.2, 0.3, 0.5])),
+                       camera_clearance_radius=draw(st.sampled_from([0.4, 1.2, 2.0])))
+    return wmap, model
+
+
+class TestFormerBuild:
+    """neighbors() and rows equal, bit for bit, what the former build stored."""
+
+    @staticmethod
+    def assert_same_as_former(wmap, model, delta):
+        g = build_lattice(wmap, model, delta)
+        adjacency, rows = former_build(wmap, model, delta)
+        assert g.rows == rows and repr(g.rows) == repr(rows)
+        assert g.nodes == tuple(adjacency)
+        got = [(n, g.neighbors(n)) for n in g.nodes]
+        assert got == list(adjacency.items())
+        # repr tells -0.0 from 0.0 and 1 from 1.0, which == does not
+        assert repr(got) == repr(list(adjacency.items()))
+        assert [hash(e) for _, edges in got for e in edges] == [
+            hash(e) for edges in adjacency.values() for e in edges]
+        for node, edges in got:
+            assert g.neighbors(node) is edges  # built once, then kept
+            assert len({id(e.cost) for e in edges if e.kind == "A"}) == 1
+
+    def test_museum(self, museum):
+        self.assert_same_as_former(*museum, 1.0)
+
+    def test_half_metre_steps(self):
+        wmap = make_map(["......", "..#...", "......", "....#."], resolution=0.5)
+        self.assert_same_as_former(wmap, RobotModel(0.2, 0.9), 1.0)
+        self.assert_same_as_former(wmap, RobotModel(0.2, 0.9), 0.5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(maps_and_models())
+    def test_random_maps(self, map_and_model):
+        self.assert_same_as_former(*map_and_model, 1.0)
+
+    def test_neighbors_before_any_other_call(self):
+        # the edges of one node are built on their own, in any call order
+        g = build_lattice(free_map(3, 3), SMALL, 1.0)
+        adjacency, _ = former_build(free_map(3, 3), SMALL, 1.0)
+        for node in reversed(g.nodes):
+            assert g.neighbors(node) == adjacency[node]
+
+
+class TestRowLayout:
+    """The row layout that the MOA* bounds read their reversed edges from."""
+
+    @staticmethod
+    def assert_layout(g):
+        into = collections.Counter()
+        for i, row in enumerate(g.rows):
+            node, base, k = g.nodes[i], i - i % 8, i % 8
+            phi = g.phi[(node.ix, node.iy)]
+            # entries 0-6: the other 7 headings here, ascending, at (phi, 1, 0.0)
+            assert [e[0] for e in row[:7]] == [base + j for j in range(8) if j != k]
+            assert [repr(e[1:]) for e in row[:7]] == [repr((phi, 1, 0.0))] * 7
+            # 8 entries exactly when the row holds a translation, and it is row[7]
+            assert len(row) in (7, 8)
+            assert [e[2] for e in row].count(0) == len(row) - 7
+            for dst, _, w2, _ in row:
+                into[dst] += w2 == 0
+            if len(row) == 8:
+                dx, dy = HEADING_STEP[node.heading]
+                assert g.nodes[row[7][0]] == LatticeNode(node.ix + dx, node.iy + dy,
+                                                         node.heading)
+        # every translation target has exactly one translation predecessor
+        assert set(into.values()) <= {0, 1}
+        return sum(into.values())
+
+    def test_museum(self, museum):
+        assert self.assert_layout(build_lattice(*museum, 1.0)) > 1000
+
+    def test_free_map(self):
+        g = build_lattice(free_map(5, 4), SMALL, 1.0)
+        # every heading-step inside the map is a translation
+        assert self.assert_layout(g) == sum(
+            0 <= n.ix + HEADING_STEP[n.heading][0] < 5
+            and 0 <= n.iy + HEADING_STEP[n.heading][1] < 4 for n in g.nodes)
+
+    @settings(max_examples=150, deadline=None)
+    @given(maps_and_models())
+    def test_random_maps(self, map_and_model):
+        self.assert_layout(build_lattice(*map_and_model, 1.0))

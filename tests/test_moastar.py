@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -105,6 +106,22 @@ class TestHeuristic:
 
     def test_octile_symmetry(self):
         assert octile(-3, 4) == octile(4, 3) == octile(3, -4)
+
+
+class TestGoalSpec:
+    """A goal heading is free (None) or one of the 8 lattice headings, as a
+    LatticeNode's is; any other value once planned to an empty front."""
+
+    @pytest.mark.parametrize("heading", [30, 44.6, 360, -45, 405, 1e300, math.nan, "90"])
+    def test_heading_off_the_eight_values_rejected(self, heading):
+        with pytest.raises(ValueError, match=re.escape(f"heading {heading} not in the 8-")):
+            GoalSpec(2, 2, heading)
+
+    def test_free_and_the_eight_values_accepted(self):
+        for heading in (None, *HEADINGS, 45.0):
+            assert GoalSpec(2, 2, heading).heading == heading
+        g = build_lattice(free_map(3, 3), SMALL, 1.0)
+        assert len(plan_pareto(g, LatticeNode(0, 0, 0), GoalSpec(2, 2, 45.0))) > 0
 
 
 class TestPlanPareto:

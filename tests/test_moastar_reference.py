@@ -12,6 +12,11 @@ and the whole metadata dict.  The maps include phi = 0 everywhere and
 decimal phi values, where labels tie within FLOAT_TOL and the first
 generated label must win, dyadic phi values, where they tie exactly, free
 and fixed goal headings, and starts with no path to the goal.
+
+former_row_bounds is the _ideal_bounds that followed, on integer ids: it
+copied every edge once more into reversed predecessor lists, where today's
+reads the predecessors off the rows.  Both must give equal h1 and h2 lists,
+down to their repr.
 """
 
 import heapq
@@ -21,13 +26,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pnav.lattice
+import pnav.moastar
 from pnav.fixtures import MUSEUM_DELTA, MUSEUM_GOAL, MUSEUM_START, museum_map, museum_model
 from pnav.gridmap import RobotModel
 from pnav.lattice import HEADINGS, LatticeGraph, LatticeNode, build_lattice
-from pnav.moastar import (GoalSpec, ParetoFront, PlanningError, _distance_bound, _prunes,
-                          _sorted_front, plan_pareto)
+from pnav.moastar import (GoalSpec, ParetoFront, PlanningError, _distance_bound, _goal_ids,
+                          _prunes, _sorted_front, plan_pareto)
 
 from conftest import make_map
 
@@ -166,6 +174,37 @@ def reference_plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpe
     return ParetoFront(entries, start=start, goal=goal, delta=delta, metadata=metadata)
 
 
+def former_row_bounds(graph: LatticeGraph, goal: GoalSpec) -> tuple[list, list]:
+    """(h1, h2), indexed by node id: the least obstruction sum and the least
+    turn count still needed to reach a goal node, each minimised on its own
+    by a backward Dijkstra pass over reversed edges.  Both are inf at a node
+    with no path to the goal."""
+    rows = graph.rows
+    preds: list[list[tuple[int, float, int]]] = [[] for _ in rows]
+    for src, row in enumerate(rows):
+        for dst, w1, w2, _ in row:
+            preds[dst].append((src, w1, w2))
+    targets = _goal_ids(graph, goal)
+
+    def backward(k: int) -> list:
+        dist = [math.inf] * len(rows)
+        for t in targets:
+            dist[t] = 0
+        heap = [(0, t) for t in targets]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            for p in preds[u]:
+                nd = d + p[k]
+                if nd < dist[p[0]]:
+                    dist[p[0]] = nd
+                    heapq.heappush(heap, (nd, p[0]))
+        return dist
+
+    return backward(1), backward(2)
+
+
 # -- the comparison -------------------------------------------------------------
 
 
@@ -265,3 +304,34 @@ POCKET = ["......",
 def test_matches_the_former_search_around_a_pocket(start, goal):
     graph = build_lattice(make_map(POCKET), RobotModel(0.2, 0.4), 1.0)
     assert_same_search(graph, LatticeNode(*start), GoalSpec(*goal))
+
+
+# -- the ideal-point bounds against the former reversed-edge copy ----------------
+
+
+def assert_same_bounds(graph, goal):
+    got, ref = pnav.moastar._ideal_bounds(graph, goal), former_row_bounds(graph, goal)
+    assert got == ref
+    assert repr(got) == repr(ref)  # 0 stays an int, 0.0 a float
+    return ref
+
+
+def test_bounds_match_the_former_copy_on_museum():
+    graph = build_lattice(museum_map(), museum_model(), MUSEUM_DELTA)
+    for heading in (None, *HEADINGS):
+        assert_same_bounds(graph, GoalSpec(*MUSEUM_GOAL[:2], heading))
+    assert_same_bounds(graph, GoalSpec(*MUSEUM_START[:2]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), phi_mode=st.sampled_from(["map", *PHI_VALUES]),
+       w=st.integers(1, 10), h=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_bounds_match_the_former_copy_on_random_maps(data, phi_mode, w, h, seed):
+    rng = random.Random(seed)
+    model = RobotModel(footprint_radius=data.draw(st.sampled_from([0.2, 0.3])),
+                       camera_clearance_radius=data.draw(st.sampled_from([0.4, 1.2, 2.0])))
+    rows = random_rows(rng, w, h, data.draw(st.sampled_from([0.0, 0.1, 0.2, 0.3])))
+    graph = lattice_with_phi(pytest.MonkeyPatch(), make_map(rows), model, 1.0, phi_mode, rng)
+    gx, gy = data.draw(st.integers(0, w - 1)), data.draw(st.integers(0, h - 1))
+    heading = data.draw(st.sampled_from([None, *HEADINGS]))
+    assert_same_bounds(graph, GoalSpec(gx, gy, heading))

@@ -11,10 +11,11 @@ from pnav.lattice import LatticeNode, build_lattice
 from pnav.moastar import GoalSpec, plan_pareto
 from pnav.rrt import PolyPath
 from pnav.render import rotation_points
-from pnav.trajectory import (Rotate, TimedTrajectory, Translate,
-                             TrajectoryError, eval_costs, heading_change_runs,
-                             signed_arc_deg, timed_from_json, timed_to_json,
-                             to_segment_path, to_timed)
+from pnav.trajectory import (MAX_SAMPLES, Rotate, SegmentPath, TimedTrajectory,
+                             Translate, TrajectoryError, eval_costs,
+                             heading_change_runs, signed_arc_deg, timed_from_json,
+                             timed_to_json, to_segment_path, to_timed, wrap_deg)
+from pnav.validate import finite_number
 
 from conftest import free_map, make_map
 
@@ -120,6 +121,115 @@ class TestToTimed:
         finally:
             tracemalloc.stop()
         assert peak < 100_000
+
+
+def former_to_timed(spath: SegmentPath, v: float = 1.0, omega_deg: float = 90.0,
+                    dt: float = 0.05) -> TimedTrajectory:
+    """to_timed as it was, scanning the schedule from the start for every
+    tick; verbatim, the oracle of the forward walk."""
+    for value, name in ((v, "v"), (omega_deg, "omega_deg"), (dt, "dt")):
+        finite_number(value, name, positive=True, error=TrajectoryError)
+
+    # per-segment schedule: (t_start, t_end, segment)
+    schedule = []
+    t = 0.0
+    for seg in spath.segments:
+        if isinstance(seg, Translate):
+            dur = seg.length / v
+        else:
+            dur = abs(seg.arc) / omega_deg
+        schedule.append((t, t + dur, seg))
+        t += dur
+    total = t
+    if total / dt > MAX_SAMPLES:  # checked before any tick is built
+        raise TrajectoryError(f"dt {dt!r} gives more than {MAX_SAMPLES} samples "
+                              f"over the {total:.6g} s trajectory")
+
+    def pose_at(tq: float) -> tuple[float, float, float]:
+        for t0, t1, seg in schedule:
+            if tq <= t1 or seg is schedule[-1][2]:
+                if tq < t0:
+                    tq = t0
+                frac = 0.0 if t1 == t0 else (tq - t0) / (t1 - t0)
+                frac = min(max(frac, 0.0), 1.0)
+                if isinstance(seg, Translate):
+                    x = seg.p0[0] + frac * (seg.p1[0] - seg.p0[0])
+                    y = seg.p0[1] + frac * (seg.p1[1] - seg.p0[1])
+                    return (x, y, wrap_deg(seg.heading))
+                h = wrap_deg(seg.from_heading + frac * seg.arc)
+                return (seg.point[0], seg.point[1], h)
+        return (spath.start[0], spath.start[1], wrap_deg(spath.start_heading))
+
+    times = [0.0]
+    k = 1
+    while k * dt < total - 1e-12:
+        times.append(k * dt)
+        k += 1
+    if total > 0.0:
+        times.append(total)
+
+    rows = np.empty((len(times), 4), dtype=float)
+    for i, tq in enumerate(times):
+        x, y, h = pose_at(tq)
+        rows[i] = (tq, x, y, h)
+    return TimedTrajectory(rows, v, omega_deg, dt)
+
+
+COORD = st.floats(-50, 50, allow_nan=False).map(lambda c: round(c, 3))
+# PolyPath needs consecutive vertices distinct
+POLYLINES = st.lists(st.tuples(COORD, COORD), min_size=1, max_size=8).map(
+    lambda vs: [p for i, p in enumerate(vs) if i == 0 or p != vs[i - 1]])
+
+
+class TestToTimedAgainstFormer:
+    """The forward walk gives the former per-tick scan's samples, bit for bit."""
+
+    @staticmethod
+    def assert_same(spath, **kw):
+        got, ref = to_timed(spath, **kw), former_to_timed(spath, **kw)
+        assert got.samples.dtype == ref.samples.dtype == np.float64
+        assert got.samples.shape == ref.samples.shape
+        assert got.samples.tobytes() == ref.samples.tobytes()
+        assert timed_to_json(got) == timed_to_json(ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(verts=POLYLINES, v=st.sampled_from([0.3, 1.0, 1.7]),
+           omega_deg=st.sampled_from([45.0, 90.0, 200.0]),
+           dt=st.sampled_from([0.05, 0.2, 0.37, 5.0]))
+    def test_polylines(self, verts, v, omega_deg, dt):
+        self.assert_same(to_segment_path(PolyPath(tuple(verts))),
+                         v=v, omega_deg=omega_deg, dt=dt)
+
+    def test_lattice_front(self, museum):
+        from pnav.fixtures import MUSEUM_DELTA, MUSEUM_GOAL, MUSEUM_START
+        wmap, model = museum
+        graph = build_lattice(wmap, model, MUSEUM_DELTA)
+        front = plan_pareto(graph, LatticeNode(*MUSEUM_START), GoalSpec(*MUSEUM_GOAL))
+        for _, nodes in front.entries:
+            spath = to_segment_path(nodes, wmap, MUSEUM_DELTA)
+            for dt in (0.05, 0.2):
+                self.assert_same(spath, dt=dt)
+
+    def test_ticks_on_segment_ends(self):
+        # a tick exactly at a segment's end samples that segment at frac 1,
+        # where x is 0.7 + (0.1 - 0.7) = 0.09999999999999998, not the next
+        # segment's 0.1
+        spath = to_segment_path(PolyPath(((0.7, 0.0), (0.1, 0.0), (0.1, 2.3), (2.3, 0.9))))
+        t = 0.0
+        for seg in spath.segments[:-1]:
+            t += seg.length if isinstance(seg, Translate) else abs(seg.arc) / 90.0
+            self.assert_same(spath, dt=t)
+        assert to_timed(spath, dt=spath.segments[0].length).samples[1, 1] == 0.09999999999999998
+
+    def test_zero_length_segments_and_no_segments(self):
+        p = (1.5, -2.0)
+        for spath in (SegmentPath(p, 270.0, ()), SegmentPath(p, -0.0, ()),
+                      SegmentPath(p, 0.0, (Rotate(p, 0.0, 0.0, 0.0),
+                                           Translate(p, p, 0.0))),
+                      SegmentPath(p, 0.0, (Translate(p, (2.5, -2.0), 0.0),
+                                           Rotate((2.5, -2.0), 0.0, 0.0, 0.0),
+                                           Rotate((2.5, -2.0), 0.0, 90.0, 90.0)))):
+            self.assert_same(spath, dt=0.25)
 
 
 class TestRotationRuns:
