@@ -129,9 +129,13 @@ def _front_phi(wmap, timeds, r: float) -> list[np.ndarray]:
     (rotations in place and shared prefixes repeat positions)."""
     if not timeds:
         return []
-    xy = np.concatenate([t.samples[:, 1:3] for t in timeds])
-    unique, inverse = np.unique(xy, axis=0, return_inverse=True)
-    phi = obstruction_ratios(wmap, unique, r)[inverse.reshape(-1)]
+    xy = np.concatenate([t.samples[:, 1:3] for t in timeds])  # C-contiguous
+    # each (x, y) row viewed as one complex number, far cheaper to sort than
+    # rows; -0.0 and 0.0 compare equal there, which is harmless: they give
+    # the same ratio, as obstruction_ratios only adds, subtracts and compares
+    # coordinates, where the two agree
+    unique, inverse = np.unique(xy.view(np.complex128).ravel(), return_inverse=True)
+    phi = obstruction_ratios(wmap, unique.view(np.float64).reshape(-1, 2), r)[inverse]
     return np.split(phi, np.cumsum([len(t.samples) for t in timeds])[:-1])
 
 

@@ -30,7 +30,11 @@ result for a point does not depend on the other points of the batch or on
 the chunking: it is bit for bit the ratio of one point computed alone, with
 the same window, the same floating-point predicate dx^2 + dy^2 <= r^2 and
 the same division of integer counts.  Plans, reports and front.json depend
-on that.
+on that.  It counts the disc row by row: in each subsample row of a window
+the subsamples in the disc form one run of columns, whose ends an estimate
+and one test of the predicate each find, and a per-row prefix sum of the
+framed occupancy counts the run's obstructed subsamples.  That is O(r) work
+per point where testing every subsample was O(r^2), with the same counts.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ import numpy as np
 
 from .validate import finite_number
 
-# Subsamples per cell side when rasterizing the obstruction disc.
+# Subsamples per cell side when rasterizing the obstruction disc.  A power
+# of two: obstruction_ratios relies on the offsets (j + 0.5) / s being exact.
 DISC_SAMPLES_PER_CELL = 4
 # Bound on |origin| / resolution + cells along each axis of a map.
 _MAX_CELL_COORDINATE = 2 ** 50
@@ -295,10 +300,12 @@ def swept_footprint_free(wmap: WorkspaceMap, p0: tuple[float, float],
     return True
 
 
-# Disc subsamples evaluated per chunk of points.  The chunk length follows
-# from the window size, so the working buffers stay near 200 KB whatever r is.
+# Disc subsamples per chunk of points: a chunk holds _CHUNK_SUBSAMPLES // (win s)
+# points, so each working buffer, one value per subsample row of a window,
+# stays near 128 KB whatever r is.
 _CHUNK_SUBSAMPLES = 1 << 14
-# Largest one-point window, in subsamples; its buffers take about 40 MB.
+# Largest one-point window, in subsamples: 2048 per side.  The prefix table
+# of obstruction_ratios is framed by one window's width of obstacle cells.
 MAX_WINDOW_SUBSAMPLES = 1 << 22
 
 
@@ -315,8 +322,10 @@ def obstruction_ratios(wmap: WorkspaceMap, xy, r: float) -> np.ndarray:
     r = finite_number(r, "r", positive=True)
     s = DISC_SAMPLES_PER_CELL
     rc = r / wmap.resolution
-    # checked before any buffer is built: a window spans at most 2 rc + 2 cells
-    if ((2 * rc + 2) * s) ** 2 > MAX_WINDOW_SUBSAMPLES:
+    # checked before any buffer is built: a window spans at most 2 rc + 2
+    # cells.  Compared unsquared, which is the same cap (2**22 = 2048**2 and
+    # rounding is monotone), as the square of a huge r overflows.
+    if (2 * rc + 2) * s > math.isqrt(MAX_WINDOW_SUBSAMPLES):
         raise ValueError(f"r {r!r} gives a disc window of more than "
                          f"{MAX_WINDOW_SUBSAMPLES} subsamples")
     xy = np.asarray(xy, dtype=float)
@@ -324,56 +333,94 @@ def obstruction_ratios(wmap: WorkspaceMap, xy, r: float) -> np.ndarray:
         raise ValueError(f"xy must have shape (n, 2), not {xy.shape}")
     if not np.isfinite(xy).all():
         raise ValueError("xy must be finite")
-    n = len(xy)
-    if not n:
-        return np.empty(0)
     ox, oy = wmap.origin
     res = wmap.resolution
     px = (xy[:, 0] - ox) / res
     py = (xy[:, 1] - oy) / res
-    ix0 = np.floor(px - rc).astype(np.int64)
-    iy0 = np.floor(py - rc).astype(np.int64)
+    # A point whose window misses the map counts frame cells only, so its
+    # ratio is 1.0 (its host cell is off the map too).  It is set here, before
+    # any cast to int64, which a far point would overflow.
+    out = np.ones(len(xy))
+    near = np.flatnonzero((px + rc >= 0) & (px - rc < wmap.width)
+                          & (py + rc >= 0) & (py - rc < wmap.height))
+    if not len(near):
+        return out
+    px, py = px[near], py[near]
+    x0 = np.floor(px - rc)
+    y0 = np.floor(py - rc)
     # Every point gets the widest window.  The cells past a point's own
     # window add nothing: their subsamples lie more than r + 1/(2 s) beyond
     # the point along that axis, outside the disc.
-    win = int(max((np.floor(px + rc).astype(np.int64) - ix0).max(),
-                  (np.floor(py + rc).astype(np.int64) - iy0).max())) + 1
-    chunk = max(1, _CHUNK_SUBSAMPLES // (win * s) ** 2)
-    cells = np.arange(win)
-    offs = (np.arange(s) + 0.5) / s
-    # occupancy framed by win obstacle cells; a window that starts further
-    # out lies wholly outside the map, so its start clips onto the frame
+    win = int(max((np.floor(px + rc) - x0).max(), (np.floor(py + rc) - y0).max())) + 1
+    ws = win * s
+    chunk = max(1, _CHUNK_SUBSAMPLES // ws)
+    # occupancy framed by win obstacle cells, which holds every window: the
+    # window of a point starts at x0 >= 1 - win, as floor(px + rc) >= 0, and
+    # ends at x0 + win - 1 < width + win, as x0 < width; likewise along y
     occ = np.ones((wmap.height + 2 * win, wmap.width + 2 * win), dtype=bool)
     occ[win:-win, win:-win] = wmap.occupancy
-    bx0 = np.clip(ix0, -win, wmap.width) + win
-    by0 = np.clip(iy0, -win, wmap.height) + win
+    # pre[row, q]: obstructed subsamples among subsample columns 0 .. q of a
+    # framed row, each cell repeated s times along x; held in the smallest
+    # unsigned type that holds a row's count, as the difference of two
+    # entries of a row, later minus earlier, never wraps
+    ncol = occ.shape[1] * s
+    pre = np.empty(occ.shape + (s,), dtype=np.min_scalar_type(ncol))
+    pre[...] = occ[:, :, None]
+    pre = pre.reshape(-1, ncol)
+    np.cumsum(pre, axis=1, out=pre)
+    pre = pre.ravel()
+    # flat index into pre of the column before each subsample row's window,
+    # so that base + stop and base + first bound a run; a window starts at
+    # column s or later of its row (x0 >= 1 - win), so that column exists
+    row0 = (y0.astype(np.int64) + win) * ncol + (x0.astype(np.int64) + win) * s - 1
+    row_step = np.arange(ws) // s * ncol
+    # Subsample j of a window starting at cell x0 lies at x0 + (j + 0.5) / s.
+    # With s a power of two, (j + 0.5) / s is exact, so the sum is one
+    # rounding of the real x0 + j // s + (j % s + 0.5) / s, bit for bit the
+    # subsample coordinate (x0 + j // s) + (j % s + 0.5) / s of the cell grid.
+    offs = (np.arange(ws) + 0.5) / s
+    rc2 = rc * rc
+    # the point in column units: subsample j is (j - col) / s from it along x
+    col = (px - x0) * s - 0.5
 
-    total = np.empty(n, dtype=np.int64)
-    obstructed = np.empty(n, dtype=np.int64)
-    d2 = np.empty((chunk, win * s, win * s))
-    inside = np.empty(d2.shape, dtype=bool)
-    for lo in range(0, n, chunk):
+    total = np.empty(len(px), dtype=np.int64)
+    obstructed = np.empty(len(px), dtype=np.int64)
+    for lo in range(0, len(px), chunk):
         sl = slice(lo, lo + chunk)
-        m = min(chunk, n - lo)
-        xs = ((ix0[sl, None] + cells)[:, :, None] + offs).reshape(m, -1)
-        ys = ((iy0[sl, None] + cells)[:, :, None] + offs).reshape(m, -1)
-        dx2 = (xs - px[sl, None]) ** 2
-        dy2 = (ys - py[sl, None]) ** 2
-        ins = inside[:m]  # [point, y subsample, x subsample]
-        np.less_equal(np.add(dx2[:, None, :], dy2[:, :, None], out=d2[:m]), rc * rc,
-                      out=ins)
-        total[sl] = np.count_nonzero(ins.reshape(m, -1), axis=1)
-        blocked = occ[(by0[sl, None] + cells)[:, :, None],
-                      (bx0[sl, None] + cells)[:, None, :]]
-        np.logical_and(ins, blocked.repeat(s, axis=1).repeat(s, axis=2), out=ins)
-        obstructed[sl] = np.count_nonzero(ins.reshape(m, -1), axis=1)
-    out = obstructed / np.maximum(total, 1)
+        dy2 = np.square(y0[sl, None] + offs - py[sl, None])  # [point, row]
+        # Row j's subsamples in the disc form one run of columns: x rises with
+        # the column, so fl(x - px) rises, its square falls then rises, and so
+        # does fl(dx2 + dy2).  In real numbers the run holds the columns within
+        # half = s sqrt(rc2 - dy2) of col.  The rounded predicate can differ
+        # only where dx2 + dy2 is within 4 u rc2 (u = 2**-53) of rc2, so where
+        # |dx| is within sqrt(4 u rc2) < rc 2**-25 cells of the real boundary;
+        # half and col carry far smaller errors, and x is exact (a multiple of
+        # 1/(2 s) far below 2**50).  With rc < 256 under the window cap, each
+        # end of the run is thus within 1e-4 columns of col -+ half.  So, with
+        # k = rint(col - half), columns below k lie at least 1/2 - 1e-4 column
+        # outside the disc, and k + 1 is in the run unless it lies past the
+        # run's end, where k is the only column the run can hold: the run
+        # starts at k or k + 1, and one test of the predicate at k settles
+        # which.  Likewise its end.
+        half = np.sqrt(np.maximum(rc2 - dy2, 0.0)) * s
+        c, cx0, cpx = col[sl, None], x0[sl, None], px[sl, None]
+        k = np.rint(c - half)
+        e = np.rint(c + half)
+        first = (k + ~(np.square(cx0 + (k + 0.5) / s - cpx) + dy2 <= rc2)).astype(np.int64)
+        stop = (e + (np.square(cx0 + (e + 0.5) / s - cpx) + dy2 <= rc2)).astype(np.int64)
+        np.clip(first, 0, ws, out=first)
+        np.clip(stop, first, ws, out=stop)  # an empty run: stop == first
+        total[sl] = (stop - first).sum(axis=1)
+        base = row0[sl, None] + row_step
+        obstructed[sl] = (pre[base + stop] - pre[base + first]).sum(axis=1)
+    ratio = obstructed / np.maximum(total, 1)
     empty = np.flatnonzero(total == 0)
     if len(empty):
         # radius small relative to the subsample grid: use the host cell
-        hx = np.clip(np.floor(px[empty]).astype(np.int64), -1, wmap.width)
-        hy = np.clip(np.floor(py[empty]).astype(np.int64), -1, wmap.height)
-        out[empty] = np.where(occ[hy + win, hx + win], 1.0, 0.0)
+        hx = np.floor(px[empty]).astype(np.int64) + win  # within the window
+        hy = np.floor(py[empty]).astype(np.int64) + win
+        ratio[empty] = np.where(occ[hy, hx], 1.0, 0.0)
+    out[near] = ratio
     return out
 
 

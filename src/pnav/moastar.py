@@ -229,8 +229,9 @@ def plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> Pare
     nodes = graph.nodes
     rows = graph.rows
     H1, H2 = _ideal_bounds(graph, goal)
-    H3 = [octile((goal.ix - n.ix) * delta, (goal.iy - n.iy) * delta)
-          for n in nodes[::8] for _ in HEADINGS]
+    H3 = []
+    for n in nodes[::8]:  # one octile per position, for its 8 headings
+        H3 += [octile((goal.ix - n.ix) * delta, (goal.iy - n.iy) * delta)] * len(HEADINGS)
     is_goal = [False] * len(nodes)
     for t in _goal_ids(graph, goal):
         is_goal[t] = True

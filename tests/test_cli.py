@@ -376,6 +376,20 @@ class TestNumericInputs:
                         extra=("--dt", "1e-9")) == 1
         assert "dt 1e-09 gives more than" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["plan", "rrt"])
+    def test_overflowing_camera_radius_is_an_input_error(self, map_file, tmp_path, capsys,
+                                                         command):
+        # the window cap's arithmetic must not overflow on a finite r
+        path = map_file(free_map(8, 8))
+        if command == "plan":
+            argv = self.plan_argv(path, tmp_path, dict(self.PLAN_FLAGS, **{"--r": "1e300"}))
+        else:
+            argv = ["rrt", "--map", path, "--start", "1.0,1.0", "--goal", "7.0,7.0",
+                    "--n", "2", "--rho", "0.2", "--r", "1e300",
+                    "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert "r 1e+300 gives a disc window of more than" in capsys.readouterr().err
+
     def test_huge_camera_radius_is_an_input_error(self, map_file, tmp_path, capsys):
         # r = 1000 m on 0.5 m cells is a window of about 16,000^2 subsamples
         # per point: refused by arithmetic before any buffer is built

@@ -11,6 +11,7 @@ from pnav.gridmap import (DISC_SAMPLES_PER_CELL, MAX_WINDOW_SUBSAMPLES, MapForma
                           WorkspaceMap, _dist2_segment_square, dump_map, footprint_free,
                           load_map, obstruction_field, obstruction_ratio,
                           obstruction_ratios, swept_footprint_free)
+from pnav.validate import finite_number
 
 from conftest import free_map, make_map
 
@@ -601,6 +602,118 @@ def _obstruction_cell_units(wmap: WorkspaceMap, px: float, py: float, r_cells: f
     return obstructed / total
 
 
+# The batched obstruction_ratios that counted every subsample of a window,
+# kept verbatim, with its chunk constant, as the reference for the row-run
+# kernel.
+
+# Disc subsamples evaluated per chunk of points.  The chunk length follows
+# from the window size, so the working buffers stay near 200 KB whatever r is.
+_CHUNK_SUBSAMPLES = 1 << 14
+
+
+def _former_obstruction_ratios(wmap: WorkspaceMap, xy, r: float) -> np.ndarray:
+    """Obstruction ratio at every point of xy, an (n, 2) array; shape (n,).
+
+    Works in cell units.  Each cell is subsampled on an s x s grid at offsets
+    (k + 0.5) / s.  A point p sees the cells floor(p - r) .. floor(p + r) on
+    each axis; a subsample of those cells is in the disc when
+    dx^2 + dy^2 <= r^2, and obstructed when its cell is an obstacle or out of
+    bounds.  The ratio is obstructed / total on the integer counts; when no
+    subsample is in the disc, it is 1.0 or 0.0 by the cell holding p.
+    """
+    r = finite_number(r, "r", positive=True)
+    s = DISC_SAMPLES_PER_CELL
+    rc = r / wmap.resolution
+    # checked before any buffer is built: a window spans at most 2 rc + 2 cells
+    if ((2 * rc + 2) * s) ** 2 > MAX_WINDOW_SUBSAMPLES:
+        raise ValueError(f"r {r!r} gives a disc window of more than "
+                         f"{MAX_WINDOW_SUBSAMPLES} subsamples")
+    xy = np.asarray(xy, dtype=float)
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        raise ValueError(f"xy must have shape (n, 2), not {xy.shape}")
+    if not np.isfinite(xy).all():
+        raise ValueError("xy must be finite")
+    n = len(xy)
+    if not n:
+        return np.empty(0)
+    ox, oy = wmap.origin
+    res = wmap.resolution
+    px = (xy[:, 0] - ox) / res
+    py = (xy[:, 1] - oy) / res
+    ix0 = np.floor(px - rc).astype(np.int64)
+    iy0 = np.floor(py - rc).astype(np.int64)
+    # Every point gets the widest window.  The cells past a point's own
+    # window add nothing: their subsamples lie more than r + 1/(2 s) beyond
+    # the point along that axis, outside the disc.
+    win = int(max((np.floor(px + rc).astype(np.int64) - ix0).max(),
+                  (np.floor(py + rc).astype(np.int64) - iy0).max())) + 1
+    chunk = max(1, _CHUNK_SUBSAMPLES // (win * s) ** 2)
+    cells = np.arange(win)
+    offs = (np.arange(s) + 0.5) / s
+    # occupancy framed by win obstacle cells; a window that starts further
+    # out lies wholly outside the map, so its start clips onto the frame
+    occ = np.ones((wmap.height + 2 * win, wmap.width + 2 * win), dtype=bool)
+    occ[win:-win, win:-win] = wmap.occupancy
+    bx0 = np.clip(ix0, -win, wmap.width) + win
+    by0 = np.clip(iy0, -win, wmap.height) + win
+
+    total = np.empty(n, dtype=np.int64)
+    obstructed = np.empty(n, dtype=np.int64)
+    d2 = np.empty((chunk, win * s, win * s))
+    inside = np.empty(d2.shape, dtype=bool)
+    for lo in range(0, n, chunk):
+        sl = slice(lo, lo + chunk)
+        m = min(chunk, n - lo)
+        xs = ((ix0[sl, None] + cells)[:, :, None] + offs).reshape(m, -1)
+        ys = ((iy0[sl, None] + cells)[:, :, None] + offs).reshape(m, -1)
+        dx2 = (xs - px[sl, None]) ** 2
+        dy2 = (ys - py[sl, None]) ** 2
+        ins = inside[:m]  # [point, y subsample, x subsample]
+        np.less_equal(np.add(dx2[:, None, :], dy2[:, :, None], out=d2[:m]), rc * rc,
+                      out=ins)
+        total[sl] = np.count_nonzero(ins.reshape(m, -1), axis=1)
+        blocked = occ[(by0[sl, None] + cells)[:, :, None],
+                      (bx0[sl, None] + cells)[:, None, :]]
+        np.logical_and(ins, blocked.repeat(s, axis=1).repeat(s, axis=2), out=ins)
+        obstructed[sl] = np.count_nonzero(ins.reshape(m, -1), axis=1)
+    out = obstructed / np.maximum(total, 1)
+    empty = np.flatnonzero(total == 0)
+    if len(empty):
+        # radius small relative to the subsample grid: use the host cell
+        hx = np.clip(np.floor(px[empty]).astype(np.int64), -1, wmap.width)
+        hy = np.clip(np.floor(py[empty]).astype(np.int64), -1, wmap.height)
+        out[empty] = np.where(occ[hy + win, hx + win], 1.0, 0.0)
+    return out
+
+
+@st.composite
+def obstruction_cases(draw):
+    """A map, a radius and a batch of points for the row-run kernel: origins
+    up to the 2**50-cell bound, radii from below one subsample up to the
+    window cap, points on the subsample lattice (ties on the circle), on and
+    past the frame and far away, batches across chunk boundaries."""
+    s = DISC_SAMPLES_PER_CELL
+    res = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]) | st.floats(0.01, 3.0))
+    w, h = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    limit = 2 ** 50 - 64
+    origin = tuple(draw(st.sampled_from([-1, 1])) * res
+                   * min(int(2 ** draw(st.floats(0, 50))), limit) for _ in range(2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    occ = rng.random((h, w)) < draw(st.floats(0.0, 1.0))
+    wmap = WorkspaceMap(w, h, res, origin, occ)
+    rc = draw(st.floats(0.005, 0.2) | st.integers(1, 48).map(lambda m: m / 8)
+              | st.floats(-1.6, 5.5).map(math.exp))  # up to 245 < 255 cells
+    chunk = (1 << 14) // ((int(2 * rc) + 2) * s)  # about the row-run kernel's
+    n = draw(st.integers(1, 2 * chunk + 3))
+    reach = 2 * rc + 2
+    cells = rng.uniform([-reach, -reach], [w + reach, h + reach], (n, 2))
+    lattice = (np.floor(cells * s) + 0.5) / s
+    far = rng.choice([-1.0, 1.0], (n, 2)) * 10.0 ** rng.uniform(2, 15, (n, 2))
+    kind = rng.choice(3, (n, 1), p=[0.45, 0.45, 0.1])
+    p = np.where(kind == 0, cells, np.where(kind == 1, lattice, far))
+    return wmap, np.array(origin) + p * res, rc * res
+
+
 class TestObstructionRatios:
     """The batched kernel against the former one-point implementation,
     kept above verbatim as an independent oracle."""
@@ -672,3 +785,20 @@ class TestObstructionRatios:
         assert obstruction_ratios(free_map(3, 3), xy, r).shape == (1,)
         with pytest.raises(ValueError, match=f"r {r + 0.125!r} gives a disc window"):
             obstruction_ratios(free_map(3, 3), xy, r + 0.125)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=obstruction_cases())
+    def test_equals_former_kernel(self, case):
+        wmap, xy, r = case
+        assert np.array_equal(obstruction_ratios(wmap, xy, r),
+                              _former_obstruction_ratios(wmap, xy, r))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("x", [1e300, -1e19, 1e18])
+    def test_far_point_is_fully_obstructed(self, museum, x):
+        # a window that misses the map holds frame cells only; no int64 cast
+        # of the far coordinate may happen
+        wmap, model = museum
+        r = model.camera_clearance_radius
+        got = obstruction_ratios(wmap, [[x, 1.0], [5.0, 5.0]], r)
+        assert got.tolist() == [1.0, obstruction_ratio(wmap, (5.0, 5.0), r)]
