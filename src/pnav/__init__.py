@@ -5,7 +5,7 @@ from .gridmap import (RobotModel, WorkspaceMap, footprint_free, load_map,
 from .lattice import (CostVector, LatticeEdge, LatticeGraph, LatticeNode,
                       build_lattice)
 from .moastar import (GoalSpec, ParetoFront, brute_force_front, dominates,
-                      heuristic, pareto_filter, plan_pareto)
+                      pareto_filter, plan_pareto)
 from .rrt import PolyPath, RrtParams, best_of_n, curvature_sign_changes, rrt_plan
 from .trajectory import (CostReport, SegmentPath, TimedTrajectory, eval_costs,
                          timed_from_json, timed_to_json, to_segment_path,
@@ -17,7 +17,7 @@ __all__ = [
     "CostVector", "LatticeEdge", "LatticeGraph", "LatticeNode",
     "build_lattice",
     "GoalSpec", "ParetoFront", "brute_force_front", "dominates",
-    "heuristic", "pareto_filter", "plan_pareto",
+    "pareto_filter", "plan_pareto",
     "PolyPath", "RrtParams", "best_of_n", "curvature_sign_changes", "rrt_plan",
     "CostReport", "SegmentPath", "TimedTrajectory", "eval_costs",
     "timed_from_json", "timed_to_json", "to_segment_path", "to_timed",

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import moastar, rrt, trajectory
-from .gridmap import MapFormatError, RobotModel, load_map, obstruction_ratios
+from .gridmap import (MapFormatError, RobotModel, check_disc_radius, load_map,
+                      obstruction_ratios)
 from .lattice import HEADINGS, LatticeError, LatticeNode, build_lattice
 from .render import render_svg
 from .trajectory import (TrajectoryError, eval_costs, timed_from_json,
@@ -178,16 +179,9 @@ def cmd_plan(args) -> int:
     gx, gy, gth = _parse_pose(args.goal, "--goal", heading_optional=True)
     six, siy = _world_to_lattice(sx, sy, wmap, delta)
     gix, giy = _world_to_lattice(gx, gy, wmap, delta)
-    if not (0 <= gix < graph.nx and 0 <= giy < graph.ny):
-        raise CliError("invalid goal")
-    try:
-        start = LatticeNode(six, siy, sth)
-    except ValueError:
-        raise CliError("invalid start")
-    if start not in graph:
-        raise CliError("invalid start")
-
-    front = moastar.plan_pareto(graph, start, moastar.GoalSpec(gix, giy, gth))
+    # plan_pareto names a start or goal off the lattice (PlanningError)
+    front = moastar.plan_pareto(graph, LatticeNode(six, siy, sth),
+                                moastar.GoalSpec(gix, giy, gth))
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -226,7 +220,7 @@ def cmd_plan(args) -> int:
 def cmd_rrt(args) -> int:
     wmap = _read_map(args.map)
     rho = _resolve(args.rho, "RHO")
-    r = _resolve(args.r, "R")
+    r = check_disc_radius(wmap, _resolve(args.r, "R"))  # before any run
     v = _resolve(args.v, "V", default=1.0)
     omega = _resolve(args.omega, "OMEGA", default=90.0)
     dt = _resolve(args.dt, "DT", default=0.05)

@@ -309,6 +309,20 @@ _CHUNK_SUBSAMPLES = 1 << 14
 MAX_WINDOW_SUBSAMPLES = 1 << 22
 
 
+def check_disc_radius(wmap: WorkspaceMap, r) -> float:
+    """r as a float, or ValueError naming r: a finite number > 0 whose disc
+    window on wmap holds at most MAX_WINDOW_SUBSAMPLES subsamples."""
+    r = finite_number(r, "r", positive=True)
+    rc = r / wmap.resolution
+    # a window spans at most 2 rc + 2 cells.  Compared unsquared, which is
+    # the same cap (2**22 = 2048**2 and rounding is monotone), as the square
+    # of a huge r overflows.
+    if (2 * rc + 2) * DISC_SAMPLES_PER_CELL > math.isqrt(MAX_WINDOW_SUBSAMPLES):
+        raise ValueError(f"r {r!r} gives a disc window of more than "
+                         f"{MAX_WINDOW_SUBSAMPLES} subsamples")
+    return r
+
+
 def obstruction_ratios(wmap: WorkspaceMap, xy, r: float) -> np.ndarray:
     """Obstruction ratio at every point of xy, an (n, 2) array; shape (n,).
 
@@ -319,15 +333,9 @@ def obstruction_ratios(wmap: WorkspaceMap, xy, r: float) -> np.ndarray:
     bounds.  The ratio is obstructed / total on the integer counts; when no
     subsample is in the disc, it is 1.0 or 0.0 by the cell holding p.
     """
-    r = finite_number(r, "r", positive=True)
+    r = check_disc_radius(wmap, r)
     s = DISC_SAMPLES_PER_CELL
     rc = r / wmap.resolution
-    # checked before any buffer is built: a window spans at most 2 rc + 2
-    # cells.  Compared unsquared, which is the same cap (2**22 = 2048**2 and
-    # rounding is monotone), as the square of a huge r overflows.
-    if (2 * rc + 2) * s > math.isqrt(MAX_WINDOW_SUBSAMPLES):
-        raise ValueError(f"r {r!r} gives a disc window of more than "
-                         f"{MAX_WINDOW_SUBSAMPLES} subsamples")
     xy = np.asarray(xy, dtype=float)
     if xy.ndim != 2 or xy.shape[1] != 2:
         raise ValueError(f"xy must have shape (n, 2), not {xy.shape}")

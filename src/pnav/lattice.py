@@ -13,7 +13,9 @@ outgoing edges as (dst id, w1, w2, w3) tuples, so a search can run on
 integer ids.  Entries 0-6 rotate to the other 7 headings, ascending, each
 costing (phi here, 1, 0.0); entry 7, present when the swept footprint is
 free, translates, so a node has at most one translation predecessor.
-`neighbors()` builds a node's edges from its row on first use and keeps them.
+Every reader in this package walks the rows: the search, its bounds and the
+exhaustive oracle.  The neighbors method builds a node's `LatticeEdge`s from
+its row on first use and keeps them, as the benchmark's view of the edges.
 """
 
 from __future__ import annotations
@@ -57,13 +59,8 @@ class CostVector:
         if self.w1 < 0 or self.w2 < 0 or self.w3 < 0:
             raise ValueError("cost components must be >= 0")
 
-    def __add__(self, other: "CostVector") -> "CostVector":
-        return CostVector(self.w1 + other.w1, self.w2 + other.w2, self.w3 + other.w3)
-
     def as_tuple(self) -> tuple[float, int, float]:
         return (self.w1, self.w2, self.w3)
-
-ZERO_COST = CostVector(0.0, 0, 0.0)
 
 
 @dataclass(frozen=True, order=True)
@@ -102,7 +99,7 @@ class LatticeGraph:
         self.nx, self.ny = nx, ny
         self.phi = phi
         self.nodes = nodes  # id -> node, 8 headings per position
-        self.rows = rows  # id -> ((dst id, w1, w2, w3), ...), in neighbors() order
+        self.rows = rows  # id -> ((dst id, w1, w2, w3), ...), 7 rotations then a translation
         self._first_id = first_id  # position -> id of its heading-0 node
         self._edges: list[tuple[LatticeEdge, ...] | None] = [None] * len(nodes)
 
@@ -123,7 +120,11 @@ class LatticeGraph:
             raise LatticeError(f"node {node} not in graph") from None
 
     def neighbors(self, node: LatticeNode) -> tuple[LatticeEdge, ...]:
-        """Outgoing edges: Type-A by ascending destination heading, then Type-B."""
+        """Outgoing edges: Type-A by ascending destination heading, then Type-B.
+
+        Its readers are plan_pareto's per-expansion count and the benchmark,
+        which counts and walks edges through it; everything else reads rows.
+        """
         i = self.node_id(node)
         edges = self._edges[i]
         if edges is None:
@@ -134,18 +135,6 @@ class LatticeGraph:
                 else LatticeEdge(nodes[i], nodes[dst], "B", CostVector(w1, w2, w3))
                 for dst, w1, w2, w3 in row)
         return edges
-
-    def path_cost(self, path: list[LatticeNode]) -> CostVector:
-        """Componentwise sum of edge costs along a node path."""
-        total = ZERO_COST
-        for a, b in zip(path, path[1:]):
-            for e in self.neighbors(a):
-                if e.dst == b:
-                    total = total + e.cost
-                    break
-            else:
-                raise LatticeError(f"no edge {a} -> {b}")
-        return total
 
 
 def build_lattice(wmap: WorkspaceMap, model: RobotModel, delta: float) -> LatticeGraph:

@@ -19,8 +19,8 @@ vectors, one representative path per distinct vector.
 plan_pareto runs on the lattice's integer node ids (see pnav.lattice): it
 reads successors from LatticeGraph.rows, keeps its labels, bounds and goal
 flags in lists indexed by id, and maps ids back to nodes only for the paths
-it returns.  It still calls neighbors() once per expansion, so a count of
-those calls counts expansions.
+it returns.  It still calls the lattice's neighbors method once per
+expansion, only so that a count of those calls counts expansions.
 
 plan_pareto's front carries deterministic search counters in its metadata:
 labels generated (one per edge of an expanded label) and expanded, labels
@@ -30,7 +30,9 @@ open-list size) and front_size.
 
 brute_force_front is the independent oracle: exhaustive depth-first path
 enumeration (no repeated (position, heading) state within a path), with
-branch-and-bound pruning against already collected solutions.
+branch-and-bound pruning against already collected solutions.  It walks the
+same rows on integer ids and shares only the lattice and the octile bound
+with the search.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .lattice import HEADINGS, SQRT2, CostVector, LatticeGraph, LatticeNode
@@ -113,34 +116,11 @@ class GoalSpec:
                 and (self.heading is None or node.heading == self.heading))
 
 
-def heuristic(node: LatticeNode, goal: GoalSpec, delta: float) -> CostVector:
-    """Admissible componentwise lower bound: (0, 0, octile distance)."""
-    dx = (goal.ix - node.ix) * delta
-    dy = (goal.iy - node.iy) * delta
-    return CostVector(0.0, 0, octile(dx, dy))
-
-
-def _distance_bound(goal: GoalSpec, delta: float):
-    """node -> heuristic(node, goal, delta).w3, cached per position."""
-    cache: dict[tuple[int, int], float] = {}
-
-    def h3(node: LatticeNode) -> float:
-        key = (node.ix, node.iy)
-        val = cache.get(key)
-        if val is None:
-            val = cache[key] = heuristic(node, goal, delta).w3
-        return val
-    return h3
-
-
 @dataclass
 class ParetoFront:
     """Mutually non-dominated (cost, node path) entries plus query metadata."""
 
     entries: list[tuple[CostVector, list[LatticeNode]]]
-    start: LatticeNode | None = None
-    goal: GoalSpec | None = None
-    delta: float = 0.0
     metadata: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -162,6 +142,16 @@ def _goal_ids(graph: LatticeGraph, goal: GoalSpec) -> list[int]:
         return []
     base = graph.node_id(LatticeNode(goal.ix, goal.iy, 0))
     return [i for i in range(base, base + 8) if goal.satisfied_by(graph.nodes[i])]
+
+
+def _octile_bounds(graph: LatticeGraph, goal: GoalSpec) -> list[float]:
+    """h3, indexed by node id: the octile distance from the node's position
+    to the goal's, one octile per position for its 8 headings."""
+    delta = graph.delta
+    h3 = []
+    for n in graph.nodes[::8]:
+        h3 += [octile((goal.ix - n.ix) * delta, (goal.iy - n.iy) * delta)] * len(HEADINGS)
+    return h3
 
 
 def _ideal_bounds(graph: LatticeGraph, goal: GoalSpec) -> tuple[list, list]:
@@ -225,13 +215,10 @@ def plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> Pare
     if not (0 <= goal.ix < graph.nx and 0 <= goal.iy < graph.ny):
         raise PlanningError("invalid goal")
 
-    delta = graph.delta
     nodes = graph.nodes
     rows = graph.rows
     H1, H2 = _ideal_bounds(graph, goal)
-    H3 = []
-    for n in nodes[::8]:  # one octile per position, for its 8 headings
-        H3 += [octile((goal.ix - n.ix) * delta, (goal.iy - n.iy) * delta)] * len(HEADINGS)
+    H3 = _octile_bounds(graph, goal)
     is_goal = [False] * len(nodes)
     for t in _goal_ids(graph, goal):
         is_goal[t] = True
@@ -320,7 +307,7 @@ def plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> Pare
                 "pruned_at_node": at_node, "pruned_by_solution": by_solution,
                 "dead_ends": H1.count(inf), "peak_open": peak_open,
                 "front_size": len(entries)}
-    return ParetoFront(entries, start=start, goal=goal, delta=delta, metadata=metadata)
+    return ParetoFront(entries, metadata=metadata)
 
 
 def brute_force_front(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> ParetoFront:
@@ -346,54 +333,45 @@ def brute_force_front(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -
     if not (0 <= goal.ix < graph.nx and 0 <= goal.iy < graph.ny):
         raise PlanningError("invalid goal")
 
-    delta = graph.delta
-    h3 = _distance_bound(goal, delta)
+    nodes, rows = graph.nodes, graph.rows
+    H3 = _octile_bounds(graph, goal)
+    targets = set(_goal_ids(graph, goal))
+    # deterministic successor order biased toward the goal so pruning bites
+    # early: nearer first, translations before rotations, then by heading
+    succ = [sorted(row, key=lambda e: (H3[e[0]], e[2] == 1, e[0] % 8)) for row in rows]
     solutions: list[tuple[tuple, list[LatticeNode]]] = []
 
-    # deterministic successor order biased toward the goal so pruning bites early
-    succ_cache: dict[LatticeNode, list] = {}
+    s = graph.node_id(start)
+    path = [s]
+    on_path = [False] * len(nodes)
+    on_path[s] = True
+    seen: list[list[tuple]] = [[] for _ in nodes]
 
-    def successors(node: LatticeNode):
-        cached = succ_cache.get(node)
-        if cached is None:
-            edges = list(graph.neighbors(node))
-            edges.sort(key=lambda e: (h3(e.dst), e.kind == "A", e.dst.heading))
-            cached = edges
-            succ_cache[node] = cached
-        return cached
-
-    path: list[LatticeNode] = [start]
-    on_path = {start}
-    seen: dict[LatticeNode, list[tuple]] = {}
-
-    def visit(node: LatticeNode, g: tuple):
-        f = (g[0], g[1], g[2] + h3(node))
-        if any(_prunes(s, f) for s, _ in solutions):
+    def visit(u: int, g: tuple):
+        f = (g[0], g[1], g[2] + H3[u])
+        if any(_prunes(sg, f) for sg, _ in solutions):
             return
-        known = seen.setdefault(node, [])
+        known = seen[u]
         if any(_prunes(old, g) for old in known):
             return
         known[:] = [old for old in known if not _prunes(g, old)]
         known.append(g)
-        if goal.satisfied_by(node):
-            solutions.append((g, list(path)))
+        if u in targets:
+            solutions.append((g, [nodes[i] for i in path]))
             return
-        for edge in successors(node):
-            if edge.dst in on_path:
+        for v, w1, w2, w3 in succ[u]:
+            if on_path[v]:
                 continue
-            c = edge.cost
-            g2 = (g[0] + c.w1, g[1] + c.w2, g[2] + c.w3)
-            path.append(edge.dst)
-            on_path.add(edge.dst)
-            visit(edge.dst, g2)
-            on_path.discard(edge.dst)
+            path.append(v)
+            on_path[v] = True
+            visit(v, (g[0] + w1, g[1] + w2, g[2] + w3))
+            on_path[v] = False
             path.pop()
 
-    import sys
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, len(graph) * 4 + 100))
     try:
-        visit(start, (0.0, 0, 0.0))
+        visit(s, (0.0, 0, 0.0))
     finally:
         sys.setrecursionlimit(old_limit)
 
@@ -404,4 +382,4 @@ def brute_force_front(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -
             if costs_equal(v, g):
                 front.append((g, p))
                 break
-    return ParetoFront(_sorted_front(front), start=start, goal=goal, delta=delta)
+    return ParetoFront(_sorted_front(front))

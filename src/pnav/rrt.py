@@ -9,7 +9,7 @@ keeps the whole procedure reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,25 +24,19 @@ _UNIFORM_BLOCK = 256
 
 @dataclass(frozen=True)
 class RrtParams:
+    """A run's settings.  step_size is also the goal tolerance: a node that
+    close to the goal, with a free sweep to it, ends the run."""
+
     step_size: float
     goal_bias: float = 0.05
     max_iterations: int = 20000
-    goal_tolerance: float | None = None  # defaults to step_size
     seed: int = 0
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError("step_size must be > 0")
+        finite_number(self.step_size, "step_size", positive=True)
         if not 0.0 <= self.goal_bias <= 1.0:
             raise ValueError("goal_bias must be in [0, 1]")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.goal_tolerance is not None and self.goal_tolerance < 0:
-            raise ValueError("goal_tolerance must be >= 0")
-
-    @property
-    def tolerance(self) -> float:
-        return self.step_size if self.goal_tolerance is None else self.goal_tolerance
+        finite_number(self.max_iterations, "max_iterations", positive=True, integer=True)
 
 
 @dataclass(frozen=True)
@@ -88,7 +82,7 @@ def rrt_plan(wmap: WorkspaceMap, model: RobotModel,
 
     rng = np.random.default_rng(params.seed)
     xmin, ymin, xmax, ymax = wmap.world_bounds
-    tol = params.tolerance
+    tol = params.step_size
 
     nodes = [start]
     parents = [-1]
@@ -199,10 +193,7 @@ def best_of_n(wmap: WorkspaceMap, model: RobotModel,
     best_key = None
     failure = RrtFailure()
     for k in range(n):
-        p = RrtParams(step_size=params.step_size, goal_bias=params.goal_bias,
-                      max_iterations=params.max_iterations,
-                      goal_tolerance=params.goal_tolerance,
-                      seed=params.seed + k)
+        p = replace(params, seed=params.seed + k)
         path = rrt_plan(wmap, model, start, goal, p)
         if path is None:
             failure.attempts.append({"seed": p.seed, "ok": False})

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import pnav.rrt
 from pnav.cli import main
 from pnav.gridmap import dump_map
 from pnav.fixtures import museum_map
@@ -64,12 +65,22 @@ class TestExitCodes:
                         start="0.5,2.5,0", goal="2.5,0.5")
         assert code == 1
         assert "invalid start" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_goal_outside_map(self, map_file, tmp_path, capsys):
         code = run_plan(map_file(free_map(3, 3)), tmp_path / "out",
                         goal="25.0,25.0")
         assert code == 1
         assert "invalid goal" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_start_and_goal_name_the_start(self, map_file, tmp_path, capsys):
+        # plan_pareto checks the start first
+        code = run_plan(map_file(make_map(["#..", "...", "..."])), tmp_path / "out",
+                        start="0.5,2.5,0", goal="25.0,25.0")
+        assert code == 1
+        assert "invalid start" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_heading_rejected(self, map_file, tmp_path):
         code = run_plan(map_file(free_map(3, 3)), tmp_path / "out",
@@ -378,17 +389,22 @@ class TestNumericInputs:
 
     @pytest.mark.parametrize("command", ["plan", "rrt"])
     def test_overflowing_camera_radius_is_an_input_error(self, map_file, tmp_path, capsys,
-                                                         command):
-        # the window cap's arithmetic must not overflow on a finite r
+                                                         monkeypatch, command):
+        # the window cap's arithmetic must not overflow on a finite r, and
+        # rrt checks the cap before any run and before creating --out
+        def no_runs(*args, **kwargs):
+            raise AssertionError("best_of_n called")
+        monkeypatch.setattr(pnav.rrt, "best_of_n", no_runs)
         path = map_file(free_map(8, 8))
         if command == "plan":
             argv = self.plan_argv(path, tmp_path, dict(self.PLAN_FLAGS, **{"--r": "1e300"}))
         else:
             argv = ["rrt", "--map", path, "--start", "1.0,1.0", "--goal", "7.0,7.0",
-                    "--n", "2", "--rho", "0.2", "--r", "1e300",
+                    "--n", "200", "--rho", "0.2", "--r", "1e300",
                     "--out", str(tmp_path / "out")]
         assert main(argv) == 1
         assert "r 1e+300 gives a disc window of more than" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_huge_camera_radius_is_an_input_error(self, map_file, tmp_path, capsys):
         # r = 1000 m on 0.5 m cells is a window of about 16,000^2 subsamples

@@ -9,13 +9,26 @@ from hypothesis import strategies as st
 from pnav.gridmap import RobotModel
 from pnav.lattice import HEADINGS, CostVector, LatticeGraph, LatticeNode, build_lattice
 from pnav.moastar import (FLOAT_TOL, GoalSpec, PlanningError, _ideal_bounds,
-                          brute_force_front, costs_equal, dominates, heuristic,
+                          _octile_bounds, brute_force_front, costs_equal, dominates,
                           octile, pareto_filter, plan_pareto)
 
 from conftest import free_map, make_map
 
 SQRT2 = math.sqrt(2.0)
 SMALL = RobotModel(footprint_radius=0.2, camera_clearance_radius=0.4)
+
+
+def row_path_costs(g, path):
+    """Cost-to-come at each node of a node path, summed from the rows' entries."""
+    acc = (0.0, 0, 0.0)
+    out = [acc]
+    for a, b in zip(path, path[1:]):
+        ib = g.node_id(b)
+        w = [e[1:] for e in g.rows[g.node_id(a)] if e[0] == ib]
+        assert len(w) == 1, (a, b)
+        acc = tuple(x + y for x, y in zip(acc, w[0]))
+        out.append(acc)
+    return out
 
 
 def assert_fronts_equal(f1, f2):
@@ -92,17 +105,16 @@ class TestParetoFilter:
 
 
 class TestHeuristic:
+    """The search's distance bound h3: the octile distance to the goal."""
+
     def test_at_goal(self):
-        h = heuristic(LatticeNode(2, 3, 0), GoalSpec(2, 3), 1.0)
-        assert h == CostVector(0.0, 0, 0.0)
+        assert octile((2 - 2) * 1.0, (3 - 3) * 1.0) == 0.0
 
     def test_straight_line(self):
-        h = heuristic(LatticeNode(0, 0, 0), GoalSpec(3, 0), 0.5)
-        assert h.w3 == pytest.approx(1.5)
+        assert octile((3 - 0) * 0.5, (0 - 0) * 0.5) == pytest.approx(1.5)
 
     def test_octile_formula(self):
-        h = heuristic(LatticeNode(0, 0, 0), GoalSpec(2, 1), 1.0)
-        assert h.w3 == pytest.approx(1 + SQRT2)
+        assert octile((2 - 0) * 1.0, (1 - 0) * 1.0) == pytest.approx(1 + SQRT2)
 
     def test_octile_symmetry(self):
         assert octile(-3, 4) == octile(4, 3) == octile(3, -4)
@@ -183,7 +195,7 @@ class TestPlanPareto:
         front = plan_pareto(g, LatticeNode(0, 0, 0), GoalSpec(4, 4, 90))
         assert len(front) > 0
         for cost, path in front.entries:
-            resummed = g.path_cost(path)
+            resummed = row_path_costs(g, path)[-1]
             assert costs_equal(cost, resummed)
             assert path[0] == LatticeNode(0, 0, 0)
             assert (path[-1].ix, path[-1].iy, path[-1].heading) == (4, 4, 90)
@@ -199,22 +211,28 @@ class TestPlanPareto:
                     assert not dominates(a, b)
 
     def test_heuristic_admissible_along_front_paths(self):
+        # the search's own bounds (h1, h2, h3) at every node of every front
+        # path are at most the cost that path still spends to its end; the
+        # wider camera disc makes phi, and so h1, nonzero
         wmap = make_map([".....", "..#..", ".....", ".....", "....."])
-        g = build_lattice(wmap, SMALL, 1.0)
         goal = GoalSpec(4, 4)
-        front = plan_pareto(g, LatticeNode(0, 0, 0), goal)
-        for cost, path in front.entries:
-            # walk the path accumulating cost-to-come
-            acc = CostVector(0.0, 0, 0.0)
-            for a, b in zip(path, path[1:]):
-                h = heuristic(a, goal, g.delta)
-                assert h.w1 <= cost.w1 - acc.w1 + 1e-9
-                assert h.w2 <= cost.w2 - acc.w2
-                assert h.w3 <= cost.w3 - acc.w3 + 1e-9
-                for e in g.neighbors(a):
-                    if e.dst == b:
-                        acc = acc + e.cost
-                        break
+        for model in (SMALL, RobotModel(footprint_radius=0.2, camera_clearance_radius=1.2)):
+            g = build_lattice(wmap, model, 1.0)
+            front = plan_pareto(g, LatticeNode(0, 0, 0), goal)
+            assert len(front) > 0
+            H1, H2 = _ideal_bounds(g, goal)
+            H3 = _octile_bounds(g, goal)
+            for cost, path in front.entries:
+                accs = row_path_costs(g, path)
+                assert costs_equal(cost, accs[-1])
+                for node, acc in zip(path, accs):
+                    i = g.node_id(node)
+                    assert H3[i] == octile((goal.ix - node.ix) * g.delta,
+                                           (goal.iy - node.iy) * g.delta)
+                    assert H1[i] <= cost.w1 - acc[0] + 1e-9
+                    assert H2[i] <= cost.w2 - acc[1]
+                    assert H3[i] <= cost.w3 - acc[2] + 1e-9
+        assert H1[g.node_id(LatticeNode(0, 0, 0))] > 0
 
 
 class TestBruteForce:

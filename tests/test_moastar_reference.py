@@ -1,17 +1,25 @@
-"""plan_pareto against the label search it replaced.
+"""plan_pareto and brute_force_front against the code they replaced.
 
 The search now runs on integer node ids over the lattice's successor rows.
 reference_plan_pareto below is the former search, on LatticeNode keys and
-LatticeEdge objects, copied verbatim together with its _Label and
-_ideal_bounds.  The one adaptation: the former _ideal_bounds read the edges
-through a LatticeGraph.adjacency() iterator that no longer exists, and here
-reads them through neighbors() in node order, which yields the same pairs.
+LatticeEdge objects, copied verbatim together with its _Label,
+_ideal_bounds, _distance_bound and heuristic.  The adaptations: the former
+_ideal_bounds read the edges through a LatticeGraph.adjacency() iterator
+that no longer exists, and here reads them through neighbors() in node
+order, which yields the same pairs; the return line no longer passes the
+start, goal and delta fields that ParetoFront has dropped.
 
 Both must agree exactly: the repr of every cost component, every node path
 and the whole metadata dict.  The maps include phi = 0 everywhere and
 decimal phi values, where labels tie within FLOAT_TOL and the first
 generated label must win, dyadic phi values, where they tie exactly, free
 and fixed goal headings, and starts with no path to the goal.
+
+reference_brute_force_front is the former exhaustive oracle, which walked
+neighbors() edge objects, copied verbatim but for its name and the same
+return-line adaptation.  The oracle now walks the rows on integer ids; both
+must give the same entries: the repr of every cost component and every
+node path.
 
 former_row_bounds is the _ideal_bounds that followed, on integer ids: it
 copied every edge once more into reversed predecessor lists, where today's
@@ -33,14 +41,37 @@ import pnav.lattice
 import pnav.moastar
 from pnav.fixtures import MUSEUM_DELTA, MUSEUM_GOAL, MUSEUM_START, museum_map, museum_model
 from pnav.gridmap import RobotModel
-from pnav.lattice import HEADINGS, LatticeGraph, LatticeNode, build_lattice
-from pnav.moastar import (GoalSpec, ParetoFront, PlanningError, _distance_bound, _goal_ids,
-                          _prunes, _sorted_front, plan_pareto)
+from pnav.lattice import HEADINGS, CostVector, LatticeGraph, LatticeNode, build_lattice
+from pnav.moastar import (BRUTE_FORCE_NODE_GUARD, GoalSpec, ParetoFront, PlanningError,
+                          _goal_ids, _prunes, _sorted_front, brute_force_front,
+                          costs_equal, octile, pareto_filter, plan_pareto)
 
 from conftest import make_map
 
 
 # -- the former search, verbatim ----------------------------------------------
+
+
+def heuristic(node: LatticeNode, goal: GoalSpec, delta: float) -> CostVector:
+    """Admissible componentwise lower bound: (0, 0, octile distance)."""
+    dx = (goal.ix - node.ix) * delta
+    dy = (goal.iy - node.iy) * delta
+    return CostVector(0.0, 0, octile(dx, dy))
+
+
+def _distance_bound(goal: GoalSpec, delta: float):
+    """node -> heuristic(node, goal, delta).w3, cached per position."""
+    cache: dict[tuple[int, int], float] = {}
+
+    def h3(node: LatticeNode) -> float:
+        key = (node.ix, node.iy)
+        val = cache.get(key)
+        if val is None:
+            val = cache[key] = heuristic(node, goal, delta).w3
+        return val
+    return h3
+
+
 
 
 class _Label:
@@ -171,7 +202,94 @@ def reference_plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpe
                 "pruned_at_node": at_node, "pruned_by_solution": by_solution,
                 "dead_ends": len(graph) - len(bounds), "peak_open": peak_open,
                 "front_size": len(entries)}
-    return ParetoFront(entries, start=start, goal=goal, delta=delta, metadata=metadata)
+    return ParetoFront(entries, metadata=metadata)
+
+
+# -- the former oracle, verbatim ------------------------------------------------
+
+
+def reference_brute_force_front(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> ParetoFront:
+    """Oracle: depth-first enumeration of paths that never revisit a
+    (position, heading) state, keeping goal-reaching cost vectors and
+    Pareto-filtering them.
+
+    Two prunings keep it tractable without changing the returned vector set,
+    both sound because edge costs are non-negative and every cycle strictly
+    increases a component (rotations add a turn, translations add distance):
+    a branch is cut when its cost plus the octile lower bound is matched or
+    beaten by a known solution, or when an earlier partial path reached the
+    same state no worse in every component (any completion of the current
+    branch appended to that earlier prefix is a walk that decycles to a path
+    at least as good).  Refuses graphs above the size guard.
+    """
+    if len(graph) > BRUTE_FORCE_NODE_GUARD:
+        raise PlanningError(
+            f"graph has {len(graph)} nodes, above the brute-force guard "
+            f"of {BRUTE_FORCE_NODE_GUARD}")
+    if start not in graph:
+        raise PlanningError("invalid start")
+    if not (0 <= goal.ix < graph.nx and 0 <= goal.iy < graph.ny):
+        raise PlanningError("invalid goal")
+
+    delta = graph.delta
+    h3 = _distance_bound(goal, delta)
+    solutions: list[tuple[tuple, list[LatticeNode]]] = []
+
+    # deterministic successor order biased toward the goal so pruning bites early
+    succ_cache: dict[LatticeNode, list] = {}
+
+    def successors(node: LatticeNode):
+        cached = succ_cache.get(node)
+        if cached is None:
+            edges = list(graph.neighbors(node))
+            edges.sort(key=lambda e: (h3(e.dst), e.kind == "A", e.dst.heading))
+            cached = edges
+            succ_cache[node] = cached
+        return cached
+
+    path: list[LatticeNode] = [start]
+    on_path = {start}
+    seen: dict[LatticeNode, list[tuple]] = {}
+
+    def visit(node: LatticeNode, g: tuple):
+        f = (g[0], g[1], g[2] + h3(node))
+        if any(_prunes(s, f) for s, _ in solutions):
+            return
+        known = seen.setdefault(node, [])
+        if any(_prunes(old, g) for old in known):
+            return
+        known[:] = [old for old in known if not _prunes(g, old)]
+        known.append(g)
+        if goal.satisfied_by(node):
+            solutions.append((g, list(path)))
+            return
+        for edge in successors(node):
+            if edge.dst in on_path:
+                continue
+            c = edge.cost
+            g2 = (g[0] + c.w1, g[1] + c.w2, g[2] + c.w3)
+            path.append(edge.dst)
+            on_path.add(edge.dst)
+            visit(edge.dst, g2)
+            on_path.discard(edge.dst)
+            path.pop()
+
+    import sys
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, len(graph) * 4 + 100))
+    try:
+        visit(start, (0.0, 0, 0.0))
+    finally:
+        sys.setrecursionlimit(old_limit)
+
+    # keep the first-discovered path for each surviving vector
+    front = []
+    for v in pareto_filter([CostVector(*g) for g, _ in solutions]):
+        for g, p in solutions:
+            if costs_equal(v, g):
+                front.append((g, p))
+                break
+    return ParetoFront(_sorted_front(front))
 
 
 def former_row_bounds(graph: LatticeGraph, goal: GoalSpec) -> tuple[list, list]:
@@ -304,6 +422,38 @@ POCKET = ["......",
 def test_matches_the_former_search_around_a_pocket(start, goal):
     graph = build_lattice(make_map(POCKET), RobotModel(0.2, 0.4), 1.0)
     assert_same_search(graph, LatticeNode(*start), GoalSpec(*goal))
+
+
+# -- the oracle against the former edge-object walk -------------------------------
+
+
+def test_oracle_matches_the_former_oracle_on_random_maps(monkeypatch):
+    # maps of the 100-map oracle gate's sizes and densities, from another
+    # seed, with three camera radii and the phi modes above for exact and
+    # within-tolerance ties.  The oracle's time per map is heavy-tailed (one
+    # 4x4 map can take 15 s); this seed's 100 maps take about 6 s for both.
+    rng = random.Random("former-oracle-2")
+    totals = dict.fromkeys(["several", "unreachable"], 0)
+    for k in range(100):
+        w, h = rng.randint(2, 5), rng.randint(2, 5)
+        rows = random_rows(rng, w, h, rng.uniform(0.0, 0.30))
+        model = RobotModel(footprint_radius=0.2,
+                           camera_clearance_radius=rng.choice([0.4, 1.0, 1.2]))
+        phi_mode = ("map", *PHI_VALUES)[k % 4]
+        graph = lattice_with_phi(monkeypatch, make_map(rows), model, 1.0, phi_mode, rng)
+        free = sorted(graph.phi)
+        if not free:
+            continue
+        start = LatticeNode(*rng.choice(free), rng.choice(HEADINGS))
+        goal = GoalSpec(*rng.choice(free), rng.choice([None, *HEADINGS]))
+        got = brute_force_front(graph, start, goal)
+        ref = reference_brute_force_front(graph, start, goal)
+        assert ([(repr(c.w1), repr(c.w2), repr(c.w3)) for c in got.costs()]
+                == [(repr(c.w1), repr(c.w2), repr(c.w3)) for c in ref.costs()])
+        assert [path for _, path in got.entries] == [path for _, path in ref.entries]
+        totals["several"] += len(ref) > 1
+        totals["unreachable"] += len(ref) == 0
+    assert totals["several"] >= 10 and totals["unreachable"] >= 2, totals
 
 
 # -- the ideal-point bounds against the former reversed-edge copy ----------------

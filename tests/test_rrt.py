@@ -23,6 +23,18 @@ def dense_sweep_free(wmap, path, rho, samples=1000):
     return True
 
 
+class TestRrtParams:
+    @pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, True])
+    def test_bad_step_size_names_it(self, step):
+        with pytest.raises(ValueError, match="step_size must be a finite number > 0"):
+            RrtParams(step_size=step)
+
+    @pytest.mark.parametrize("iterations", [math.nan, math.inf, 0, True])
+    def test_bad_max_iterations_names_it(self, iterations):
+        with pytest.raises(ValueError, match="max_iterations must be a finite integer > 0"):
+            RrtParams(step_size=0.5, max_iterations=iterations)
+
+
 class TestRrtPlan:
     def test_start_equals_goal(self):
         wmap = free_map(5, 5)
