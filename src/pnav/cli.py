@@ -105,22 +105,44 @@ def _dump_json(obj) -> str:
 # -- plan -----------------------------------------------------------------------
 
 
+# An entry's "nodes" and "segments" items as _dump_json writes them in
+# front.json: indent=1 at depth 4, keys sorted.  The values are ints (%d) and
+# finite floats (%r), for which json writes int.__repr__ and float.__repr__.
+_NODE_JSON = "    [\n     %d,\n     %d,\n     %d\n    ]"
+_ROTATE_JSON = ('    {\n     "arc": %r,\n     "from_heading": %r,\n     "kind": "rotate",\n'
+                '     "point": [\n      %r,\n      %r\n     ],\n     "to_heading": %r\n    }')
+_TRANSLATE_JSON = ('    {\n     "heading": %r,\n     "kind": "translate",\n'
+                   '     "p0": [\n      %r,\n      %r\n     ],\n'
+                   '     "p1": [\n      %r,\n      %r\n     ]\n    }')
+# indent of an entry's fields in front.json: entries > entry > field
+_ENTRY_INDENT = "   "
+
+
+def _entry_list(templates: list[str], values: tuple) -> str:
+    """An entry's list field, its items the templates filled with values."""
+    if not templates:
+        return "[]"
+    return ("[\n" + ",\n".join(templates) + "\n" + _ENTRY_INDENT + "]") % values
+
+
 def _entry_record(cost, nodes, spath, trajectory_json: str, report) -> dict:
-    segs = []
+    """An entry of front.json; its "nodes", "segments" and "trajectory" hold
+    their JSON text at the entry's depth, which _dump_front splices in."""
+    templates, values = [], []
     for seg in spath.segments:
         if isinstance(seg, trajectory.Rotate):
-            segs.append({"kind": "rotate", "point": list(seg.point),
-                         "from_heading": seg.from_heading,
-                         "to_heading": seg.to_heading, "arc": seg.arc})
+            templates.append(_ROTATE_JSON)
+            values += (seg.arc, seg.from_heading, *seg.point, seg.to_heading)
         else:
-            segs.append({"kind": "translate", "p0": list(seg.p0),
-                         "p1": list(seg.p1), "heading": seg.heading})
+            templates.append(_TRANSLATE_JSON)
+            values += (seg.heading, *seg.p0, *seg.p1)
     return {
         "cost": {"w1_sum": cost.w1, "w2": cost.w2, "w3": cost.w3},
         "report": report.to_dict(),
-        "nodes": [[n.ix, n.iy, n.heading] for n in nodes],
-        "segments": segs,
-        "trajectory": trajectory_json,  # timed_to_json text, spliced by _dump_front
+        "nodes": _entry_list([_NODE_JSON] * len(nodes),
+                             tuple(v for n in nodes for v in (n.ix, n.iy, n.heading))),
+        "segments": _entry_list(templates, tuple(values)),
+        "trajectory": trajectory_json.replace("\n", "\n" + _ENTRY_INDENT),
     }
 
 
@@ -140,26 +162,29 @@ def _front_phi(wmap, timeds, r: float) -> list[np.ndarray]:
     return np.split(phi, np.cumsum([len(t.samples) for t in timeds])[:-1])
 
 
-# stands for an entry's trajectory in the document that _dump_front dumps; a
-# map path, the only string read from input, cannot hold a NUL (_read_map fails)
-_TRAJECTORY_SLOT = "\0"
-# indent of a trajectory's lines in front.json: entries > entry > "trajectory"
-_TRAJECTORY_INDENT = "   "
+# stands for an entry's JSON-text fields in the document that _dump_front
+# dumps; a map path, the only string read from input, cannot hold a NUL
+# (_read_map fails)
+_TEXT_SLOT = "\0"
+# the entry fields _entry_record gives as JSON text, in the order of a sorted dump
+_TEXT_FIELDS = ("nodes", "segments", "trajectory")
 
 
 def _dump_front(doc: dict) -> str:
-    """_dump_json(doc), with each entry's "trajectory" the JSON text it holds.
+    """_dump_json(doc), with each entry's "nodes", "segments" and
+    "trajectory" the JSON text it holds.
 
-    The document is dumped with a placeholder string in place of each
-    trajectory, and the texts are spliced in at their depth, never decoded.
+    The document is dumped with a placeholder string in place of each of
+    those fields, and the texts are spliced in, never decoded.
     """
     entries = doc["entries"]
-    slotted = dict(doc, entries=[dict(e, trajectory=_TRAJECTORY_SLOT) for e in entries])
-    parts = _dump_json(slotted).split(json.dumps(_TRAJECTORY_SLOT))
-    if len(parts) != len(entries) + 1:
-        raise RuntimeError(f"front.json has {len(parts) - 1} trajectory slots "
+    slots = dict.fromkeys(_TEXT_FIELDS, _TEXT_SLOT)
+    slotted = dict(doc, entries=[dict(e, **slots) for e in entries])
+    parts = _dump_json(slotted).split(json.dumps(_TEXT_SLOT))
+    texts = [e[key] for e in entries for key in _TEXT_FIELDS]
+    if len(parts) != len(texts) + 1:
+        raise RuntimeError(f"front.json has {len(parts) - 1} text slots "
                            f"for {len(entries)} entries")
-    texts = [e["trajectory"].replace("\n", "\n" + _TRAJECTORY_INDENT) for e in entries]
     return "".join(part + text for part, text in zip(parts, texts + [""]))
 
 
@@ -172,13 +197,13 @@ def cmd_plan(args) -> int:
     omega = _resolve(args.omega, "OMEGA", default=90.0)
     dt = _resolve(args.dt, "DT", default=0.05)
 
-    model = RobotModel(footprint_radius=rho, camera_clearance_radius=r)
-    graph = build_lattice(wmap, model, delta)
-
     sx, sy, sth = _parse_pose(args.start, "--start", heading_optional=False)
     gx, gy, gth = _parse_pose(args.goal, "--goal", heading_optional=True)
     six, siy = _world_to_lattice(sx, sy, wmap, delta)
     gix, giy = _world_to_lattice(gx, gy, wmap, delta)
+
+    model = RobotModel(footprint_radius=rho, camera_clearance_radius=r)
+    graph = build_lattice(wmap, model, delta)
     # plan_pareto names a start or goal off the lattice (PlanningError)
     front = moastar.plan_pareto(graph, LatticeNode(six, siy, sth),
                                 moastar.GoalSpec(gix, giy, gth))

@@ -22,7 +22,13 @@ bounding box of ab covers.  A window with none is free at once; otherwise
 only its obstacle cells get the exact d^2 < rho^2 test.  This cannot change
 a decision: the exact scan of a window returns False only on an obstacle or
 out-of-map cell of that window, and the frame holds every out-of-map cell
-a window can reach.
+a window can reach.  The broad phase comes in two forms over one framed
+table (_framed_tables): the scalar one inside swept_footprint_free, and a
+batch one (_clear_sweeps) that computes the same bounds checks, windows and
+counts for many sweeps at once with the same float operations.  The lattice
+build runs the batch over all its standing discs and all its steps, and
+only the sweeps it cannot clear go to swept_footprint_free, so the exact
+test itself stays in one place.
 
 The obstruction ratio has one implementation, the batched
 obstruction_ratios; obstruction_ratio and obstruction_field call it.  Its
@@ -106,11 +112,9 @@ class WorkspaceMap:
             raise ValueError("occupancy shape must be (height, width)")
         occ.setflags(write=False)
         object.__setattr__(self, "occupancy", occ)
-        framed = np.ones((self.height + 2, self.width + 2), dtype=bool)
-        framed[1:-1, 1:-1] = occ
+        framed, sat = _framed_tables(occ)
         object.__setattr__(self, "_framed_rows", framed.tolist())
-        object.__setattr__(self, "_obstacle_sat",
-                           framed.cumsum(axis=0).cumsum(axis=1).tolist())
+        object.__setattr__(self, "_obstacle_sat", sat.tolist())
 
     # -- coordinate transforms -------------------------------------------------
 
@@ -201,6 +205,16 @@ def dump_map(wmap: WorkspaceMap) -> str:
         "origin": list(wmap.origin),
         "rows": rows,
     }, indent=1)
+
+
+def _framed_tables(occupancy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The occupancy framed by one obstacle cell on every side, and its
+    inclusive summed-area table: sat[j, i] counts the obstacles in
+    framed[:j + 1, :i + 1]."""
+    height, width = occupancy.shape
+    framed = np.ones((height + 2, width + 2), dtype=bool)
+    framed[1:-1, 1:-1] = occupancy
+    return framed, framed.cumsum(axis=0).cumsum(axis=1)
 
 
 def footprint_free(wmap: WorkspaceMap, position: tuple[float, float], rho: float) -> bool:
@@ -298,6 +312,48 @@ def swept_footprint_free(wmap: WorkspaceMap, p0: tuple[float, float],
             if _dist2_segment_square(ax, ay, bx, by, cx0, cy0, cx0 + res, cy0 + res) < rho2:
                 return False
     return True
+
+
+def _clear_sweeps(wmap: WorkspaceMap, a: np.ndarray, b: np.ndarray,
+                  rho: float) -> np.ndarray:
+    """swept_footprint_free's bounds check and broad phase for the sweeps
+    a[i] -> b[i] of the (n, 2) arrays a and b at once.
+
+    True where the rho-inflated box stays in the map and its cell window
+    holds no obstacle, so that swept_footprint_free returns True; False
+    where only the exact test can tell.  The same float operations as the
+    scalar give the same windows.  A NaN coordinate fails the bounds check
+    here, leaving it to the scalar.
+    """
+    if not 0 < rho < math.inf:
+        raise ValueError(f"rho must be a finite number > 0, got {rho!r}")
+    res = wmap.resolution
+    ox, oy = wmap.origin
+    xmin, ymin, xmax, ymax = wmap.world_bounds
+    lo = np.minimum(a, b) - rho
+    hi = np.maximum(a, b) + rho
+    clear = ((lo[:, 0] >= xmin) & (lo[:, 1] >= ymin)
+             & (hi[:, 0] <= xmax) & (hi[:, 1] <= ymax))
+    inside = np.flatnonzero(clear)
+    # the windows, in the framed map as in swept_footprint_free
+    ix0 = np.floor((lo[inside, 0] - ox) / res).astype(np.intp)
+    ix1 = np.floor((hi[inside, 0] - ox) / res).astype(np.intp) + 1
+    iy0 = np.floor((lo[inside, 1] - oy) / res).astype(np.intp)
+    iy1 = np.floor((hi[inside, 1] - oy) / res).astype(np.intp) + 1
+    sat = _framed_tables(wmap.occupancy)[1]
+    clear[inside] = sat[iy1, ix1] - sat[iy1, ix0] - sat[iy0, ix1] + sat[iy0, ix0] == 0
+    return clear
+
+
+def _sweeps_free(wmap: WorkspaceMap, a: np.ndarray, b: np.ndarray,
+                 rho: float) -> list[bool]:
+    """[swept_footprint_free(wmap, a[i], b[i], rho) for every i]: the batch
+    broad phase, then the scalar test for every sweep it does not clear."""
+    free = _clear_sweeps(wmap, a, b, rho)
+    out = free.tolist()
+    for i in np.flatnonzero(~free).tolist():
+        out[i] = swept_footprint_free(wmap, tuple(a[i].tolist()), tuple(b[i].tolist()), rho)
+    return out
 
 
 # Disc subsamples per chunk of points: a chunk holds _CHUNK_SUBSAMPLES // (win s)

@@ -26,8 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gridmap import (RobotModel, WorkspaceMap, footprint_free,
-                      obstruction_ratios, swept_footprint_free)
+from .gridmap import RobotModel, WorkspaceMap, _sweeps_free, obstruction_ratios
 from .validate import finite_number
 
 HEADINGS = (0, 45, 90, 135, 180, 225, 270, 315)
@@ -140,7 +139,10 @@ class LatticeGraph:
 def build_lattice(wmap: WorkspaceMap, model: RobotModel, delta: float) -> LatticeGraph:
     """Construct the weighted directed graph from the map and robot geometry.
 
-    delta must be a positive integer multiple of the map resolution.
+    delta must be a positive integer multiple of the map resolution.  The
+    standing discs at all positions, then all heading steps between free
+    positions, go through the collision test as two batches (see
+    pnav.gridmap).
     """
     finite_number(delta, "delta", positive=True, error=LatticeError)
     ratio = delta / wmap.resolution
@@ -151,33 +153,46 @@ def build_lattice(wmap: WorkspaceMap, model: RobotModel, delta: float) -> Lattic
     nx, ny = wmap.width // m, wmap.height // m
 
     rho = model.footprint_radius
-    # free positions and their obstruction ratios
-    free = {}
-    for iy in range(ny):
-        for ix in range(nx):
-            pos = node_position(LatticeNode(ix, iy, 0), wmap, delta)
-            if footprint_free(wmap, pos, rho):
-                free[(ix, iy)] = pos
-    xy = np.array(list(free.values()), dtype=float).reshape(-1, 2)
-    phi = dict(zip(free, obstruction_ratios(wmap, xy, model.camera_clearance_radius).tolist()))
+    ox, oy = wmap.origin
+    # position centres as node_position computes them, in (iy, ix) order,
+    # the order phi keys the free ones in
+    gx, gy = np.meshgrid(ox + (np.arange(nx) + 0.5) * delta,
+                         oy + (np.arange(ny) + 0.5) * delta)
+    centres = np.column_stack((gx.ravel(), gy.ravel()))
+    free = np.flatnonzero(_sweeps_free(wmap, centres, centres, rho))
+    fy, fx = np.divmod(free, nx)
+    ratios = obstruction_ratios(wmap, centres[free], model.camera_clearance_radius)
+    phi = dict(zip(zip(fx.tolist(), fy.tolist()), ratios.tolist()))
 
-    step = {h: delta if h in AXIS_HEADINGS else SQRT2 * delta for h in HEADINGS}
-    positions = sorted(phi)
+    order = np.lexsort((fy, fx))  # positions ascend by (ix, iy)
+    pix, piy = fx[order], fy[order]
+    positions = list(zip(pix.tolist(), piy.tolist()))
     first_id = {pos: 8 * p for p, pos in enumerate(positions)}
     nodes = tuple(LatticeNode(ix, iy, h) for ix, iy in positions for h in HEADINGS)
+    phis = ratios[order].tolist()  # phi by position index
+
+    # Type-B: dst[p, k] is the position that heading k steps to from
+    # position p, -1 when it is not a lattice position; the swept footprint
+    # decides which of those steps are edges, and target[p, k] is then the
+    # destination node id, else -1
+    index = np.full((ny + 2, nx + 2), -1, dtype=np.intp)  # framed, as steps reach past the map
+    index[piy + 1, pix + 1] = np.arange(len(positions))
+    steps = np.array([HEADING_STEP[h] for h in HEADINGS])
+    dst = index[piy[:, None] + 1 + steps[:, 1], pix[:, None] + 1 + steps[:, 0]]
+    src, heading = np.nonzero(dst >= 0)
+    xy = centres[free[order]]
+    free_step = _sweeps_free(wmap, xy[src], xy[dst[src, heading]], rho)
+    target = np.full_like(dst, -1)
+    target[src, heading] = np.where(free_step, 8 * dst[src, heading] + heading, -1)
+
+    step = [delta if h in AXIS_HEADINGS else SQRT2 * delta for h in HEADINGS]
     rows: list[tuple[tuple[int, float, int, float], ...]] = []
-    for (ix, iy), base in first_id.items():
-        w1 = phi[(ix, iy)]
+    for base, w1, targets in zip(range(0, len(nodes), 8), phis, target.tolist()):
         # one row entry per heading, shared by the position's 8 rows
-        turns = [(base + k, w1, 1, 0.0) for k in range(8)]
-        for k, h in enumerate(HEADINGS):
+        turns = tuple([(base + k, w1, 1, 0.0) for k in range(8)])
+        for k, d in enumerate(targets):
             # Type-A: every other heading at this position, ascending
             row = turns[:k] + turns[k + 1:]
-            dx, dy = HEADING_STEP[h]
-            dst_pos = (ix + dx, iy + dy)
-            if dst_pos in phi and swept_footprint_free(wmap, free[(ix, iy)],
-                                                       free[dst_pos], rho):
-                row.append((first_id[dst_pos] + k, phi[dst_pos], 0, step[h]))
-            rows.append(tuple(row))
+            rows.append(row + ((d, phis[d >> 3], 0, step[k]),) if d >= 0 else row)
 
     return LatticeGraph(wmap, delta, nx, ny, phi, nodes, rows, first_id)

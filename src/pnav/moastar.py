@@ -160,7 +160,9 @@ def _ideal_bounds(graph: LatticeGraph, goal: GoalSpec) -> tuple[list, list]:
     by a backward Dijkstra pass over reversed edges.  Both are inf at a node
     with no path to the goal.  Rotations are all-to-all at a position, so a
     node's rotation predecessors are its own row[:7] at the same costs, and
-    `mover` holds its one translation predecessor (see pnav.lattice)."""
+    `mover` holds its one translation predecessor (see pnav.lattice).  Only
+    the first heading settled at a position relaxes them: a later one
+    settles at d' >= d, and fl(d' + w) >= fl(d + w) improves no distance."""
     rows = graph.rows
     mover = [-1] * len(rows)  # id -> the node whose row[7] leads to it
     for src, row in enumerate(rows):
@@ -173,15 +175,18 @@ def _ideal_bounds(graph: LatticeGraph, goal: GoalSpec) -> tuple[list, list]:
         for t in targets:
             dist[t] = 0
         heap = [(0, t) for t in targets]
+        turned = [False] * (len(rows) // 8)  # by position: rotations relaxed
         while heap:
             d, u = heapq.heappop(heap)
             if d > dist[u]:
                 continue
-            for p in rows[u][:7]:
-                nd = d + p[k]
-                if nd < dist[p[0]]:
-                    dist[p[0]] = nd
-                    heapq.heappush(heap, (nd, p[0]))
+            if not turned[u // 8]:
+                turned[u // 8] = True
+                for p in rows[u][:7]:
+                    nd = d + p[k]
+                    if nd < dist[p[0]]:
+                        dist[p[0]] = nd
+                        heapq.heappush(heap, (nd, p[0]))
             p = mover[u]
             if p >= 0:
                 nd = d + rows[p][7][k]

@@ -34,9 +34,11 @@ class RrtParams:
 
     def __post_init__(self):
         finite_number(self.step_size, "step_size", positive=True)
-        if not 0.0 <= self.goal_bias <= 1.0:
+        if not 0.0 <= finite_number(self.goal_bias, "goal_bias") <= 1.0:
             raise ValueError("goal_bias must be in [0, 1]")
         finite_number(self.max_iterations, "max_iterations", positive=True, integer=True)
+        if finite_number(self.seed, "seed", integer=True) < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

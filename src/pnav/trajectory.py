@@ -153,44 +153,55 @@ def to_timed(spath: SegmentPath, v: float = 1.0, omega_deg: float = 90.0,
     for value, name in ((v, "v"), (omega_deg, "omega_deg"), (dt, "dt")):
         finite_number(value, name, positive=True, error=TrajectoryError)
 
-    # per-segment schedule: (t_start, t_end, segment)
-    schedule = []
+    # per segment: its end time, whether it translates, and its x, y and
+    # heading at frac 0 with their change over the whole segment
+    ends, moves, base, change = [0.0], [], [], []
     t = 0.0
     for seg in spath.segments:
         if isinstance(seg, Translate):
-            dur = seg.length / v
+            t += seg.length / v
+            base.append((seg.p0[0], seg.p0[1], seg.heading))
+            change.append((seg.p1[0] - seg.p0[0], seg.p1[1] - seg.p0[1], 0.0))
         else:
-            dur = abs(seg.arc) / omega_deg
-        schedule.append((t, t + dur, seg))
-        t += dur
+            t += abs(seg.arc) / omega_deg
+            base.append((seg.point[0], seg.point[1], seg.from_heading))
+            change.append((0.0, 0.0, seg.arc))
+        ends.append(t)
+        moves.append(isinstance(seg, Translate))
     total = t
     if total / dt > MAX_SAMPLES:  # checked before any tick is built
         raise TrajectoryError(f"dt {dt!r} gives more than {MAX_SAMPLES} samples "
                               f"over the {total:.6g} s trajectory")
+    if not moves:  # a path with no segments stands at its start pose
+        ends.append(0.0)
+        moves.append(False)
+        base.append((spath.start[0], spath.start[1], spath.start_heading))
+        change.append((0.0, 0.0, 0.0))
 
-    n = 1  # ticks k * dt for k < n, then the end time
-    while n * dt < total - 1e-12:
+    # ticks k * dt for k < n, n the least count >= 1 with n * dt >= total - 1e-12,
+    # then the end time
+    n = max(1, math.ceil((total - 1e-12) / dt))
+    while n > 1 and (n - 1) * dt >= total - 1e-12:  # the quotient rounded up
+        n -= 1
+    while n * dt < total - 1e-12:  # or down
         n += 1
-    times = [k * dt for k in range(n)] + ([total] if total > 0.0 else [])
+    times = np.arange(n) * dt
+    if total > 0.0:
+        times = np.append(times, total)
 
-    h = spath.start_heading  # a path with no segments stands at its start pose
-    schedule = schedule or [(0.0, 0.0, Rotate(spath.start, h, h, 0.0))]
-    rows = []
-    j, last = 0, len(schedule) - 1
-    for tq in times:
-        while tq > schedule[j][1] and j < last:  # the ticks ascend: walk on
-            j += 1
-        t0, t1, seg = schedule[j]
-        frac = 0.0 if t1 == t0 else (max(tq, t0) - t0) / (t1 - t0)
-        frac = min(max(frac, 0.0), 1.0)
-        if isinstance(seg, Translate):
-            x = seg.p0[0] + frac * (seg.p1[0] - seg.p0[0])
-            y = seg.p0[1] + frac * (seg.p1[1] - seg.p0[1])
-            rows.append((tq, x, y, wrap_deg(seg.heading)))
-        else:
-            rows.append((tq, seg.point[0], seg.point[1],
-                         wrap_deg(seg.from_heading + frac * seg.arc)))
-    return TimedTrajectory(np.array(rows, dtype=float), v, omega_deg, dt)
+    # each tick's segment: the first that ends at or after it, else the last
+    ends = np.array(ends)
+    j = np.minimum(np.searchsorted(ends[1:], times), len(moves) - 1)
+    t0, t1 = ends[j], ends[j + 1]
+    still = t1 == t0
+    frac = np.where(still, 0.0, (np.maximum(times, t0) - t0) / np.where(still, 1.0, t1 - t0))
+    frac = np.minimum(np.maximum(frac, 0.0), 1.0)
+    moving = np.array(moves)[j]
+    (x, y, h), (dx, dy, arc) = (np.array(c, dtype=float)[j].T for c in (base, change))
+    x = np.where(moving, x + frac * dx, x)
+    y = np.where(moving, y + frac * dy, y)
+    theta = np.where(moving, h, h + frac * arc) % 360.0
+    return TimedTrajectory(np.column_stack((times, x, y, theta)), v, omega_deg, dt)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import pnav.cli
 import pnav.rrt
 from pnav.cli import main
 from pnav.gridmap import dump_map
@@ -49,6 +50,21 @@ class TestExitCodes:
         assert code == 2
         doc = json.loads((tmp_path / "out" / "front.json").read_text())
         assert doc["entries"] == []
+
+    @pytest.mark.parametrize("start, goal, message", [
+        ("a,b,c", "2.5,2.5", "--start must be numeric"),
+        ("0.5,0.5", "2.5,2.5", "--start must be X,Y,TH"),
+        ("0.5,0.5,0", "2.5,x", "--goal must be numeric X,Y"),
+    ])
+    def test_malformed_pose_fails_before_the_lattice_is_built(
+            self, map_file, tmp_path, capsys, monkeypatch, start, goal, message):
+        def no_build(*args, **kwargs):
+            raise AssertionError("build_lattice called")
+        monkeypatch.setattr(pnav.cli, "build_lattice", no_build)
+        code = run_plan(map_file(free_map(3, 3)), tmp_path / "out", start=start, goal=goal)
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_map(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

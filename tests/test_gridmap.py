@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnav.gridmap import (DISC_SAMPLES_PER_CELL, MAX_WINDOW_SUBSAMPLES, MapFormatError,
-                          WorkspaceMap, _dist2_segment_square, dump_map, footprint_free,
+                          WorkspaceMap, _clear_sweeps, _dist2_segment_square, _sweeps_free,
+                          dump_map, footprint_free,
                           load_map, obstruction_field, obstruction_ratio,
                           obstruction_ratios, swept_footprint_free)
 from pnav.validate import finite_number
@@ -469,6 +470,94 @@ class TestBroadPhase:
         wmap = WorkspaceMap(12, 15, 0.3, (-2.4, 1.5), occ)
         if swept_footprint_free(wmap, p0, p1, rho):
             assert footprint_free(wmap, p0, rho) and footprint_free(wmap, p1, rho)
+
+
+# (width, height, resolution, origin, occupancy seed) of TestBroadPhase's maps
+BROAD_PHASE_MAPS = [(16, 12, 0.5, (-1.25, 0.75), 11), (12, 10, 0.5, (0.25, -0.5), 31),
+                    (11, 14, 0.3, (-2.1, 1.7), 5), (10, 9, 0.5, (1.5, -2.0), 9),
+                    (12, 15, 0.3, (-2.4, 1.5), 13)]
+
+
+@st.composite
+def sweep_batches(draw):
+    """A map of BROAD_PHASE_MAPS, a rho, dyadic or not, and 40 sweeps, a
+    quarter of them standing, whose coordinates lie where the inflated box
+    touches a border, on the 1/8 grid, or anywhere near the map."""
+    w, h, res, origin, seed = draw(st.sampled_from(BROAD_PHASE_MAPS))
+    wmap = WorkspaceMap(w, h, res, origin, np.random.default_rng(seed).random((h, w)) < 0.15)
+    rho = draw(st.sampled_from([0.125, 0.25, 0.375, 0.5, 0.3, math.sqrt(0.125)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xmin, ymin, xmax, ymax = wmap.world_bounds
+    lo, hi = np.array([xmin, ymin]), np.array([xmax, ymax])
+    n = 40
+    kind = rng.integers(0, 3, (2, n, 2))
+    touching = np.where(rng.random((2, n, 2)) < 0.5, lo + rho, hi - rho)
+    grid = lo + rng.integers(-8, 8 * int((hi - lo).max()) + 8, (2, n, 2)) / 8
+    near = rng.uniform(lo - 1.0, hi + 1.0, (2, n, 2))
+    a, b = np.choose(kind, [touching, grid, near])
+    b[: n // 4] = a[: n // 4]
+    return wmap, list(zip(map(tuple, a.tolist()), map(tuple, b.tolist()))), rho
+
+
+class TestBatchBroadPhase:
+    """_clear_sweeps, the batch broad phase of the lattice build, gives the
+    scalar's own bounds-and-window answer for every sweep, and clears only
+    sweeps that swept_footprint_free finds free."""
+
+    @staticmethod
+    def scalar_clears(wmap, p0, p1, rho):
+        """swept_footprint_free's bounds check and window count, written out."""
+        xmin, ymin, xmax, ymax = wmap.world_bounds
+        if (min(p0[0], p1[0]) - rho < xmin or min(p0[1], p1[1]) - rho < ymin
+                or max(p0[0], p1[0]) + rho > xmax or max(p0[1], p1[1]) + rho > ymax):
+            return False
+        ix0, ix1, iy0, iy1 = TestBroadPhase.window(wmap, p0, p1, rho)
+        sat = wmap._obstacle_sat
+        return sat[iy1 + 1][ix1 + 1] - sat[iy1 + 1][ix0] - sat[iy0][ix1 + 1] + sat[iy0][ix0] == 0
+
+    def assert_agrees(self, wmap, sweeps, rho):
+        """Compare on every sweep; the number the batch clears."""
+        a = np.array([p0 for p0, _ in sweeps], dtype=float).reshape(-1, 2)
+        b = np.array([p1 for _, p1 in sweeps], dtype=float).reshape(-1, 2)
+        clear = _clear_sweeps(wmap, a, b, rho).tolist()
+        exact = [swept_footprint_free(wmap, p0, p1, rho) for p0, p1 in sweeps]
+        for (p0, p1), got, free in zip(sweeps, clear, exact):
+            assert got == self.scalar_clears(wmap, p0, p1, rho), (p0, p1, rho)
+            assert free or not got, (p0, p1, rho)
+        assert _sweeps_free(wmap, a, b, rho) == exact
+        return sum(clear)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sweep_batches())
+    def test_agrees_with_the_scalar(self, batch):
+        self.assert_agrees(*batch)
+
+    @pytest.mark.parametrize("rho", [0.25, 0.375, 0.5])
+    def test_boxes_touching_each_border(self, rho):
+        # dyadic: the inflated box meets the border exactly
+        w, h, res, origin, seed = BROAD_PHASE_MAPS[0]
+        wmap = WorkspaceMap(w, h, res, origin, np.random.default_rng(seed).random((h, w)) < 0.05)
+        xmin, ymin, xmax, ymax = wmap.world_bounds
+        xs = (xmin + rho + np.arange(int((xmax - xmin) * 8) + 1) / 8).tolist()
+        ys = (ymin + rho + np.arange(int((ymax - ymin) * 8) + 1) / 8).tolist()
+        sweeps = ([((x, ymin + rho), (x, ymin + rho)) for x in xs]
+                  + [((x, ymax - rho), (x - 0.5, ymax - rho)) for x in xs]
+                  + [((xmin + rho, y), (xmin + rho + 0.25, y)) for y in ys]
+                  + [((xmax - rho, y), (xmax - rho, y)) for y in ys])
+        clear = self.assert_agrees(wmap, sweeps, rho)
+        assert 0 < clear < len(sweeps)
+
+    def test_empty_batch(self):
+        wmap = WorkspaceMap(3, 2, 0.5, (0.0, 0.0), np.zeros((2, 3), dtype=bool))
+        empty = np.empty((0, 2))
+        assert _clear_sweeps(wmap, empty, empty, 0.2).shape == (0,)
+        assert _sweeps_free(wmap, empty, empty, 0.2) == []
+
+    @pytest.mark.parametrize("rho", [0.0, -0.1, math.nan, math.inf])
+    def test_bad_rho_rejected_as_by_the_scalar(self, rho):
+        wmap = WorkspaceMap(3, 2, 0.5, (0.0, 0.0), np.zeros((2, 3), dtype=bool))
+        with pytest.raises(ValueError, match="rho must be a finite number > 0"):
+            _clear_sweeps(wmap, np.empty((0, 2)), np.empty((0, 2)), rho)
 
 
 class TestObstructionRatio:

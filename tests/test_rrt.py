@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from pnav.gridmap import RobotModel, footprint_free
@@ -33,6 +34,28 @@ class TestRrtParams:
     def test_bad_max_iterations_names_it(self, iterations):
         with pytest.raises(ValueError, match="max_iterations must be a finite integer > 0"):
             RrtParams(step_size=0.5, max_iterations=iterations)
+
+    @pytest.mark.parametrize("seed", [1.5, True, math.nan, "3"])
+    def test_seed_must_be_an_int_and_names_it(self, seed):
+        with pytest.raises(ValueError, match="seed must be a finite integer"):
+            RrtParams(step_size=0.5, seed=seed)
+
+    def test_negative_seed_names_it(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            RrtParams(step_size=0.5, seed=-1)
+
+    @pytest.mark.parametrize("bias", [True, math.nan, math.inf, "0.5"])
+    def test_goal_bias_must_be_a_number_and_names_it(self, bias):
+        with pytest.raises(ValueError, match="goal_bias must be a finite number"):
+            RrtParams(step_size=0.5, goal_bias=bias)
+
+    @pytest.mark.parametrize("bias", [-0.1, 1.5])
+    def test_goal_bias_outside_the_unit_interval_names_it(self, bias):
+        with pytest.raises(ValueError, match=r"goal_bias must be in \[0, 1\]"):
+            RrtParams(step_size=0.5, goal_bias=bias)
+
+    def test_numpy_seed_and_int_bias_accepted(self):
+        assert RrtParams(step_size=0.5, goal_bias=1, seed=np.int64(3)).seed == 3
 
 
 class TestRrtPlan:
