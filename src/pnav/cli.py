@@ -1,14 +1,16 @@
 """Command-line front end: plan, rrt, eval, render.
 
 Exit codes: 0 = non-empty result, 2 = valid inputs but no solution,
-1 = input or configuration error.  Numeric parameters resolve as
-flags > PNAV_* environment variables > defaults.
+1 = input or configuration error, or an output file that cannot be written.
+Numeric parameters resolve as flags > PNAV_* environment variables >
+defaults.  Every JSON document is written by trajectory.dump_json, and every
+output file by _write.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -20,8 +22,8 @@ from .gridmap import (MapFormatError, RobotModel, check_disc_radius, load_map,
                       obstruction_ratios)
 from .lattice import HEADINGS, LatticeError, LatticeNode, build_lattice
 from .render import render_svg
-from .trajectory import (TrajectoryError, eval_costs, timed_from_json,
-                         timed_to_json, to_segment_path, to_timed)
+from .trajectory import (JsonText, TrajectoryError, dump_json, eval_costs,
+                         timed_from_json, timed_to_json, to_segment_path, to_timed)
 from .validate import finite_number
 
 EXIT_OK = 0
@@ -93,19 +95,29 @@ def _parse_pose(text: str, what: str, heading_optional: bool):
     return (x, y, int(th))
 
 
-def _world_to_lattice(x: float, y: float, wmap, delta: float) -> tuple[int, int]:
+def _world_to_lattice(x: float, y: float, wmap, delta: float, what: str) -> tuple[int, int]:
     ox, oy = wmap.origin
-    return (int(round((x - ox) / delta - 0.5)), int(round((y - oy) / delta - 0.5)))
+    fx, fy = (x - ox) / delta - 0.5, (y - oy) / delta - 0.5
+    if not (math.isfinite(fx) and math.isfinite(fy)):
+        raise CliError(f"{what} is out of range of the lattice at --delta {delta!r}")
+    return (int(round(fx)), int(round(fy)))
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=1, sort_keys=True)
+def _write(path: Path, text: str, make_dir: bool = True) -> None:
+    """Write an output file, first creating its directory unless make_dir is
+    False; an OSError becomes a CliError naming path."""
+    try:
+        if make_dir:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}")
 
 
 # -- plan -----------------------------------------------------------------------
 
 
-# An entry's "nodes" and "segments" items as _dump_json writes them in
+# An entry's "nodes" and "segments" items as dump_json writes them in
 # front.json: indent=1 at depth 4, keys sorted.  The values are ints (%d) and
 # finite floats (%r), for which json writes int.__repr__ and float.__repr__.
 _NODE_JSON = "    [\n     %d,\n     %d,\n     %d\n    ]"
@@ -118,16 +130,16 @@ _TRANSLATE_JSON = ('    {\n     "heading": %r,\n     "kind": "translate",\n'
 _ENTRY_INDENT = "   "
 
 
-def _entry_list(templates: list[str], values: tuple) -> str:
+def _entry_list(templates: list[str], values: tuple) -> JsonText:
     """An entry's list field, its items the templates filled with values."""
     if not templates:
-        return "[]"
-    return ("[\n" + ",\n".join(templates) + "\n" + _ENTRY_INDENT + "]") % values
+        return JsonText("[]")
+    return JsonText(("[\n" + ",\n".join(templates) + "\n" + _ENTRY_INDENT + "]") % values)
 
 
 def _entry_record(cost, nodes, spath, trajectory_json: str, report) -> dict:
-    """An entry of front.json; its "nodes", "segments" and "trajectory" hold
-    their JSON text at the entry's depth, which _dump_front splices in."""
+    """An entry of front.json; its "nodes", "segments" and "trajectory" are
+    JsonText at the entry's depth."""
     templates, values = [], []
     for seg in spath.segments:
         if isinstance(seg, trajectory.Rotate):
@@ -142,7 +154,7 @@ def _entry_record(cost, nodes, spath, trajectory_json: str, report) -> dict:
         "nodes": _entry_list([_NODE_JSON] * len(nodes),
                              tuple(v for n in nodes for v in (n.ix, n.iy, n.heading))),
         "segments": _entry_list(templates, tuple(values)),
-        "trajectory": trajectory_json.replace("\n", "\n" + _ENTRY_INDENT),
+        "trajectory": JsonText(trajectory_json.replace("\n", "\n" + _ENTRY_INDENT)),
     }
 
 
@@ -162,32 +174,6 @@ def _front_phi(wmap, timeds, r: float) -> list[np.ndarray]:
     return np.split(phi, np.cumsum([len(t.samples) for t in timeds])[:-1])
 
 
-# stands for an entry's JSON-text fields in the document that _dump_front
-# dumps; a map path, the only string read from input, cannot hold a NUL
-# (_read_map fails)
-_TEXT_SLOT = "\0"
-# the entry fields _entry_record gives as JSON text, in the order of a sorted dump
-_TEXT_FIELDS = ("nodes", "segments", "trajectory")
-
-
-def _dump_front(doc: dict) -> str:
-    """_dump_json(doc), with each entry's "nodes", "segments" and
-    "trajectory" the JSON text it holds.
-
-    The document is dumped with a placeholder string in place of each of
-    those fields, and the texts are spliced in, never decoded.
-    """
-    entries = doc["entries"]
-    slots = dict.fromkeys(_TEXT_FIELDS, _TEXT_SLOT)
-    slotted = dict(doc, entries=[dict(e, **slots) for e in entries])
-    parts = _dump_json(slotted).split(json.dumps(_TEXT_SLOT))
-    texts = [e[key] for e in entries for key in _TEXT_FIELDS]
-    if len(parts) != len(texts) + 1:
-        raise RuntimeError(f"front.json has {len(parts) - 1} text slots "
-                           f"for {len(entries)} entries")
-    return "".join(part + text for part, text in zip(parts, texts + [""]))
-
-
 def cmd_plan(args) -> int:
     wmap = _read_map(args.map)
     delta = _resolve(args.delta, "DELTA", default=2.0 * wmap.resolution)
@@ -199,8 +185,8 @@ def cmd_plan(args) -> int:
 
     sx, sy, sth = _parse_pose(args.start, "--start", heading_optional=False)
     gx, gy, gth = _parse_pose(args.goal, "--goal", heading_optional=True)
-    six, siy = _world_to_lattice(sx, sy, wmap, delta)
-    gix, giy = _world_to_lattice(gx, gy, wmap, delta)
+    six, siy = _world_to_lattice(sx, sy, wmap, delta, "--start")
+    gix, giy = _world_to_lattice(gx, gy, wmap, delta, "--goal")
 
     model = RobotModel(footprint_radius=rho, camera_clearance_radius=r)
     graph = build_lattice(wmap, model, delta)
@@ -209,7 +195,6 @@ def cmd_plan(args) -> int:
                                 moastar.GoalSpec(gix, giy, gth))
 
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     spaths = [to_segment_path(nodes, wmap, delta) for _, nodes in front.entries]
     timeds = [to_timed(spath, v=v, omega_deg=omega, dt=dt) for spath in spaths]
     entries = []
@@ -221,8 +206,7 @@ def cmd_plan(args) -> int:
         label = (f"#{i} V={report.V:.4f} N={report.N} D={report.D:.3f}")
         rendered.append((label, timed))
         if args.svg:
-            (outdir / f"entry_{i:03d}.svg").write_text(
-                render_svg(wmap, [(label, timed)]))
+            _write(outdir / f"entry_{i:03d}.svg", render_svg(wmap, [(label, timed)]))
 
     doc = {
         "map": args.map,
@@ -232,9 +216,9 @@ def cmd_plan(args) -> int:
         "goal": [gix, giy] + ([gth] if gth is not None else []),
         "entries": entries,
     }
-    (outdir / "front.json").write_text(_dump_front(doc) + "\n")
+    _write(outdir / "front.json", dump_json(doc) + "\n")
     if args.svg:
-        (outdir / "front.svg").write_text(render_svg(wmap, rendered))
+        _write(outdir / "front.svg", render_svg(wmap, rendered))
     print(f"front: {len(entries)} entries -> {outdir / 'front.json'}")
     return EXIT_OK if entries else EXIT_EMPTY
 
@@ -265,11 +249,10 @@ def cmd_rrt(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc))
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out) / "rrt.json"
     if isinstance(result, rrt.RrtFailure):
         failures = sum(1 for a in result.attempts if not a["ok"])
-        (outdir / "rrt.json").write_text(_dump_json({
+        _write(out, dump_json({
             "ok": False, "n": args.n, "base_seed": args.seed,
             "failures": failures, "attempts": result.attempts,
         }) + "\n")
@@ -281,17 +264,10 @@ def cmd_rrt(args) -> int:
     report = eval_costs(timed, wmap, r)
     signs = (rrt.curvature_sign_changes(result)
              if len(result.vertices) >= 2 else 0)
-    doc = json.loads(timed_to_json(timed))
-    doc.update({
-        "vertices": [list(p) for p in result.vertices],
-        "report": report.to_dict(),
-        "curvature_sign_changes": signs,
-        "n": args.n,
-        "base_seed": args.seed,
-    })
-    (outdir / "rrt.json").write_text(_dump_json(doc) + "\n")
-    print(f"rrt: best path with {signs} curvature sign changes "
-          f"-> {outdir / 'rrt.json'}")
+    text = timed_to_json(timed, vertices=result.vertices, report=report.to_dict(),
+                         curvature_sign_changes=signs, n=args.n, base_seed=args.seed)
+    _write(out, text + "\n")
+    print(f"rrt: best path with {signs} curvature sign changes -> {out}")
     return EXIT_OK
 
 
@@ -308,9 +284,9 @@ def cmd_eval(args) -> int:
             raise CliError(f"cannot read trajectory {traj_path}: {exc}")
         timed = timed_from_json(text)
         report = eval_costs(timed, wmap, r)
-        out = _dump_json(report.to_dict())
+        out = dump_json(report.to_dict())
         print(f"{traj_path}: {out}")
-        Path(str(traj_path) + ".report.json").write_text(out + "\n")
+        _write(Path(str(traj_path) + ".report.json"), out + "\n")
     return EXIT_OK
 
 
@@ -331,7 +307,7 @@ def cmd_render(args) -> int:
         label = (f"{Path(traj_path).name} V={report.V:.4f} "
                  f"N={report.N} D={report.D:.3f}")
         rendered.append((label, timed))
-    Path(args.out).write_text(render_svg(wmap, rendered))
+    _write(Path(args.out), render_svg(wmap, rendered), make_dir=False)
     print(f"render: {len(rendered)} trajectories -> {args.out}")
     return EXIT_OK
 

@@ -116,18 +116,6 @@ class WorkspaceMap:
         object.__setattr__(self, "_framed_rows", framed.tolist())
         object.__setattr__(self, "_obstacle_sat", sat.tolist())
 
-    # -- coordinate transforms -------------------------------------------------
-
-    def world_to_cell(self, x: float, y: float) -> tuple[int, int]:
-        ox, oy = self.origin
-        return (int(math.floor((x - ox) / self.resolution)),
-                int(math.floor((y - oy) / self.resolution)))
-
-    def cell_center(self, ix: int, iy: int) -> tuple[float, float]:
-        ox, oy = self.origin
-        return (ox + (ix + 0.5) * self.resolution,
-                oy + (iy + 0.5) * self.resolution)
-
     def in_bounds(self, ix: int, iy: int) -> bool:
         return 0 <= ix < self.width and 0 <= iy < self.height
 

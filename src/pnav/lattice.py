@@ -89,11 +89,10 @@ def node_position(node: LatticeNode, wmap: WorkspaceMap, delta: float) -> tuple[
 class LatticeGraph:
     """Immutable directed graph over (ix, iy, heading) lattice nodes."""
 
-    def __init__(self, wmap: WorkspaceMap, delta: float, nx: int, ny: int,
+    def __init__(self, delta: float, nx: int, ny: int,
                  phi: dict[tuple[int, int], float], nodes: tuple[LatticeNode, ...],
                  rows: list[tuple[tuple[int, float, int, float], ...]],
                  first_id: dict[tuple[int, int], int]):
-        self.map = wmap
         self.delta = delta
         self.nx, self.ny = nx, ny
         self.phi = phi
@@ -195,4 +194,4 @@ def build_lattice(wmap: WorkspaceMap, model: RobotModel, delta: float) -> Lattic
             row = turns[:k] + turns[k + 1:]
             rows.append(row + ((d, phis[d >> 3], 0, step[k]),) if d >= 0 else row)
 
-    return LatticeGraph(wmap, delta, nx, ny, phi, nodes, rows, first_id)
+    return LatticeGraph(delta, nx, ny, phi, nodes, rows, first_id)

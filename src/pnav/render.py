@@ -69,7 +69,6 @@ def render_svg(wmap: WorkspaceMap,
     iy, ix = np.nonzero(wmap.occupancy)  # row-major: by iy, then ix
     if len(ix):
         ox, oy = wmap.origin
-        # the cell centres, as WorkspaceMap.cell_center computes them
         corners = screen(ox + (ix + 0.5) * wmap.resolution,
                          oy + (iy + 0.5) * wmap.resolution) - cell / 2
         out.append(_fill(f'<rect x="%.3f" y="%.3f" width="{_fmt(cell)}" '

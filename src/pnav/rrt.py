@@ -108,7 +108,7 @@ def rrt_plan(wmap: WorkspaceMap, model: RobotModel,
     # start may already be within tolerance of the goal
     if math.hypot(goal[0] - start[0], goal[1] - start[1]) <= tol \
             and swept_footprint_free(wmap, start, goal, rho):
-        return PolyPath((start, goal)) if goal != start else PolyPath((start,))
+        return PolyPath((start, goal))
 
     for _ in range(params.max_iterations):
         if uniform() < params.goal_bias:

@@ -4,6 +4,9 @@ A piecewise-linear path with rotations in place becomes a SegmentPath
 (alternating Rotate / Translate spans), then a TimedTrajectory sampled on a
 uniform tick.  Evaluation produces the (V, N, D) report: time-averaged
 obstruction, rotation count and traveled distance, plus the duration.
+
+dump_json writes every JSON document pnav writes, splicing in JsonText
+values verbatim; timed_to_json writes the trajectory document through it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .rrt import PolyPath
 from .validate import finite_number
 
 HEADING_EPS_DEG = 1e-9
-POSITION_EPS = 1e-9
 # Most samples one timed trajectory may hold; a museum plan entry has about
 # 500 at the default tick, so only a degenerate dt reaches it.
 MAX_SAMPLES = 1_000_000
@@ -268,7 +270,41 @@ def eval_costs(timed: TimedTrajectory, wmap: WorkspaceMap, r: float,
     return CostReport(V=V, N=N, D=D, T=T, search_w1_sum=search_w1_sum)
 
 
-# -- timed-trajectory JSON ------------------------------------------------------
+# -- JSON output -----------------------------------------------------------------
+
+
+class JsonText(str):
+    """JSON text that dump_json splices into its output verbatim.  It holds
+    the indentation of the slot it fills: every line after the first carries
+    the indent of the value's depth in the document."""
+
+
+# stands for each JsonText in the document dump_json dumps; a plain string
+# equal to it would be taken for a slot, which the slot count catches
+_SLOT = "\0"
+
+
+def _slotted(obj, texts: list):
+    """obj with _SLOT for each JsonText, which goes to texts in the order of
+    the sorted dump."""
+    if isinstance(obj, JsonText):
+        texts.append(obj)
+        return _SLOT
+    if isinstance(obj, dict):
+        return {k: _slotted(v, texts) for k, v in sorted(obj.items())}
+    if isinstance(obj, (list, tuple)):
+        return [_slotted(v, texts) for v in obj]
+    return obj
+
+
+def dump_json(doc) -> str:
+    """json.dumps(doc, indent=1, sort_keys=True), with each JsonText value
+    spliced in verbatim where the dump holds a placeholder string for it."""
+    texts = []
+    parts = json.dumps(_slotted(doc, texts), indent=1, sort_keys=True).split(json.dumps(_SLOT))
+    if len(parts) != len(texts) + 1:
+        raise RuntimeError(f"dump has {len(parts) - 1} text slots for {len(texts)} JSON texts")
+    return "".join(part + text for part, text in zip(parts, texts + [""]))
 
 
 # one sample of the "samples" list at indent=1, keys in sorted order
@@ -276,15 +312,15 @@ _SAMPLE_JSON = '  {\n   "t": %r,\n   "theta_deg": %r,\n   "x": %r,\n   "y": %r\n
 _SAMPLE_KEYS = ("t", "x", "y", "theta_deg")  # column order of TimedTrajectory.samples
 
 
-def timed_to_json(timed: TimedTrajectory) -> str:
-    """The trajectory document, exactly the text of
+def timed_to_json(timed: TimedTrajectory, **fields) -> str:
+    """The trajectory document with any extra top-level fields, exactly the
+    text of
 
-        json.dumps({"v": v, "omega_deg": omega_deg, "dt": dt,
-                    "samples": [{"t": t, "x": x, "y": y, "theta_deg": th}, ...]},
-                   indent=1, sort_keys=True)
+        dump_json({"v": v, "omega_deg": omega_deg, "dt": dt,
+                   "samples": [{"t": t, "x": x, "y": y, "theta_deg": th}, ...],
+                   **fields})
 
-    The header scalars go through json.dumps, so an int v stays 1.  The
-    sample block is one fixed per-sample template over %r of the float
+    The sample block is one fixed per-sample template over %r of the float
     samples: for a finite float, float.__repr__ is what json writes.  A
     non-finite sample raises TrajectoryError naming it (json would write
     NaN, which timed_from_json rejects).
@@ -298,9 +334,8 @@ def timed_to_json(timed: TimedTrajectory) -> str:
     if len(s):
         values = tuple(s[:, [0, 3, 1, 2]].ravel().tolist())  # t, theta_deg, x, y
         block = "[\n" + (",\n".join([_SAMPLE_JSON] * len(s)) % values) + "\n ]"
-    return (f'{{\n "dt": {json.dumps(timed.dt)},\n'
-            f' "omega_deg": {json.dumps(timed.omega_deg)},\n'
-            f' "samples": {block},\n "v": {json.dumps(timed.v)}\n}}')
+    return dump_json(dict(v=timed.v, omega_deg=timed.omega_deg, dt=timed.dt,
+                          samples=JsonText(block), **fields))
 
 
 def timed_from_json(text: str | dict) -> TimedTrajectory:

@@ -6,8 +6,9 @@ import pytest
 import pnav.cli
 import pnav.rrt
 from pnav.cli import main
-from pnav.gridmap import dump_map
+from pnav.gridmap import RobotModel, dump_map
 from pnav.fixtures import museum_map
+from pnav.trajectory import eval_costs, timed_to_json, to_segment_path, to_timed
 
 from conftest import free_map, make_map
 
@@ -259,6 +260,133 @@ class TestRrtCommand:
         assert len(doc["attempts"]) == 4
 
 
+def former_rrt_json(wmap, start, goal, n, seed, step, max_iterations,
+                    rho=0.2, r=0.8, v=1.0, omega=90.0, dt=0.05):
+    """rrt.json as cmd_rrt wrote it when it parsed its trajectory text back
+    and re-encoded the whole document; the code is kept as it was."""
+    def _dump_json(obj) -> str:
+        return json.dumps(obj, indent=1, sort_keys=True)
+
+    model = RobotModel(footprint_radius=rho, camera_clearance_radius=r)
+    params = pnav.rrt.RrtParams(step_size=step, goal_bias=0.05,
+                                max_iterations=max_iterations, seed=seed)
+    result = pnav.rrt.best_of_n(wmap, model, start, goal, params, n)
+    if isinstance(result, pnav.rrt.RrtFailure):
+        failures = sum(1 for a in result.attempts if not a["ok"])
+        return _dump_json({
+            "ok": False, "n": n, "base_seed": seed,
+            "failures": failures, "attempts": result.attempts,
+        }) + "\n"
+
+    spath = to_segment_path(result)
+    timed = to_timed(spath, v=v, omega_deg=omega, dt=dt)
+    report = eval_costs(timed, wmap, r)
+    signs = (pnav.rrt.curvature_sign_changes(result)
+             if len(result.vertices) >= 2 else 0)
+    doc = json.loads(timed_to_json(timed))
+    doc.update({
+        "vertices": [list(p) for p in result.vertices],
+        "report": report.to_dict(),
+        "curvature_sign_changes": signs,
+        "n": n,
+        "base_seed": seed,
+    })
+    return _dump_json(doc) + "\n"
+
+
+class TestRrtDocumentAgainstFormer:
+    """rrt.json is written by timed_to_json with the extra fields spliced
+    around its samples; it must be the bytes of the former round trip."""
+
+    WALLED = ["........",
+              "..##....",
+              "..##..#.",
+              "......#.",
+              ".#....#.",
+              ".#......",
+              "....##..",
+              "........"]
+
+    def check(self, map_file, tmp_path, wmap, start, goal, n, seed, step,
+              max_iterations=20000):
+        out = tmp_path / f"out_{seed}"
+        code = main(["rrt", "--map", map_file(wmap), "--start", "%r,%r" % start,
+                     "--goal", "%r,%r" % goal, "--n", str(n), "--seed", str(seed),
+                     "--rho", "0.2", "--r", "0.8", "--step", repr(step),
+                     "--max-iterations", str(max_iterations), "--out", str(out)])
+        text = (out / "rrt.json").read_text()
+        assert text == former_rrt_json(wmap, start, goal, n, seed, step, max_iterations)
+        return code
+
+    @pytest.mark.parametrize("seed", [0, 3, 11, 29, 404])
+    def test_seeds(self, map_file, tmp_path, seed):
+        wmap = make_map(self.WALLED)
+        assert self.check(map_file, tmp_path, wmap, (0.5, 0.5), (7.5, 7.5),
+                          3, seed, 0.5) == 0
+
+    def test_one_vertex_path(self, map_file, tmp_path):
+        wmap = free_map(8, 8)
+        assert self.check(map_file, tmp_path, wmap, (1.0, 1.0), (1.0, 1.0),
+                          2, 5, 1.0) == 0
+        doc = json.loads((tmp_path / "out_5" / "rrt.json").read_text())
+        assert doc["vertices"] == [[1.0, 1.0]] and len(doc["samples"]) == 1
+
+    def test_failure_document(self, map_file, tmp_path):
+        wmap = make_map([".....", ".###.", ".#.#.", ".###.", "....."])
+        assert self.check(map_file, tmp_path, wmap, (0.5, 4.5), (2.5, 2.5),
+                          4, 0, 0.5, max_iterations=60) == 2
+
+
+class TestOutputWriteFailures:
+    """An output file that cannot be written exits 1 with an error naming
+    its path, never a traceback."""
+
+    def trajectory_file(self, tmp_path):
+        traj = tmp_path / "t.json"
+        traj.write_text(timed_to_json(to_timed(to_segment_path(
+            pnav.rrt.PolyPath(((1.0, 1.0), (3.0, 1.0)))))))
+        return traj
+
+    def assert_names(self, capsys, path):
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and str(path) in err
+
+    def test_plan_out_is_a_file(self, map_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("kept")
+        assert run_plan(map_file(free_map(3, 3)), out) == 1
+        self.assert_names(capsys, out)
+        assert out.read_text() == "kept"
+
+    def test_rrt_out_is_a_file(self, map_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("kept")
+        code = main(["rrt", "--map", map_file(free_map(8, 8)), "--start", "1.0,1.0",
+                     "--goal", "7.0,7.0", "--n", "2", "--seed", "0",
+                     "--rho", "0.2", "--r", "0.8", "--out", str(out)])
+        assert code == 1
+        self.assert_names(capsys, out)
+        assert out.read_text() == "kept"
+
+    def test_render_into_a_missing_directory(self, map_file, tmp_path, capsys):
+        traj = self.trajectory_file(tmp_path)
+        out = tmp_path / "missing" / "x.svg"
+        code = main(["render", "--map", map_file(free_map(5, 5)), "--r", "0.5",
+                     "--out", str(out), str(traj)])
+        assert code == 1
+        self.assert_names(capsys, out)
+        assert not out.parent.exists()
+
+    def test_eval_report_path_is_a_directory(self, map_file, tmp_path, capsys):
+        traj = self.trajectory_file(tmp_path)
+        report = tmp_path / "t.json.report.json"
+        report.mkdir()
+        code = main(["eval", "--map", map_file(free_map(5, 5)), "--r", "0.5",
+                     str(traj)])
+        assert code == 1
+        self.assert_names(capsys, report)
+
+
 class TestEvalCommand:
     def test_front_entries_round_trip(self, map_file, tmp_path):
         wmap = make_map(["....", ".#..", "....", "...."])
@@ -387,6 +515,22 @@ class TestNumericInputs:
         assert run_plan(map_file(free_map(3, 3)), tmp_path / "out",
                         start="inf,0.5,0") == 1
         assert "--start must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, start, goal", [
+        ("--start", "1e308,3.5,0", "2.5,2.5"),
+        ("--goal", "0.5,0.5,0", "-1e308,3.5"),
+    ])
+    def test_pose_off_the_float_range_of_the_lattice(self, map_file, tmp_path, capsys,
+                                                     monkeypatch, flag, start, goal):
+        def no_build(*args, **kwargs):
+            raise AssertionError("build_lattice called")
+        monkeypatch.setattr(pnav.cli, "build_lattice", no_build)
+        # "=" keeps argparse from reading -1e308,3.5 as an option
+        assert main(["plan", "--map", map_file(free_map(3, 3)), f"--start={start}",
+                     f"--goal={goal}", "--delta", "0.5", "--rho", "0.2", "--r", "0.8",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert f"error: {flag} is out of range" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("field,bad", [("width", True), ("resolution", math.nan)])
     def test_map_header(self, tmp_path, capsys, field, bad):

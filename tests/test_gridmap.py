@@ -31,16 +31,6 @@ class TestLoadMap:
         with pytest.raises(MapFormatError, match="zero rows"):
             load_map(json.dumps(doc))
 
-    def test_cell_center_transform(self):
-        m = make_map(["....", "....", "....", "...."], resolution=0.1)
-        assert m.cell_center(2, 3) == pytest.approx((0.25, 0.35))
-
-    def test_transforms_invert_on_centers(self):
-        m = make_map(["....", "...."], resolution=0.25, origin=(-1.0, 3.0))
-        for ix in range(m.width):
-            for iy in range(m.height):
-                assert m.world_to_cell(*m.cell_center(ix, iy)) == (ix, iy)
-
     @pytest.mark.parametrize("field,bad", [
         ("resolution", 0.0),
         ("resolution", -0.5),
@@ -285,8 +275,8 @@ class TestOneCollisionTest:
         occ = np.zeros((6, 6), dtype=bool)
         occ[2, 3] = True  # the cell [1.5, 2] x [1, 1.5]
         wmap = WorkspaceMap(6, 6, 0.5, (0.0, 0.0), occ)
-        p0 = wmap.cell_center(2, 3)  # (1.25, 1.75): tangent at corner (1.5, 1.5)
-        p1 = wmap.cell_center(1, 4)  # one diagonal step away from the corner
+        p0 = (1.25, 1.75)  # centre of cell (2, 3): tangent at corner (1.5, 1.5)
+        p1 = (0.75, 2.25)  # centre of cell (1, 4), one diagonal step away
         assert rho * rho > 0.125
         for p in (p0, p1):
             assert swept_footprint_free(wmap, p, p, rho) == footprint_free(wmap, p, rho)
@@ -601,7 +591,9 @@ class TestObstructionRatio:
         for _ in range(1000):
             ix = rng.randrange(wmap.width)
             iy = rng.randrange(wmap.height)
-            assert f[iy, ix] == obstruction_ratio(wmap, wmap.cell_center(ix, iy), r)
+            ox, oy = wmap.origin
+            centre = (ox + (ix + 0.5) * wmap.resolution, oy + (iy + 0.5) * wmap.resolution)
+            assert f[iy, ix] == obstruction_ratio(wmap, centre, r)
 
     def test_range(self):
         m = make_map(["#..", ".#.", "..#"])
@@ -649,7 +641,7 @@ def test_obstruction_at_obstacle_center_positive(ix, iy, r):
     occ = np.zeros((6, 6), dtype=bool)
     occ[iy, ix] = True
     m = WorkspaceMap(6, 6, 1.0, (0.0, 0.0), occ)
-    assert obstruction_ratio(m, m.cell_center(ix, iy), r) > 0.0
+    assert obstruction_ratio(m, (ix + 0.5, iy + 0.5), r) > 0.0
 
 
 def _obstruction_cell_units(wmap: WorkspaceMap, px: float, py: float, r_cells: float) -> float:

@@ -39,7 +39,8 @@ def _former_render_svg(wmap: WorkspaceMap,
     for iy in range(wmap.height):
         for ix in range(wmap.width):
             if wmap.occupancy[iy, ix]:
-                cx, cy = wmap.cell_center(ix, iy)
+                cx = wmap.origin[0] + (ix + 0.5) * wmap.resolution
+                cy = wmap.origin[1] + (iy + 0.5) * wmap.resolution
                 out.append(f'<rect x="{_fmt(sx(cx) - cell / 2)}" '
                            f'y="{_fmt(sy(cy) - cell / 2)}" '
                            f'width="{_fmt(cell)}" height="{_fmt(cell)}" '

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,8 +15,9 @@ from pnav.rrt import PolyPath
 from pnav.render import rotation_points
 from pnav.trajectory import (MAX_SAMPLES, Rotate, SegmentPath, TimedTrajectory,
                              Translate, TrajectoryError, eval_costs,
-                             heading_change_runs, signed_arc_deg, timed_from_json,
-                             timed_to_json, to_segment_path, to_timed, wrap_deg)
+                             JsonText, dump_json, heading_change_runs, signed_arc_deg,
+                             timed_from_json, timed_to_json, to_segment_path, to_timed,
+                             wrap_deg)
 from pnav.validate import finite_number
 
 from conftest import free_map, make_map
@@ -381,12 +384,12 @@ class TestTrajectoryJson:
             timed_from_json(json.dumps(doc))
 
 
-def reference_timed_json(timed):
+def reference_timed_json(timed, **fields):
     """timed_to_json as it was written with json.dumps; the writer's oracle."""
     samples = [{"t": float(r[0]), "x": float(r[1]), "y": float(r[2]),
                 "theta_deg": float(r[3])} for r in timed.samples]
     return json.dumps({"v": timed.v, "omega_deg": timed.omega_deg,
-                       "dt": timed.dt, "samples": samples},
+                       "dt": timed.dt, "samples": samples, **fields},
                       indent=1, sort_keys=True)
 
 
@@ -395,16 +398,24 @@ FINITE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7,
                                     0.1, 359.99999999999994, 1.7976931348623157e308]),
                    st.floats(allow_nan=False, allow_infinity=False))
 SCALAR = st.one_of(st.integers(1, 10**6), st.floats(min_value=1e-9, max_value=1e9))
+# any string but dump_json's slot, which it refuses (TestDumpJson)
+TEXT = st.text().filter(lambda text: text != "\0")
+VALUE = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | TEXT,
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(TEXT, inner, max_size=3), max_leaves=12)
+FIELDS = st.dictionaries(
+    TEXT.filter(lambda key: key not in ("timed", "v", "omega_deg", "dt", "samples")),
+    VALUE, max_size=4)
 
 
 class TestTrajectoryWriter:
     @settings(max_examples=150, deadline=None)
     @given(rows=st.lists(st.tuples(FINITE, FINITE, FINITE, FINITE), max_size=12),
-           v=SCALAR, omega_deg=SCALAR, dt=SCALAR)
-    def test_text_equals_json_dumps(self, rows, v, omega_deg, dt):
+           v=SCALAR, omega_deg=SCALAR, dt=SCALAR, fields=FIELDS)
+    def test_text_equals_json_dumps(self, rows, v, omega_deg, dt, fields):
         samples = np.array(rows, dtype=float).reshape(-1, 4)
         timed = TimedTrajectory(samples, v, omega_deg, dt)
-        assert timed_to_json(timed) == reference_timed_json(timed)
+        assert timed_to_json(timed, **fields) == reference_timed_json(timed, **fields)
 
     def test_lattice_and_polyline_trajectories(self):
         wmap = free_map(6, 6)
@@ -424,3 +435,39 @@ class TestTrajectoryWriter:
         samples[row, col] = bad
         with pytest.raises(TrajectoryError, match=f"samples\\[{row}\\].{field}"):
             timed_to_json(TimedTrajectory(samples, 1.0, 90.0, 0.05))
+
+
+class TestDumpJson:
+    INNER = {"b": [1, 2.5, {"c": None}], "a": "x"}
+
+    def at_depth(self, depth):
+        """INNER's text for a slot at depth: its later lines indented so."""
+        text = json.dumps(self.INNER, indent=1, sort_keys=True)
+        return JsonText(text.replace("\n", "\n" + " " * depth))
+
+    def test_json_text_at_two_depths(self):
+        # "top" sits at depth 1; "k" at depth 3: document > "z" > list item > "k"
+        doc = {"z": [3, {"k": self.INNER}], "top": self.INNER, "s": "a\0b", "t": (1, 2)}
+        spliced = dict(doc, z=[3, {"k": self.at_depth(3)}], top=self.at_depth(1))
+        assert dump_json(spliced) == json.dumps(doc, indent=1, sort_keys=True)
+
+    def test_keeps_no_reference_to_its_texts(self):
+        # a front's texts are most of its memory; held in a reference cycle
+        # they would outlive the dump until a cyclic collection
+        text = JsonText("[]")
+        ref = weakref.ref(text)
+        gc.disable()
+        try:
+            assert dump_json({"a": [text]}) == '{\n "a": [\n  []\n ]\n}'
+            del text
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("doc", [
+        {"text": JsonText("[]"), "plain": "\0"},
+        {"plain": ["\0"]},
+    ])
+    def test_plain_string_equal_to_the_slot_is_refused(self, doc):
+        with pytest.raises(RuntimeError, match="text slots for"):
+            dump_json(doc)
