@@ -1,10 +1,12 @@
 """Command-line front end: plan, rrt, eval, render.
 
 Exit codes: 0 = non-empty result, 2 = valid inputs but no solution,
-1 = input or configuration error, or an output file that cannot be written.
-Numeric parameters resolve as flags > PNAV_* environment variables >
-defaults.  Every JSON document is written by trajectory.dump_json, and every
-output file by _write.
+1 = any input or usage error, argparse's included, or an output file that
+cannot be written.  Every input takes one path.  A numeric parameter is read
+as text from its flag, else its PNAV_* variable, else a default, and _resolve
+converts and checks it; poses go through _parse_pose, and map and trajectory
+files through _read.  Every JSON document is written by trajectory.dump_json,
+and every output file by _write.
 """
 
 from __future__ import annotations
@@ -12,87 +14,84 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import moastar, rrt, trajectory
-from .gridmap import (MapFormatError, RobotModel, check_disc_radius, load_map,
-                      obstruction_ratios)
-from .lattice import HEADINGS, LatticeError, LatticeNode, build_lattice
+from .gridmap import RobotModel, check_disc_radius, load_map, obstruction_ratios
+from .lattice import HEADINGS, LatticeNode, build_lattice
 from .render import render_svg
-from .trajectory import (JsonText, TrajectoryError, dump_json, eval_costs,
-                         timed_from_json, timed_to_json, to_segment_path, to_timed)
+from .trajectory import (JsonText, dump_json, eval_costs, timed_from_json, timed_to_json,
+                         to_segment_path, to_timed)
 from .validate import finite_number
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_EMPTY = 2
 
+# to_timed's speed (m/s), turn rate (deg/s) and tick (s) when neither the
+# flag nor the PNAV_* variable gives one; plan and rrt share them
+_TIMING = {"v": 1.0, "omega": 90.0, "dt": 0.05}
+
 
 class CliError(ValueError):
     pass
 
 
-def _env_float(name: str) -> float | None:
-    raw = os.environ.get(f"PNAV_{name}")
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise CliError(f"environment variable PNAV_{name} is not a number: {raw!r}")
-
-
-def _resolve(flag_value, env_name: str, default=None):
-    """Flag --<env_name lowercased>, else PNAV_<env_name>, else default; the
-    value must be a finite number > 0."""
-    flag = f"--{env_name.lower()}"
-    if flag_value is not None:
-        return finite_number(flag_value, flag, positive=True, error=CliError)
-    env = _env_float(env_name)
-    if env is not None:
-        return finite_number(env, f"PNAV_{env_name}", positive=True, error=CliError)
-    if default is not None:
+def _resolve(args, name: str, default=None) -> float:
+    """The text of flag --<name>, else of PNAV_<NAME>, else default; the text
+    must be a finite number > 0."""
+    flag, var = f"--{name}", f"PNAV_{name.upper()}"
+    source, text = flag, getattr(args, name)
+    if text is None:
+        source, text = var, os.environ.get(var)
+    if text is None:
+        if default is None:
+            raise CliError(f"missing required parameter {flag} (flag or {var})")
         return default
-    raise CliError(f"missing required parameter {flag} (flag or PNAV_{env_name})")
-
-
-def _read_map(path: str):
     try:
-        text = Path(path).read_text()
+        value = float(text)
+    except ValueError:  # not a number: the same message as NaN
+        value = math.nan
+    return finite_number(value, source, positive=True, error=CliError)
+
+
+def _read(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text()
     except OSError as exc:
-        raise CliError(f"cannot read map file {path}: {exc}")
-    return load_map(text)
+        raise CliError(f"cannot read {what} {path}: {exc}")
 
 
-def _parse_xy(text: str, what: str) -> tuple[float, float]:
+def _parse_pose(text: str, what: str, counts: tuple[int, ...]):
+    """(x, y, heading) from X,Y or X,Y,TH, its number of parts one of counts;
+    the heading is None without TH, else one of HEADINGS as an int."""
+    form = {(2,): "X,Y", (3,): "X,Y,TH", (2, 3): "X,Y[,TH]"}[counts]
     parts = text.split(",")
-    if len(parts) != 2:
-        raise CliError(f"{what} must be X,Y")
+    if len(parts) not in counts:
+        raise CliError(f"{what} must be {form}")
     try:
-        xy = (float(parts[0]), float(parts[1]))
+        values = [float(part) for part in parts]
     except ValueError:
-        raise CliError(f"{what} must be numeric X,Y")
-    return tuple(finite_number(v, what, error=CliError) for v in xy)
-
-
-def _parse_pose(text: str, what: str, heading_optional: bool):
-    parts = text.split(",")
-    if len(parts) == 2 and heading_optional:
-        x, y = _parse_xy(text, what)
-        return (x, y, None)
-    if len(parts) != 3:
-        raise CliError(f"{what} must be X,Y,TH" + ("[,TH optional]" if heading_optional else ""))
-    try:
-        x, y, th = float(parts[0]), float(parts[1]), float(parts[2])
-    except ValueError:
-        raise CliError(f"{what} must be numeric")
-    x, y, th = (finite_number(v, what, error=CliError) for v in (x, y, th))
-    if th not in HEADINGS:
+        raise CliError(f"{what} must be numeric {form}")
+    x, y, *th = (finite_number(v, what, error=CliError) for v in values)
+    if th and th[0] not in HEADINGS:
         raise CliError(f"{what} heading must be one of {sorted(HEADINGS)}")
-    return (x, y, int(th))
+    return (x, y, int(th[0]) if th else None)
+
+
+def _out_dir(text: str) -> Path:
+    """The --out directory of plan and rrt, made at the first write.  Refused
+    now, before any work, if it or its nearest existing ancestor is not a
+    directory; creates nothing."""
+    out = Path(text)
+    existing = next((p for p in (out, *out.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise CliError(f"cannot write {out}: {existing} is not a directory")
+    return out
 
 
 def _world_to_lattice(x: float, y: float, wmap, delta: float, what: str) -> tuple[int, int]:
@@ -175,18 +174,17 @@ def _front_phi(wmap, timeds, r: float) -> list[np.ndarray]:
 
 
 def cmd_plan(args) -> int:
-    wmap = _read_map(args.map)
-    delta = _resolve(args.delta, "DELTA", default=2.0 * wmap.resolution)
-    rho = _resolve(args.rho, "RHO")
-    r = _resolve(args.r, "R")
-    v = _resolve(args.v, "V", default=1.0)
-    omega = _resolve(args.omega, "OMEGA", default=90.0)
-    dt = _resolve(args.dt, "DT", default=0.05)
+    wmap = load_map(_read(args.map, "map file"))
+    delta = _resolve(args, "delta", default=2.0 * wmap.resolution)
+    rho = _resolve(args, "rho")
+    r = _resolve(args, "r")
+    v, omega, dt = (_resolve(args, name, default) for name, default in _TIMING.items())
 
-    sx, sy, sth = _parse_pose(args.start, "--start", heading_optional=False)
-    gx, gy, gth = _parse_pose(args.goal, "--goal", heading_optional=True)
+    sx, sy, sth = _parse_pose(args.start, "--start", (3,))
+    gx, gy, gth = _parse_pose(args.goal, "--goal", (2, 3))
     six, siy = _world_to_lattice(sx, sy, wmap, delta, "--start")
     gix, giy = _world_to_lattice(gx, gy, wmap, delta, "--goal")
+    outdir = _out_dir(args.out)
 
     model = RobotModel(footprint_radius=rho, camera_clearance_radius=r)
     graph = build_lattice(wmap, model, delta)
@@ -194,7 +192,6 @@ def cmd_plan(args) -> int:
     front = moastar.plan_pareto(graph, LatticeNode(six, siy, sth),
                                 moastar.GoalSpec(gix, giy, gth))
 
-    outdir = Path(args.out)
     spaths = [to_segment_path(nodes, wmap, delta) for _, nodes in front.entries]
     timeds = [to_timed(spath, v=v, omega_deg=omega, dt=dt) for spath in spaths]
     entries = []
@@ -227,29 +224,24 @@ def cmd_plan(args) -> int:
 
 
 def cmd_rrt(args) -> int:
-    wmap = _read_map(args.map)
-    rho = _resolve(args.rho, "RHO")
-    r = check_disc_radius(wmap, _resolve(args.r, "R"))  # before any run
-    v = _resolve(args.v, "V", default=1.0)
-    omega = _resolve(args.omega, "OMEGA", default=90.0)
-    dt = _resolve(args.dt, "DT", default=0.05)
-    step = _resolve(args.step, "STEP", default=2.0 * wmap.resolution)
+    wmap = load_map(_read(args.map, "map file"))
+    rho = _resolve(args, "rho")
+    r = check_disc_radius(wmap, _resolve(args, "r"))  # before any run
+    v, omega, dt = (_resolve(args, name, default) for name, default in _TIMING.items())
+    step = _resolve(args, "step", default=2.0 * wmap.resolution)
     if args.n < 1:
         raise CliError("--n must be >= 1")
     if args.seed < 0:
         raise CliError("--seed must be >= 0")
 
     model = RobotModel(footprint_radius=rho, camera_clearance_radius=r)
-    start = _parse_xy(args.start, "--start")
-    goal = _parse_xy(args.goal, "--goal")
+    start = _parse_pose(args.start, "--start", (2,))[:2]
+    goal = _parse_pose(args.goal, "--goal", (2,))[:2]
+    out = _out_dir(args.out) / "rrt.json"
     params = rrt.RrtParams(step_size=step, goal_bias=args.goal_bias,
                            max_iterations=args.max_iterations, seed=args.seed)
-    try:
-        result = rrt.best_of_n(wmap, model, start, goal, params, args.n)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    result = rrt.best_of_n(wmap, model, start, goal, params, args.n)
 
-    out = Path(args.out) / "rrt.json"
     if isinstance(result, rrt.RrtFailure):
         failures = sum(1 for a in result.attempts if not a["ok"])
         _write(out, dump_json({
@@ -271,42 +263,35 @@ def cmd_rrt(args) -> int:
     return EXIT_OK
 
 
-# -- eval -----------------------------------------------------------------------
+# -- eval and render --------------------------------------------------------------
+
+
+def _evaluated(args):
+    """The --map, and an iterator that reads, parses and evaluates each
+    trajectory file in turn at --r: (path, timed trajectory, report)."""
+    wmap = load_map(_read(args.map, "map file"))
+    r = _resolve(args, "r")
+
+    def each():
+        for path in args.trajectories:
+            timed = timed_from_json(_read(path, "trajectory"))
+            yield path, timed, eval_costs(timed, wmap, r)
+    return wmap, each()
 
 
 def cmd_eval(args) -> int:
-    wmap = _read_map(args.map)
-    r = _resolve(args.r, "R")
-    for traj_path in args.trajectories:
-        try:
-            text = Path(traj_path).read_text()
-        except OSError as exc:
-            raise CliError(f"cannot read trajectory {traj_path}: {exc}")
-        timed = timed_from_json(text)
-        report = eval_costs(timed, wmap, r)
+    _, evaluated = _evaluated(args)
+    for path, _, report in evaluated:
         out = dump_json(report.to_dict())
-        print(f"{traj_path}: {out}")
-        _write(Path(str(traj_path) + ".report.json"), out + "\n")
+        print(f"{path}: {out}")
+        _write(Path(path + ".report.json"), out + "\n")
     return EXIT_OK
 
 
-# -- render ---------------------------------------------------------------------
-
-
 def cmd_render(args) -> int:
-    wmap = _read_map(args.map)
-    r = _resolve(args.r, "R")
-    rendered = []
-    for traj_path in args.trajectories:
-        try:
-            text = Path(traj_path).read_text()
-        except OSError as exc:
-            raise CliError(f"cannot read trajectory {traj_path}: {exc}")
-        timed = timed_from_json(text)
-        report = eval_costs(timed, wmap, r)
-        label = (f"{Path(traj_path).name} V={report.V:.4f} "
-                 f"N={report.N} D={report.D:.3f}")
-        rendered.append((label, timed))
+    wmap, evaluated = _evaluated(args)
+    rendered = [(f"{Path(path).name} V={report.V:.4f} N={report.N} D={report.D:.3f}", timed)
+                for path, timed, report in evaluated]
     _write(Path(args.out), render_svg(wmap, rendered), make_dir=False)
     print(f"render: {len(rendered)} trajectories -> {args.out}")
     return EXIT_OK
@@ -315,66 +300,75 @@ def cmd_render(args) -> int:
 # -- entry point ------------------------------------------------------------------
 
 
+def _join_pose_values(argv) -> list[str]:
+    """argparse takes a value such as -1.5,3.5,0 for an option, so one that
+    follows --start or --goal is joined to it as --start=-1.5,3.5,0."""
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] in ("--start", "--goal") and re.match(r"-[\d.]", arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def build_parser() -> argparse.ArgumentParser:
+    def shared(*names, **kwargs) -> argparse.ArgumentParser:
+        """A parent parser declaring each of names with kwargs."""
+        parent = argparse.ArgumentParser(add_help=False)
+        for name in names:
+            parent.add_argument(name, **kwargs)
+        return parent
+
+    # numeric parameters are text here: _resolve converts them
+    map_file, radius = shared("--map", required=True), shared("--r")
+    robot = shared("--rho", "--v", "--omega", "--dt")
+    out, files = shared("--out", required=True), shared("trajectories", nargs="+")
+
     p = argparse.ArgumentParser(prog="pnav",
                                 description="Pareto-optimal comfort-aware "
                                             "trajectory planning")
     sub = p.add_subparsers(dest="command", required=True)
 
-    pl = sub.add_parser("plan", help="compute the Pareto front on the lattice")
-    pl.add_argument("--map", required=True)
+    pl = sub.add_parser("plan", parents=[map_file, radius, robot, out],
+                        help="compute the Pareto front on the lattice")
     pl.add_argument("--start", required=True, help="X,Y,TH (degrees)")
     pl.add_argument("--goal", required=True, help="X,Y[,TH]")
-    pl.add_argument("--delta", type=float)
-    pl.add_argument("--rho", type=float)
-    pl.add_argument("--r", type=float)
-    pl.add_argument("--v", type=float)
-    pl.add_argument("--omega", type=float)
-    pl.add_argument("--dt", type=float)
-    pl.add_argument("--out", required=True)
+    pl.add_argument("--delta")
     pl.add_argument("--svg", action="store_true")
     pl.set_defaults(func=cmd_plan)
 
-    rr = sub.add_parser("rrt", help="best-of-N seeded RRT baseline")
-    rr.add_argument("--map", required=True)
+    rr = sub.add_parser("rrt", parents=[map_file, radius, robot, out],
+                        help="best-of-N seeded RRT baseline")
     rr.add_argument("--start", required=True, help="X,Y")
     rr.add_argument("--goal", required=True, help="X,Y")
     rr.add_argument("--n", type=int, required=True)
     rr.add_argument("--seed", type=int, default=0)
-    rr.add_argument("--rho", type=float)
-    rr.add_argument("--r", type=float)
-    rr.add_argument("--step", type=float)
+    rr.add_argument("--step")
     rr.add_argument("--goal-bias", type=float, default=0.05)
     rr.add_argument("--max-iterations", type=int, default=20000)
-    rr.add_argument("--v", type=float)
-    rr.add_argument("--omega", type=float)
-    rr.add_argument("--dt", type=float)
-    rr.add_argument("--out", required=True)
     rr.set_defaults(func=cmd_rrt)
 
-    ev = sub.add_parser("eval", help="evaluate trajectory files")
-    ev.add_argument("--map", required=True)
-    ev.add_argument("--r", type=float)
-    ev.add_argument("trajectories", nargs="+")
+    ev = sub.add_parser("eval", parents=[map_file, radius, files],
+                        help="evaluate trajectory files")
     ev.set_defaults(func=cmd_eval)
 
-    re_ = sub.add_parser("render", help="render map and trajectories to SVG")
-    re_.add_argument("--map", required=True)
-    re_.add_argument("--r", type=float)
-    re_.add_argument("--out", required=True)
-    re_.add_argument("trajectories", nargs="+")
+    re_ = sub.add_parser("render", parents=[map_file, radius, out, files],
+                         help="render map and trajectories to SVG")
     re_.set_defaults(func=cmd_render)
 
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = build_parser().parse_args(_join_pose_values(argv))
+    except SystemExit as exc:  # argparse printed the help (0) or a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)
-    except (CliError, MapFormatError, LatticeError, TrajectoryError,
-            moastar.PlanningError, ValueError) as exc:
+    except ValueError as exc:  # every input error of pnav is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

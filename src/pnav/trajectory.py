@@ -41,8 +41,6 @@ def signed_arc_deg(from_heading: float, to_heading: float) -> float:
     d = (to_heading - from_heading) % 360.0
     if d > 180.0:
         d -= 360.0
-    elif d == 180.0:
-        d = 180.0  # tie: counterclockwise
     return d
 
 

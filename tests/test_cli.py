@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -351,22 +355,40 @@ class TestOutputWriteFailures:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write ") and str(path) in err
 
-    def test_plan_out_is_a_file(self, map_file, tmp_path, capsys):
+    def no_work(self, monkeypatch):
+        """--out of plan and rrt is checked before the lattice or any run."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the query ran before --out was checked")
+        monkeypatch.setattr(pnav.cli, "build_lattice", refuse)
+        monkeypatch.setattr(pnav.rrt, "best_of_n", refuse)
+
+    def test_plan_out_is_a_file(self, map_file, tmp_path, capsys, monkeypatch):
         out = tmp_path / "out"
         out.write_text("kept")
+        self.no_work(monkeypatch)
         assert run_plan(map_file(free_map(3, 3)), out) == 1
         self.assert_names(capsys, out)
         assert out.read_text() == "kept"
 
-    def test_rrt_out_is_a_file(self, map_file, tmp_path, capsys):
+    def test_rrt_out_is_a_file(self, map_file, tmp_path, capsys, monkeypatch):
         out = tmp_path / "out"
         out.write_text("kept")
+        self.no_work(monkeypatch)
         code = main(["rrt", "--map", map_file(free_map(8, 8)), "--start", "1.0,1.0",
                      "--goal", "7.0,7.0", "--n", "2", "--seed", "0",
                      "--rho", "0.2", "--r", "0.8", "--out", str(out)])
         assert code == 1
         self.assert_names(capsys, out)
         assert out.read_text() == "kept"
+
+    @pytest.mark.parametrize("command", ["plan", "rrt"])
+    def test_out_below_a_file(self, map_file, tmp_path, capsys, monkeypatch, command):
+        out = tmp_path / "file" / "out"
+        out.parent.write_text("kept")
+        self.no_work(monkeypatch)
+        assert main(valid_argv(command, map_file(free_map(8, 8)), tmp_path, out)) == 1
+        self.assert_names(capsys, out)
+        assert out.parent.read_text() == "kept"
 
     def test_render_into_a_missing_directory(self, map_file, tmp_path, capsys):
         traj = self.trajectory_file(tmp_path)
@@ -525,12 +547,30 @@ class TestNumericInputs:
         def no_build(*args, **kwargs):
             raise AssertionError("build_lattice called")
         monkeypatch.setattr(pnav.cli, "build_lattice", no_build)
-        # "=" keeps argparse from reading -1e308,3.5 as an option
         assert main(["plan", "--map", map_file(free_map(3, 3)), f"--start={start}",
                      f"--goal={goal}", "--delta", "0.5", "--rho", "0.2", "--r", "0.8",
                      "--out", str(tmp_path / "out")]) == 1
         assert f"error: {flag} is out of range" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, output, start, goal", [
+        ("plan", "front.json", "-3.5,-3.5,0", "-.5,2.5"),
+        ("rrt", "rrt.json", "-3.0,-3.0", "-1.0,2.0"),
+    ])
+    def test_negative_pose_as_a_separate_argument(self, map_file, tmp_path, command,
+                                                  output, start, goal):
+        # argparse alone reads -3.5,-3.5,0 after --start as an option
+        path = map_file(make_map(["." * 8] * 8, origin=(-4.0, -4.0)))
+        outputs = []
+        for form in ("separate", "joined"):
+            out = tmp_path / form
+            argv = valid_argv(command, path, tmp_path, out)
+            for flag, value in (("--start", start), ("--goal", goal)):
+                i = argv.index(flag)
+                argv[i:i + 2] = [flag, value] if form == "separate" else [f"{flag}={value}"]
+            assert main(argv) == 0
+            outputs.append((out / output).read_bytes())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("field,bad", [("width", True), ("resolution", math.nan)])
     def test_map_header(self, tmp_path, capsys, field, bad):
@@ -581,6 +621,76 @@ class TestNumericInputs:
             tracemalloc.stop()
         assert "r 1000.0 gives a disc window of more than" in capsys.readouterr().err
         assert peak < 1_000_000
+
+
+def valid_argv(command, map_path, tmp_path, out):
+    """An argv of command that exits 0 on free_map(8, 8); eval ignores out."""
+    if command == "plan":
+        return ["plan", "--map", map_path, "--start", "0.5,0.5,0", "--goal", "2.5,2.5",
+                "--delta", "1.0", "--rho", "0.2", "--r", "0.8", "--out", str(out)]
+    if command == "rrt":
+        return ["rrt", "--map", map_path, "--start", "1.0,1.0", "--goal", "7.0,7.0",
+                "--n", "2", "--rho", "0.2", "--r", "0.8", "--out", str(out)]
+    traj = tmp_path / "t.json"
+    traj.write_text(timed_to_json(to_timed(to_segment_path(
+        pnav.rrt.PolyPath(((1.0, 1.0), (3.0, 1.0)))))))
+    return [command, "--map", map_path, "--r", "0.5",
+            *(["--out", str(out)] if command == "render" else []), str(traj)]
+
+
+COMMANDS = ("plan", "rrt", "eval", "render")
+
+
+class TestUsageErrors:
+    """Every rejected input, argparse's usage errors included, returns 1 from
+    main, never SystemExit, and writes nothing; 2 means only "valid inputs,
+    no solution"."""
+
+    @pytest.mark.parametrize("command, flag, value, env, message", [
+        *(pytest.param(c, "--map", None, {}, "the following arguments are required: --map",
+                       id=f"{c}-missing-map") for c in COMMANDS),
+        *(pytest.param(c, "--bogus", "1", {}, "unrecognized arguments: --bogus",
+                       id=f"{c}-unknown-flag") for c in COMMANDS),
+        # the flag and the variable give one message form
+        *(pytest.param(c, "--r", "abc", {}, "error: --r must be a finite number > 0\n",
+                       id=f"{c}-r-flag") for c in COMMANDS),
+        *(pytest.param(c, "--r", None, {"PNAV_R": "abc"},
+                       "error: PNAV_R must be a finite number > 0\n", id=f"{c}-r-variable")
+          for c in COMMANDS),
+        pytest.param("rrt", "--n", "1.5", {}, "argument --n: invalid int value: '1.5'",
+                     id="rrt-n-not-int"),
+        pytest.param("rrt", "--seed", "x", {}, "argument --seed: invalid int value: 'x'",
+                     id="rrt-seed-not-int"),
+    ])
+    def test_exit_code_table(self, map_file, tmp_path, capsys, monkeypatch,
+                             command, flag, value, env, message):
+        argv = valid_argv(command, map_file(free_map(8, 8)), tmp_path, tmp_path / "out")
+        if flag in argv:
+            i = argv.index(flag)
+            del argv[i:i + 2]
+        if value is not None:
+            argv[1:1] = [flag, value]
+        for name, text in env.items():
+            monkeypatch.setenv(name, text)
+        before = sorted(tmp_path.iterdir())
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_exits_zero(self, capsys, command):
+        assert main([command, "-h"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: pnav {command}")
+
+    def test_module_exit_status(self, tmp_path):
+        src = str(Path(pnav.cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "pnav.cli", "plan", "--bogus"],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 1
+        assert "usage: pnav plan" in proc.stderr
 
 
 def assert_canonical(path):
