@@ -1,7 +1,7 @@
 """Pareto-optimal comfort-aware trajectory planning on an SE(2) lattice."""
 
 from .gridmap import (RobotModel, WorkspaceMap, footprint_free, load_map,
-                      obstruction_field, obstruction_ratio, obstruction_ratios)
+                      obstruction_ratio, obstruction_ratios)
 from .lattice import (CostVector, LatticeEdge, LatticeGraph, LatticeNode,
                       build_lattice)
 from .moastar import (GoalSpec, ParetoFront, brute_force_front, dominates,
@@ -13,7 +13,7 @@ from .trajectory import (CostReport, SegmentPath, TimedTrajectory, eval_costs,
 
 __all__ = [
     "RobotModel", "WorkspaceMap", "footprint_free", "load_map",
-    "obstruction_field", "obstruction_ratio", "obstruction_ratios",
+    "obstruction_ratio", "obstruction_ratios",
     "CostVector", "LatticeEdge", "LatticeGraph", "LatticeNode",
     "build_lattice",
     "GoalSpec", "ParetoFront", "brute_force_front", "dominates",

@@ -233,6 +233,11 @@ def cmd_rrt(args) -> int:
         raise CliError("--n must be >= 1")
     if args.seed < 0:
         raise CliError("--seed must be >= 0")
+    # RrtParams checks these too, but names its fields, not the flags
+    if not 0.0 <= finite_number(args.goal_bias, "--goal-bias", error=CliError) <= 1.0:
+        raise CliError("--goal-bias must be in [0, 1]")
+    finite_number(args.max_iterations, "--max-iterations", positive=True, integer=True,
+                  error=CliError)
 
     model = RobotModel(footprint_radius=rho, camera_clearance_radius=r)
     start = _parse_pose(args.start, "--start", (2,))[:2]
@@ -300,12 +305,16 @@ def cmd_render(args) -> int:
 # -- entry point ------------------------------------------------------------------
 
 
-def _join_pose_values(argv) -> list[str]:
-    """argparse takes a value such as -1.5,3.5,0 for an option, so one that
-    follows --start or --goal is joined to it as --start=-1.5,3.5,0."""
+def _join_negative_values(argv, parser: argparse.ArgumentParser) -> list[str]:
+    """argparse takes a value such as -1e-3 or -1.5,3.5,0 for an option, so
+    one that follows an option that takes a value, in any subcommand of
+    parser, is joined to it, as --r=-1e-3."""
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name for sub in subs.choices.values() for a in sub._actions
+               if a.nargs is None for name in a.option_strings}
     joined = []
     for arg in argv:
-        if joined and joined[-1] in ("--start", "--goal") and re.match(r"-[\d.]", arg):
+        if joined and joined[-1] in options and re.match(r"-([\d.]|inf|nan)", arg, re.I):
             joined[-1] += "=" + arg
         else:
             joined.append(arg)
@@ -362,8 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(_join_pose_values(argv))
+        args = parser.parse_args(_join_negative_values(argv, parser))
     except SystemExit as exc:  # argparse printed the help (0) or a usage error
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:

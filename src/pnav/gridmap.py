@@ -15,23 +15,24 @@ discs decide tangency alike: d^2 == rho^2 in floating point is free.  So a
 disc of radius sqrt(1/8) at distance sqrt(1/8) from a corner collides,
 because rho^2 rounds up past d^2 = 1/8.
 
-The test has a broad phase.  Each WorkspaceMap keeps a summed-area table
-(Crow 1984) of its occupancy, framed by one obstacle cell on every side, so
-four lookups count the obstacles in the cell window that the rho-inflated
+The test has a broad phase.  WorkspaceMap builds two tables once, when it
+is made: its occupancy framed by one obstacle cell on every side, and the
+summed-area table (Crow 1984) of that framed occupancy, so that four
+lookups count the obstacles in the cell window that the rho-inflated
 bounding box of ab covers.  A window with none is free at once; otherwise
-only its obstacle cells get the exact d^2 < rho^2 test.  This cannot change
-a decision: the exact scan of a window returns False only on an obstacle or
-out-of-map cell of that window, and the frame holds every out-of-map cell
-a window can reach.  The broad phase comes in two forms over one framed
-table (_framed_tables): the scalar one inside swept_footprint_free, and a
-batch one (_clear_sweeps) that computes the same bounds checks, windows and
-counts for many sweeps at once with the same float operations.  The lattice
-build runs the batch over all its standing discs and all its steps, and
-only the sweeps it cannot clear go to swept_footprint_free, so the exact
-test itself stays in one place.
+only its obstacle cells, read from the framed occupancy, get the exact
+d^2 < rho^2 test.  This cannot change a decision: the exact scan of a
+window returns False only on an obstacle or out-of-map cell of that window,
+and the frame holds every out-of-map cell a window can reach.  The broad
+phase comes in two forms over the one table: the scalar one inside
+swept_footprint_free, and a batch one (_clear_sweeps) that computes the
+same bounds checks, windows and counts for many sweeps at once with the
+same float operations.  The lattice build runs the batch over all its
+standing discs and all its steps, and only the sweeps it cannot clear go
+to swept_footprint_free, so the exact test itself stays in one place.
 
 The obstruction ratio has one implementation, the batched
-obstruction_ratios; obstruction_ratio and obstruction_field call it.  Its
+obstruction_ratios; obstruction_ratio calls it.  Its
 result for a point does not depend on the other points of the batch or on
 the chunking: it is bit for bit the ratio of one point computed alone, with
 the same window, the same floating-point predicate dx^2 + dy^2 <= r^2 and
@@ -89,17 +90,18 @@ class WorkspaceMap:
     resolution: float
     origin: tuple[float, float]
     occupancy: np.ndarray = field(repr=False)
-    # Derived for swept_footprint_free, both over the occupancy framed by one
-    # obstacle cell on every side, so that cell (ix, iy) is framed[iy + 1][ix + 1]:
-    # _framed_rows is that framed occupancy as nested lists of bools, and
-    # _obstacle_sat its summed-area table, _obstacle_sat[j][i] being the
-    # number of obstacles in framed[:j + 1, :i + 1], as nested lists of ints.
-    _framed_rows: list = field(init=False, repr=False, compare=False)
-    _obstacle_sat: list = field(init=False, repr=False, compare=False)
+    # The collision test's tables, built once in __post_init__ as read-only
+    # memoryviews of numpy arrays: _framed (bool), the occupancy framed by one
+    # obstacle cell on every side, so cell (ix, iy) is _framed[iy + 1, ix + 1],
+    # and _obstacle_sat (int64), its summed-area table: [j, i] counts the
+    # obstacles in _framed[:j + 1, :i + 1].  swept_footprint_free indexes both;
+    # _clear_sweeps reads np.asarray(_obstacle_sat), which copies nothing.
+    _framed: memoryview = field(init=False, repr=False, compare=False)
+    _obstacle_sat: memoryview = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("width and height must be >= 1")
+        finite_number(self.width, "width", positive=True, integer=True)
+        finite_number(self.height, "height", positive=True, integer=True)
         finite_number(self.resolution, "resolution", positive=True)
         for i, (v, n) in enumerate(zip(self.origin, (self.width, self.height))):
             finite_number(v, f"origin[{i}]")
@@ -112,9 +114,11 @@ class WorkspaceMap:
             raise ValueError("occupancy shape must be (height, width)")
         occ.setflags(write=False)
         object.__setattr__(self, "occupancy", occ)
-        framed, sat = _framed_tables(occ)
-        object.__setattr__(self, "_framed_rows", framed.tolist())
-        object.__setattr__(self, "_obstacle_sat", sat.tolist())
+        framed = np.ones((self.height + 2, self.width + 2), dtype=bool)
+        framed[1:-1, 1:-1] = occ
+        sat = framed.cumsum(axis=0, dtype=np.int64).cumsum(axis=1)
+        object.__setattr__(self, "_framed", memoryview(framed).toreadonly())
+        object.__setattr__(self, "_obstacle_sat", memoryview(sat).toreadonly())
 
     def in_bounds(self, ix: int, iy: int) -> bool:
         return 0 <= ix < self.width and 0 <= iy < self.height
@@ -193,16 +197,6 @@ def dump_map(wmap: WorkspaceMap) -> str:
         "origin": list(wmap.origin),
         "rows": rows,
     }, indent=1)
-
-
-def _framed_tables(occupancy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The occupancy framed by one obstacle cell on every side, and its
-    inclusive summed-area table: sat[j, i] counts the obstacles in
-    framed[:j + 1, :i + 1]."""
-    height, width = occupancy.shape
-    framed = np.ones((height + 2, width + 2), dtype=bool)
-    framed[1:-1, 1:-1] = occupancy
-    return framed, framed.cumsum(axis=0).cumsum(axis=1)
 
 
 def footprint_free(wmap: WorkspaceMap, position: tuple[float, float], rho: float) -> bool:
@@ -286,17 +280,15 @@ def swept_footprint_free(wmap: WorkspaceMap, p0: tuple[float, float],
     # the frame column, an out-of-bounds obstacle as in is_obstacle, no
     # further.  Likewise for y.
     sat = wmap._obstacle_sat
-    below, top = sat[iy0], sat[iy1 + 1]
-    if top[ix1 + 1] - top[ix0] - below[ix1 + 1] + below[ix0] == 0:
+    if sat[iy1 + 1, ix1 + 1] - sat[iy1 + 1, ix0] - sat[iy0, ix1 + 1] + sat[iy0, ix0] == 0:
         return True  # no obstacle cell in the window
     rho2 = rho * rho
-    rows = wmap._framed_rows
-    for iy in range(iy0, iy1 + 1):
-        row = rows[iy + 1]
-        for ix in range(ix0, ix1 + 1):
-            if not row[ix + 1]:
+    framed = wmap._framed
+    for j in range(iy0 + 1, iy1 + 2):  # framed row j holds cells iy = j - 1
+        for i in range(ix0 + 1, ix1 + 2):
+            if not framed[j, i]:
                 continue
-            cx0, cy0 = ox + ix * res, oy + iy * res
+            cx0, cy0 = ox + (i - 1) * res, oy + (j - 1) * res
             if _dist2_segment_square(ax, ay, bx, by, cx0, cy0, cx0 + res, cy0 + res) < rho2:
                 return False
     return True
@@ -328,7 +320,7 @@ def _clear_sweeps(wmap: WorkspaceMap, a: np.ndarray, b: np.ndarray,
     ix1 = np.floor((hi[inside, 0] - ox) / res).astype(np.intp) + 1
     iy0 = np.floor((lo[inside, 1] - oy) / res).astype(np.intp)
     iy1 = np.floor((hi[inside, 1] - oy) / res).astype(np.intp) + 1
-    sat = _framed_tables(wmap.occupancy)[1]
+    sat = np.asarray(wmap._obstacle_sat)
     clear[inside] = sat[iy1, ix1] - sat[iy1, ix0] - sat[iy0, ix1] + sat[iy0, ix0] == 0
     return clear
 
@@ -483,16 +475,3 @@ def obstruction_ratio(wmap: WorkspaceMap, position: tuple[float, float], r: floa
     One-point call of obstruction_ratios.
     """
     return float(obstruction_ratios(wmap, np.array([position], dtype=float), r)[0])
-
-
-def obstruction_field(wmap: WorkspaceMap, r: float) -> np.ndarray:
-    """Obstruction ratio at every cell center, shape (height, width).
-
-    Identical to per-point obstruction_ratio calls at cell centers.
-    """
-    ox, oy = wmap.origin
-    xs = ox + (np.arange(wmap.width) + 0.5) * wmap.resolution
-    ys = oy + (np.arange(wmap.height) + 0.5) * wmap.resolution
-    gx, gy = np.meshgrid(xs, ys)
-    xy = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    return obstruction_ratios(wmap, xy, r).reshape(wmap.height, wmap.width)

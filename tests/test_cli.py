@@ -246,6 +246,22 @@ class TestRrtCommand:
         assert "--seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--goal-bias", "nan", "--goal-bias must be a finite number"),
+        ("--goal-bias", "1.5", "--goal-bias must be in [0, 1]"),
+        ("--max-iterations", "0", "--max-iterations must be a finite integer > 0"),
+    ])
+    def test_run_setting_names_the_flag(self, map_file, tmp_path, capsys, monkeypatch,
+                                        flag, value, message):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("best_of_n called")
+        monkeypatch.setattr(pnav.rrt, "best_of_n", no_runs)
+        out = tmp_path / "out"
+        argv = valid_argv("rrt", map_file(free_map(8, 8)), tmp_path, out)
+        assert main(argv + [flag, value]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_blocked_goal_exit_two(self, map_file, tmp_path):
         wmap = make_map([".....",
                          ".###.",
@@ -571,6 +587,27 @@ class TestNumericInputs:
             assert main(argv) == 0
             outputs.append((out / output).read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        *(("plan", flag, value, f"error: {flag} must be a finite number > 0")
+          for flag, value in (("--delta", "-1e-3"), ("--rho", "-1e-3"), ("--r", "-1e-3"),
+                              ("--v", "-2e0"), ("--omega", "-inf"), ("--dt", "-1e-3"))),
+        *(("rrt", flag, value, f"error: {flag} must be a finite number > 0")
+          for flag, value in (("--rho", "-1e-3"), ("--r", "-1e-3"), ("--v", "-1e-3"),
+                              ("--omega", "-2e0"), ("--dt", "-inf"), ("--step", "-2e0"))),
+        ("rrt", "--goal-bias", "-1e-3", "error: --goal-bias must be in [0, 1]"),
+        # int flags: the value reaches the flag's own conversion
+        *(("rrt", flag, "-1e0", f"argument {flag}: invalid int value: '-1e0'")
+          for flag in ("--n", "--seed", "--max-iterations")),
+    ])
+    def test_negative_value_as_a_separate_argument(self, map_file, tmp_path, capsys,
+                                                   command, flag, value, message):
+        # argparse alone reads -1e-3 or -inf after a flag as an option
+        out = tmp_path / "out"
+        argv = valid_argv(command, map_file(free_map(8, 8)), tmp_path, out)
+        assert main(argv + [flag, value]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("field,bad", [("width", True), ("resolution", math.nan)])
     def test_map_header(self, tmp_path, capsys, field, bad):

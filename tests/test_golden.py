@@ -3,16 +3,24 @@
 Refactors of the lattice, the collision test or the search must leave these
 structures unchanged to the bit.  They hold only correctly rounded float
 results (integer-count ratios, additions, sqrt), so the digests do not
-depend on the platform.  Trajectories, which numpy evaluates, stay out.
-RRT paths stay in: their vertices come from PCG64 uniforms and correctly
-rounded arithmetic, and the nearest node from exact comparisons.
+depend on the platform.  RRT paths stay in: their vertices come from PCG64
+uniforms and correctly rounded arithmetic, and the nearest node from exact
+comparisons.
+
+The last two tests pin the bytes of every file that `pnav plan --svg` on
+the museum query and one `pnav rrt --n 20` write.  Those files hold sampled
+trajectories and their evaluated costs, which numpy computes, so a numpy
+whose float results differ in the last bit could change them; they are the
+"same bytes" check of refactors on the installed toolchain.
 """
 
 import hashlib
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from pnav.cli import main
 from pnav.fixtures import (MUSEUM_DELTA, MUSEUM_GOAL, MUSEUM_GOAL_WORLD, MUSEUM_START,
                            MUSEUM_START_WORLD, museum_map, museum_model)
 from pnav.gridmap import RobotModel, WorkspaceMap
@@ -99,3 +107,58 @@ def test_rrt_goal_bias_half_digest():
     params = RrtParams(step_size=0.3, goal_bias=0.5, seed=6)
     path = rrt_plan(museum_map(), museum_model(), *MUSEUM_RRT, params)
     assert rrt_digest(path) == "9473f17cf15b6d11b1aa6d0360f39ed5d203e3e23b097507c79a11fb1960ce00"
+
+
+# sha256 of every file that these commands write
+MUSEUM_PLAN_FILES = {
+    "entry_000.svg": "8e7d01109551b3b4e5af389393d977e020d8803a2eb51a9eeee8897366ba8085",
+    "entry_001.svg": "30af91806bd84fe808b8b6e6ff1d387d23c8acfcddad5eb7d68b640d4db288b2",
+    "entry_002.svg": "79159007dedaae7d9d24e89d1af24d4136084415f6266c7f77f67db7b7b9d5e7",
+    "entry_003.svg": "2862fdea1f43cbd9f844719a346de2c6aef5bbc537b4bdc232002358cc27fc37",
+    "entry_004.svg": "414a4617916c4c4c4b51f4a03424fa9793448892a6b07d0f0469336abec0782d",
+    "entry_005.svg": "213a17dda00f86542128809493fbba7c1a34e4cb82a71a681d6b423b95182f10",
+    "entry_006.svg": "18aaa1b9cfeb83f247a9153ba315c00bbb4463b6a0dc2e1bcd8c8cdd9b41c2a5",
+    "entry_007.svg": "ada05ba702cfef9bed0a0a2b4c63aa331879c619eca4800c00d34ff515ccd295",
+    "entry_008.svg": "ae8d3a7c5ba4a2b4d3618df24312712a9482b79f84054b354e45d44003010273",
+    "entry_009.svg": "c7569a142295a7bc3414e71be0401e9ac7f6502d47a174357f346451000ac86f",
+    "entry_010.svg": "0f33350925faa7ea33a4668505210b1e797f57afb33d5b1c0ea87e0a4477606f",
+    "entry_011.svg": "edaf388fb795ce0898fda369bca028c611140981efb94fd9b48918abc61de76c",
+    "entry_012.svg": "edd82c23ba3d22d1f5590e164ca69bca0a8a53761fac0cfd461be785b6a8b09c",
+    "entry_013.svg": "e3449a8a095ae1648a27b478def0c4ccc94faf7e15acde3fbae930667035ad21",
+    "entry_014.svg": "69f3c2b2719cba4a657e2b8c18b7928e3cf7dc7da1ae981eee4f54271183b4c2",
+    "entry_015.svg": "553720e9e9a18f6d3eddf8fcbe01212761a1d9a3e994c8a27b153e306a4a57f1",
+    "entry_016.svg": "58eb4240898d8c0c52be8dcd5d012bf8c966bcf09649ce9a7affdaf04eeba2fc",
+    "entry_017.svg": "eb51e62cc84d5fa07e7d5c92855867d7305e289a7946fa39b927d820946512fa",
+    "front.json": "be6c44bfb3f8c3a7e052adb66447c610e4649c5cd39f70a08f56f2a6d18fb47f",
+    "front.svg": "497eed7494ab7a55701f3b276524e67386790317410fe8820086da6d0eb54339",
+}
+MUSEUM_RRT_FILES = {
+    "rrt.json": "09f51171c4a3f9c5bad86c6a665cbe7aa37fbae865cbd9ab2e2dc5552cca5835",
+}
+
+
+def _write_museum_map(directory) -> str:
+    (directory / "museum.json").write_bytes(
+        resources.files("pnav.data").joinpath("museum.json").read_bytes())
+    return "museum.json"  # front.json records the --map text
+
+
+def _file_digests(directory) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(directory.iterdir())}
+
+
+def test_museum_plan_svg_file_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["plan", "--map", _write_museum_map(tmp_path), "--start", "3.5,3.5,0",
+                 "--goal", "18.5,3.5", "--delta", "1.0", "--rho", "0.3", "--r", "2.0",
+                 "--out", "out", "--svg"]) == 0
+    assert _file_digests(tmp_path / "out") == MUSEUM_PLAN_FILES
+
+
+def test_museum_rrt_file_digest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["rrt", "--map", _write_museum_map(tmp_path), "--start", "3.5,3.5",
+                 "--goal", "18.5,3.5", "--n", "20", "--seed", "0", "--rho", "0.3",
+                 "--r", "2.0", "--out", "out"]) == 0
+    assert _file_digests(tmp_path / "out") == MUSEUM_RRT_FILES

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from pnav.gridmap import (DISC_SAMPLES_PER_CELL, MAX_WINDOW_SUBSAMPLES, MapFormatError,
                           WorkspaceMap, _clear_sweeps, _dist2_segment_square, _sweeps_free,
                           dump_map, footprint_free,
-                          load_map, obstruction_field, obstruction_ratio,
+                          load_map, obstruction_ratio,
                           obstruction_ratios, swept_footprint_free)
 from pnav.validate import finite_number
 
@@ -61,6 +61,32 @@ class TestLoadMap:
     def test_constructor_rejects_non_finite_geometry(self, resolution, origin, field):
         with pytest.raises(ValueError, match=field):
             WorkspaceMap(2, 2, resolution, origin, np.zeros((2, 2), dtype=bool))
+
+    @pytest.mark.parametrize("width,height,field", [
+        (True, 1, "width"),
+        (1, True, "height"),
+        (1.0, 1, "width"),
+        (1, 0, "height"),
+    ])
+    def test_constructor_checks_width_and_height(self, width, height, field):
+        # a bool passes as an int, and (1, 1) matches its occupancy's shape
+        with pytest.raises(ValueError, match=f"{field} must be a finite integer > 0"):
+            WorkspaceMap(width, height, 1.0, (0.0, 0.0), np.zeros((1, 1), dtype=bool))
+
+    def test_collision_tables_of_a_large_map_fit_in_16_mb(self):
+        # 1000 x 1000 cells: the framed occupancy (1 byte a cell) and its
+        # summed-area table (8 bytes a cell) are about 9 MB
+        import tracemalloc
+        occ = np.random.default_rng(1000).random((1000, 1000)) < 0.06
+        tracemalloc.start()
+        try:
+            wmap = WorkspaceMap(1000, 1000, 0.5, (0.0, 0.0), occ)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 16 * 2 ** 20
+        # the table's last entry counts the obstacles and the 4,004 frame cells
+        assert wmap._obstacle_sat[1001, 1001] == occ.sum() + 4004
 
     def test_row_length_mismatch(self):
         doc = {"width": 3, "height": 2, "resolution": 1.0,
@@ -503,7 +529,7 @@ class TestBatchBroadPhase:
             return False
         ix0, ix1, iy0, iy1 = TestBroadPhase.window(wmap, p0, p1, rho)
         sat = wmap._obstacle_sat
-        return sat[iy1 + 1][ix1 + 1] - sat[iy1 + 1][ix0] - sat[iy0][ix1 + 1] + sat[iy0][ix0] == 0
+        return sat[iy1 + 1, ix1 + 1] - sat[iy1 + 1, ix0] - sat[iy0, ix1 + 1] + sat[iy0, ix0] == 0
 
     def assert_agrees(self, wmap, sweeps, rho):
         """Compare on every sweep; the number the batch clears."""
@@ -574,26 +600,24 @@ class TestObstructionRatio:
         phi = obstruction_ratio(m, (24.0, 24.0), r)
         assert abs(phi - 0.25) <= 2.0 / r
 
+    @staticmethod
+    def field(wmap, r):
+        """obstruction_ratios at every cell centre, shape (height, width)."""
+        ox, oy = wmap.origin
+        xs = ox + (np.arange(wmap.width) + 0.5) * wmap.resolution
+        ys = oy + (np.arange(wmap.height) + 0.5) * wmap.resolution
+        gx, gy = np.meshgrid(xs, ys)
+        xy = np.stack([gx.ravel(), gy.ravel()], axis=1)
+        return obstruction_ratios(wmap, xy, r).reshape(wmap.height, wmap.width)
+
     def test_all_obstacle_field(self):
         m = make_map(["##", "##"])
-        assert np.all(obstruction_field(m, 0.7) == 1.0)
+        assert np.all(self.field(m, 0.7) == 1.0)
 
     def test_all_free_field_interior(self):
         m = free_map(8, 8)
-        f = obstruction_field(m, 1.0)
+        f = self.field(m, 1.0)
         assert np.all(f[2:-2, 2:-2] == 0.0)
-
-    def test_field_matches_pointwise(self, museum):
-        wmap, model = museum
-        r = model.camera_clearance_radius
-        f = obstruction_field(wmap, r)
-        rng = random.Random(3)
-        for _ in range(1000):
-            ix = rng.randrange(wmap.width)
-            iy = rng.randrange(wmap.height)
-            ox, oy = wmap.origin
-            centre = (ox + (ix + 0.5) * wmap.resolution, oy + (iy + 0.5) * wmap.resolution)
-            assert f[iy, ix] == obstruction_ratio(wmap, centre, r)
 
     def test_range(self):
         m = make_map(["#..", ".#.", "..#"])
@@ -620,8 +644,8 @@ class TestObstructionRatio:
         m = make_map(["#...", ".#..", "....", "..#."])
         flipped = WorkspaceMap(m.width, m.height, m.resolution, m.origin,
                                np.array(m.occupancy[:, ::-1]))
-        f1 = obstruction_field(m, 1.3)
-        f2 = obstruction_field(flipped, 1.3)
+        f1 = self.field(m, 1.3)
+        f2 = self.field(flipped, 1.3)
         assert np.array_equal(f1, f2[:, ::-1])
 
     def test_scale_invariance(self):
@@ -629,8 +653,8 @@ class TestObstructionRatio:
         occ[1, 2] = occ[3, 3] = True
         m1 = WorkspaceMap(6, 6, 0.5, (0.0, 0.0), occ)
         m2 = WorkspaceMap(6, 6, 1.0, (0.0, 0.0), occ)
-        f1 = obstruction_field(m1, 1.25)
-        f2 = obstruction_field(m2, 2.5)
+        f1 = self.field(m1, 1.25)
+        f2 = self.field(m2, 2.5)
         assert np.array_equal(f1, f2)
 
 
