@@ -14,8 +14,9 @@ integer ids.  Entries 0-6 rotate to the other 7 headings, ascending, each
 costing (phi here, 1, 0.0); entry 7, present when the swept footprint is
 free, translates, so a node has at most one translation predecessor.
 Every reader in this package walks the rows: the search, its bounds and the
-exhaustive oracle.  The neighbors method builds a node's `LatticeEdge`s from
-its row on first use and keeps them, as the benchmark's view of the edges.
+exhaustive oracle; none calls neighbors.  The neighbors method builds a
+node's `LatticeEdge`s from its row on first use and keeps them, as the
+benchmark's and the tests' view of the edges.
 """
 
 from __future__ import annotations
@@ -120,8 +121,8 @@ class LatticeGraph:
     def neighbors(self, node: LatticeNode) -> tuple[LatticeEdge, ...]:
         """Outgoing edges: Type-A by ascending destination heading, then Type-B.
 
-        Its readers are plan_pareto's per-expansion count and the benchmark,
-        which counts and walks edges through it; everything else reads rows.
+        Its readers are the benchmark, which counts and walks edges through
+        it, and the tests; nothing in this package calls it.
         """
         i = self.node_id(node)
         edges = self._edges[i]

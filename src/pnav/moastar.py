@@ -7,26 +7,46 @@ is pruned at pop and at generation when an already found solution is at
 least as good as its bound f = (g1 + h1, g2 + h2, g3 + h3): h3 is the octile
 distance, and h1 and h2 are the least obstruction sum and the least turn
 count still needed to reach the goal, each found on its own by a backward
-Dijkstra pass over reversed edges (the ideal-point heuristic of NAMOA*,
-Mandow & Perez-de-la-Cruz 2010).  A node with no path to the goal has no
-bound and is never entered.  The open list stays ordered by
-(g3 + h3, g2, g1), not by f: the path kept for a cost vector is the first
-one generated, which depends on the pop order, so this order keeps the
-representative paths.  With all edge costs non-negative and no zero-cost
+pass over reversed edges (the ideal-point heuristic of NAMOA*, Mandow &
+Perez-de-la-Cruz 2010).  A node with no path to the goal has no bound and
+is never entered.  The open list stays ordered by (g3 + h3, g2, g1), not
+by f: the path kept for a cost vector is the first one generated, which
+depends on the pop order, so this order keeps the representative paths.  With all edge costs non-negative and no zero-cost
 cycles the search returns exactly the non-dominated goal-reaching cost
 vectors, one representative path per distinct vector.
 
+A label that a rotation reached (its parent is at the same position) is
+expanded by its translation only; it never rotates twice in a row (the
+successor pruning of Harabor & Grastien 2011, "Online graph pruning for
+pathfinding on grid maps").  Rotations are all-to-all at a position and
+each costs (phi, 1, 0), so when the parent was expanded it generated the
+single rotation to every heading, at (phi, 1, 0) more than itself; the
+double rotation to that heading costs (2 phi, 2, 0) more, which the single
+one dominates, so the single rotation's label, or one that removed it,
+already prunes it at the node, or a solution prunes both.  The gap:
+tolerance dominance is not transitive, so when the single rotation's label
+is removed by one up to FLOAT_TOL better, and that one by another, the
+label that stands in for it can be worse by up to 2 FLOAT_TOL in g1 or g3,
+and the skipped rotation might then have been kept.  The exhaustive oracle
+test and the comparison with the former search in the tests check costs and
+paths.
+
 plan_pareto runs on the lattice's integer node ids (see pnav.lattice): it
-reads successors from LatticeGraph.rows, keeps its labels, bounds and goal
-flags in lists indexed by id, and maps ids back to nodes only for the paths
-it returns.  It still calls the lattice's neighbors method once per
-expansion, only so that a count of those calls counts expansions.
+reads successors from LatticeGraph.rows and nothing else of the edges, keeps
+its labels, bounds and goal flags in lists indexed by id, and maps ids back
+to nodes only for the paths it returns.  A label is a list of its g, its
+node id, its parent label and a live flag; a node's list holds its labels,
+and a label removed from it by a dominator is marked dead, so a pop skips it
+in O(1).
 
 plan_pareto's front carries deterministic search counters in its metadata:
-labels generated (one per edge of an expanded label) and expanded, labels
-pruned at a node and pruned by a solution (at pop plus at generation),
-dead_ends (lattice nodes with no path to the goal), peak_open (the largest
-open-list size) and front_size.
+labels generated and expanded, labels pruned at a node and pruned by a
+solution (at pop plus at generation), dead_ends (lattice nodes with no path
+to the goal), peak_open (the largest open-list size) and front_size.
+generated counts the whole row of each expanded label, the skipped
+rotations included, so it equals the count of a search without the skip;
+pruned_at_node and pruned_by_solution count only the labels that are
+actually built, so they do not count the skipped rotations.
 
 brute_force_front is the independent oracle: exhaustive depth-first path
 enumeration (no repeated (position, heading) state within a path), with
@@ -41,6 +61,7 @@ import heapq
 import itertools
 import math
 import sys
+from collections import deque
 from dataclasses import dataclass, field
 
 from .lattice import HEADINGS, SQRT2, CostVector, LatticeGraph, LatticeNode
@@ -157,12 +178,18 @@ def _octile_bounds(graph: LatticeGraph, goal: GoalSpec) -> list[float]:
 def _ideal_bounds(graph: LatticeGraph, goal: GoalSpec) -> tuple[list, list]:
     """(h1, h2), indexed by node id: the least obstruction sum and the least
     turn count still needed to reach a goal node, each minimised on its own
-    by a backward Dijkstra pass over reversed edges.  Both are inf at a node
-    with no path to the goal.  Rotations are all-to-all at a position, so a
-    node's rotation predecessors are its own row[:7] at the same costs, and
-    `mover` holds its one translation predecessor (see pnav.lattice).  Only
-    the first heading settled at a position relaxes them: a later one
-    settles at d' >= d, and fl(d' + w) >= fl(d + w) improves no distance."""
+    by a backward pass over reversed edges.  Both are inf at a node with no
+    path to the goal.  Rotations are all-to-all at a position, so a node's
+    rotation predecessors are its own row[:7] at the same costs, and
+    `mover` holds its one translation predecessor (see pnav.lattice).
+
+    h1 is a Dijkstra pass on a heap.  h2 weighs a rotation 1 and a
+    translation 0, so it is a 0-1 BFS: a translation predecessor joins the
+    front of the deque at the same count, the rotation predecessors its back
+    at one more, and the deque pops counts in non-decreasing order.  In both
+    passes only the first heading settled at a position relaxes its
+    rotations: a later one settles at d' >= d, and fl(d' + w) >= fl(d + w)
+    improves no distance."""
     rows = graph.rows
     mover = [-1] * len(rows)  # id -> the node whose row[7] leads to it
     for src, row in enumerate(rows):
@@ -170,40 +197,58 @@ def _ideal_bounds(graph: LatticeGraph, goal: GoalSpec) -> tuple[list, list]:
             mover[row[7][0]] = src
     targets = _goal_ids(graph, goal)
 
-    def backward(k: int) -> list:
-        dist = [math.inf] * len(rows)
-        for t in targets:
-            dist[t] = 0
-        heap = [(0, t) for t in targets]
-        turned = [False] * (len(rows) // 8)  # by position: rotations relaxed
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            if not turned[u // 8]:
-                turned[u // 8] = True
-                for p in rows[u][:7]:
-                    nd = d + p[k]
-                    if nd < dist[p[0]]:
-                        dist[p[0]] = nd
-                        heapq.heappush(heap, (nd, p[0]))
-            p = mover[u]
-            if p >= 0:
-                nd = d + rows[p][7][k]
-                if nd < dist[p]:
-                    dist[p] = nd
-                    heapq.heappush(heap, (nd, p))
-        return dist
+    h1 = [math.inf] * len(rows)
+    for t in targets:
+        h1[t] = 0
+    heap = [(0, t) for t in targets]
+    turned = [False] * (len(rows) // 8)  # by position: rotations relaxed
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > h1[u]:
+            continue
+        if not turned[u // 8]:
+            turned[u // 8] = True
+            for p in rows[u][:7]:
+                nd = d + p[1]
+                if nd < h1[p[0]]:
+                    h1[p[0]] = nd
+                    heapq.heappush(heap, (nd, p[0]))
+        p = mover[u]
+        if p >= 0:
+            nd = d + rows[p][7][1]
+            if nd < h1[p]:
+                h1[p] = nd
+                heapq.heappush(heap, (nd, p))
 
-    return backward(1), backward(2)
+    h2 = [math.inf] * len(rows)
+    for t in targets:
+        h2[t] = 0
+    queue = deque((0, t) for t in targets)
+    turned = [False] * (len(rows) // 8)
+    while queue:
+        d, u = queue.popleft()
+        if d > h2[u]:
+            continue
+        if not turned[u // 8]:
+            turned[u // 8] = True
+            nd = d + 1
+            for p in rows[u][:7]:
+                if nd < h2[p[0]]:
+                    h2[p[0]] = nd
+                    queue.append((nd, p[0]))
+        p = mover[u]
+        if p >= 0 and d < h2[p]:
+            h2[p] = d
+            queue.appendleft((d, p))
+    return h1, h2
 
 
 def _path(label, nodes) -> list[LatticeNode]:
-    """The node path of a (g, id, parent) label chain."""
+    """The node path of a label chain (see plan_pareto)."""
     out = []
     while label is not None:
-        out.append(nodes[label[1]])
-        label = label[2]
+        out.append(nodes[label[3]])
+        label = label[4]
     out.reverse()
     return out
 
@@ -232,14 +277,15 @@ def plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> Pare
 
     s = graph.node_id(start)
     counter = itertools.count()
-    # a label is (g, node id, parent label)
-    root = ((0.0, 0, 0.0), s, None)
+    # a label is [g1, g2, g3, node id, parent label, live]; live is cleared
+    # when a dominator removes the label from its node's list
+    root = [0.0, 0, 0.0, s, None, True]
     # empty at once when the start has no path to the goal
     open_heap = [(H3[s], 0, 0.0, next(counter), root)] if H1[s] < inf else []
-    # per node id: the non-dominated g-vectors known there (open or expanded)
+    # per node id: the non-dominated labels known there (open or expanded)
     labels: list[list | None] = [None] * len(nodes)
-    labels[s] = [root[0]]
-    solutions: list[tuple[tuple, tuple]] = []  # (g, label)
+    labels[s] = [root]
+    solutions: list[list] = []  # goal labels
     generated = expanded = at_node = by_solution = 0
     peak_open = len(open_heap)
 
@@ -247,15 +293,14 @@ def plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> Pare
     # a[0] <= b[0] + tol and a[1] <= b[1] and a[2] <= b[2] + tol.
     while open_heap:
         lab = heappop(open_heap)[4]
-        g, u, _ = lab
-        if g not in labels[u]:  # removed by a dominator
+        if not lab[5]:  # removed by a dominator
             continue
-        g1, g2, g3 = g
+        g1, g2, g3, u, parent, _ = lab
         f1 = (g1 + H1[u]) + tol
         f2 = g2 + H2[u]
         f3 = (g3 + H3[u]) + tol
         pruned = False
-        for sg, _ in solutions:
+        for sg in solutions:
             if sg[0] <= f1 and sg[1] <= f2 and sg[2] <= f3:
                 pruned = True
                 break
@@ -264,14 +309,17 @@ def plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> Pare
             continue
 
         if is_goal[u]:
-            solutions[:] = [(sg, sl) for sg, sl in solutions if not _prunes(g, sg)]
-            solutions.append((g, lab))
+            solutions[:] = [sg for sg in solutions if not _prunes(lab, sg)]
+            solutions.append(lab)
             # any extension strictly worsens some component; no expansion
             continue
 
         expanded += 1
-        generated += len(graph.neighbors(nodes[u]))
-        for v, w1, w2, w3 in rows[u]:
+        row = rows[u]
+        generated += len(row)
+        if parent is not None and parent[3] >> 3 == u >> 3:
+            row = row[7:]  # reached by a rotation: never rotate twice
+        for v, w1, w2, w3 in row:
             h1 = H1[v]
             if h1 == inf:  # v cannot reach the goal
                 continue
@@ -292,22 +340,26 @@ def plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> Pare
             f1 = (a + h1) + tol
             f2 = b + H2[v]
             f3 = f + tol
-            for sg, _ in solutions:
+            for sg in solutions:
                 if sg[0] <= f1 and sg[1] <= f2 and sg[2] <= f3:
                     pruned = True
                     break
             if pruned:
                 by_solution += 1
                 continue
-            existing[:] = [old for old in existing
-                           if not (a <= old[0] + tol and b <= old[1] and c <= old[2] + tol)]
-            gv = (a, b, c)
-            existing.append(gv)
-            heappush(open_heap, (f, b, a, next(counter), (gv, v, lab)))
+            dead = [old for old in existing
+                    if a <= old[0] + tol and b <= old[1] and c <= old[2] + tol]
+            if dead:
+                for old in dead:
+                    old[5] = False
+                existing[:] = [old for old in existing if old[5]]
+            child = [a, b, c, v, lab, True]
+            existing.append(child)
+            heappush(open_heap, (f, b, a, next(counter), child))
             if len(open_heap) > peak_open:
                 peak_open = len(open_heap)
 
-    entries = _sorted_front([(sg, _path(sl, nodes)) for sg, sl in solutions])
+    entries = _sorted_front([(sl[:3], _path(sl, nodes)) for sl in solutions])
     metadata = {"generated": generated, "expanded": expanded,
                 "pruned_at_node": at_node, "pruned_by_solution": by_solution,
                 "dead_ends": H1.count(inf), "peak_open": peak_open,

@@ -13,6 +13,7 @@ from pnav.moastar import (FLOAT_TOL, GoalSpec, PlanningError, _ideal_bounds,
                           octile, pareto_filter, plan_pareto)
 
 from conftest import free_map, make_map
+from test_moastar_reference import reference_plan_pareto
 
 SQRT2 = math.sqrt(2.0)
 SMALL = RobotModel(footprint_radius=0.2, camera_clearance_radius=0.4)
@@ -338,7 +339,7 @@ class TestIdealBounds:
         assert front.metadata["expanded"] == front.metadata["generated"] == 0
         assert front.metadata["dead_ends"] == 8
 
-    def test_expanded_counts_neighbors_calls(self, monkeypatch):
+    def test_search_reads_only_rows(self, monkeypatch):
         rows = ["............",
                 "..#....#....",
                 "....#.....#.",
@@ -350,18 +351,16 @@ class TestIdealBounds:
                 "............"]
         g = build_lattice(make_map(rows), SMALL, 1.0)
         start, goal = LatticeNode(0, 0, 0), GoalSpec(11, 8)
-        calls = []
-        neighbors = LatticeGraph.neighbors
+        ref = reference_plan_pareto(g, start, goal)  # walks neighbors()
 
-        def counted(graph, node):
-            edges = neighbors(graph, node)
-            calls.append(len(edges))
-            return edges
-        monkeypatch.setattr(LatticeGraph, "neighbors", counted)
+        def refuse(graph, node):
+            raise AssertionError("plan_pareto called LatticeGraph.neighbors")
+        monkeypatch.setattr(LatticeGraph, "neighbors", refuse)
         front = plan_pareto(g, start, goal)
         meta = front.metadata
+        assert front.entries == ref.entries
         assert len(front) > 0 and meta["front_size"] == len(front)
-        assert meta["expanded"] == len(calls) > 0
-        assert meta["generated"] == sum(calls)
+        assert meta["expanded"] == ref.metadata["expanded"] > 0
+        assert meta["generated"] == ref.metadata["generated"]
         assert meta["pruned_at_node"] + meta["pruned_by_solution"] <= meta["generated"]
         assert meta["peak_open"] >= 1
