@@ -149,7 +149,7 @@ def _entry_record(cost, nodes, spath, trajectory_json: str, report) -> dict:
             values += (seg.heading, *seg.p0, *seg.p1)
     return {
         "cost": {"w1_sum": cost.w1, "w2": cost.w2, "w3": cost.w3},
-        "report": report.to_dict(),
+        "report": {**report.to_dict(), "search_w1_sum": cost.w1},
         "nodes": _entry_list([_NODE_JSON] * len(nodes),
                              tuple(v for n in nodes for v in (n.ix, n.iy, n.heading))),
         "segments": _entry_list(templates, tuple(values)),
@@ -198,7 +198,7 @@ def cmd_plan(args) -> int:
     rendered = []
     for i, ((cost, nodes), spath, timed, phi) in enumerate(
             zip(front.entries, spaths, timeds, _front_phi(wmap, timeds, r))):
-        report = eval_costs(timed, wmap, r, search_w1_sum=cost.w1, phi=phi)
+        report = eval_costs(timed, wmap, r, phi=phi)
         entries.append(_entry_record(cost, nodes, spath, timed_to_json(timed), report))
         label = (f"#{i} V={report.V:.4f} N={report.N} D={report.D:.3f}")
         rendered.append((label, timed))
@@ -248,7 +248,7 @@ def cmd_rrt(args) -> int:
     result = rrt.best_of_n(wmap, model, start, goal, params, args.n)
 
     if isinstance(result, rrt.RrtFailure):
-        failures = sum(1 for a in result.attempts if not a["ok"])
+        failures = len(result.attempts)
         _write(out, dump_json({
             "ok": False, "n": args.n, "base_seed": args.seed,
             "failures": failures, "attempts": result.attempts,
@@ -259,8 +259,7 @@ def cmd_rrt(args) -> int:
     spath = to_segment_path(result)
     timed = to_timed(spath, v=v, omega_deg=omega, dt=dt)
     report = eval_costs(timed, wmap, r)
-    signs = (rrt.curvature_sign_changes(result)
-             if len(result.vertices) >= 2 else 0)
+    signs = rrt.curvature_sign_changes(result)
     text = timed_to_json(timed, vertices=result.vertices, report=report.to_dict(),
                          curvature_sign_changes=signs, n=args.n, base_seed=args.seed)
     _write(out, text + "\n")

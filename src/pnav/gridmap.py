@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .validate import finite_number
+from .validate import finite_number, json_object
 
 # Subsamples per cell side when rasterizing the obstruction disc.  A power
 # of two: obstruction_ratios relies on the offsets (j + 0.5) / s being exact.
@@ -78,11 +78,13 @@ class RobotModel:
                       positive=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WorkspaceMap:
-    """Immutable occupancy grid.
+    """Immutable occupancy grid; maps compare and hash by identity.
 
     occupancy is indexed [iy, ix] with iy = 0 at the bottom (smallest world y).
+    The map copies the array it is given; occupancy is then a read-only view
+    of the interior of _framed, the map's one copy of it.
     """
 
     width: int
@@ -96,8 +98,8 @@ class WorkspaceMap:
     # and _obstacle_sat (int64), its summed-area table: [j, i] counts the
     # obstacles in _framed[:j + 1, :i + 1].  swept_footprint_free indexes both;
     # _clear_sweeps reads np.asarray(_obstacle_sat), which copies nothing.
-    _framed: memoryview = field(init=False, repr=False, compare=False)
-    _obstacle_sat: memoryview = field(init=False, repr=False, compare=False)
+    _framed: memoryview = field(init=False, repr=False)
+    _obstacle_sat: memoryview = field(init=False, repr=False)
 
     def __post_init__(self):
         finite_number(self.width, "width", positive=True, integer=True)
@@ -109,16 +111,20 @@ class WorkspaceMap:
             # collision test's windows need (see swept_footprint_free)
             if abs(v) / self.resolution + n > _MAX_CELL_COORDINATE:
                 raise ValueError(f"origin[{i}] {v!r} puts the map past 2**50 cells")
-        occ = np.asarray(self.occupancy, dtype=bool)
-        if occ.shape != (self.height, self.width):
+        if np.shape(self.occupancy) != (self.height, self.width):
             raise ValueError("occupancy shape must be (height, width)")
-        occ.setflags(write=False)
-        object.__setattr__(self, "occupancy", occ)
         framed = np.ones((self.height + 2, self.width + 2), dtype=bool)
-        framed[1:-1, 1:-1] = occ
+        framed[1:-1, 1:-1] = self.occupancy
+        framed.setflags(write=False)
         sat = framed.cumsum(axis=0, dtype=np.int64).cumsum(axis=1)
-        object.__setattr__(self, "_framed", memoryview(framed).toreadonly())
+        object.__setattr__(self, "occupancy", framed[1:-1, 1:-1])
+        object.__setattr__(self, "_framed", memoryview(framed))
         object.__setattr__(self, "_obstacle_sat", memoryview(sat).toreadonly())
+
+    def __reduce__(self):
+        # the memoryviews do not pickle; the map rebuilds them from its fields
+        return (WorkspaceMap, (self.width, self.height, self.resolution, self.origin,
+                               self.occupancy))
 
     def in_bounds(self, ix: int, iy: int) -> bool:
         return 0 <= ix < self.width and 0 <= iy < self.height
@@ -140,20 +146,8 @@ def load_map(source: str | bytes | dict) -> WorkspaceMap:
 
     Rows are listed top row first; '#' marks an obstacle cell, '.' free.
     """
-    if isinstance(source, (str, bytes)):
-        try:
-            data = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise MapFormatError(f"invalid JSON: {exc}") from exc
-    else:
-        data = source
-    if not isinstance(data, dict):
-        raise MapFormatError("map document must be a JSON object")
-
-    for key in ("width", "height", "resolution", "origin", "rows"):
-        if key not in data:
-            raise MapFormatError(f"missing field '{key}'")
-
+    data = json_object(source, "map document",
+                       ("width", "height", "resolution", "origin", "rows"), MapFormatError)
     width, height = (finite_number(data[key], f"'{key}'", positive=True, integer=True,
                                    error=MapFormatError) for key in ("width", "height"))
     resolution = finite_number(data["resolution"], "'resolution'", positive=True,

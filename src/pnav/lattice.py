@@ -15,8 +15,8 @@ costing (phi here, 1, 0.0); entry 7, present when the swept footprint is
 free, translates, so a node has at most one translation predecessor.
 Every reader in this package walks the rows: the search, its bounds and the
 exhaustive oracle; none calls neighbors.  The neighbors method builds a
-node's `LatticeEdge`s from its row on first use and keeps them, as the
-benchmark's and the tests' view of the edges.
+node's `LatticeEdge`s from its row on each call, as the benchmark's and the
+tests' view of the edges.
 """
 
 from __future__ import annotations
@@ -100,7 +100,6 @@ class LatticeGraph:
         self.nodes = nodes  # id -> node, 8 headings per position
         self.rows = rows  # id -> ((dst id, w1, w2, w3), ...), 7 rotations then a translation
         self._first_id = first_id  # position -> id of its heading-0 node
-        self._edges: list[tuple[LatticeEdge, ...] | None] = [None] * len(nodes)
 
     def __contains__(self, node: LatticeNode) -> bool:
         return isinstance(node, LatticeNode) and (node.ix, node.iy) in self._first_id
@@ -119,21 +118,18 @@ class LatticeGraph:
             raise LatticeError(f"node {node} not in graph") from None
 
     def neighbors(self, node: LatticeNode) -> tuple[LatticeEdge, ...]:
-        """Outgoing edges: Type-A by ascending destination heading, then Type-B.
+        """Outgoing edges: Type-A by ascending destination heading, then Type-B,
+        built from the node's row.
 
         Its readers are the benchmark, which counts and walks edges through
         it, and the tests; nothing in this package calls it.
         """
         i = self.node_id(node)
-        edges = self._edges[i]
-        if edges is None:
-            nodes, row = self.nodes, self.rows[i]
-            turn = CostVector(*row[0][1:])  # shared by the 7 rotations
-            edges = self._edges[i] = tuple(
-                LatticeEdge(nodes[i], nodes[dst], "A", turn) if w2 == 1
-                else LatticeEdge(nodes[i], nodes[dst], "B", CostVector(w1, w2, w3))
-                for dst, w1, w2, w3 in row)
-        return edges
+        nodes, row = self.nodes, self.rows[i]
+        turn = CostVector(*row[0][1:])  # shared by the 7 rotations
+        return tuple(LatticeEdge(nodes[i], nodes[dst], "A", turn) if w2 == 1
+                     else LatticeEdge(nodes[i], nodes[dst], "B", CostVector(w1, w2, w3))
+                     for dst, w1, w2, w3 in row)
 
 
 def build_lattice(wmap: WorkspaceMap, model: RobotModel, delta: float) -> LatticeGraph:

@@ -9,7 +9,7 @@ keeps the whole procedure reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,9 +61,10 @@ class PolyPath:
 
 @dataclass
 class RrtFailure:
-    """Per-seed record of unsuccessful attempts."""
+    """best_of_n's result when no run succeeded: one {"seed": s, "ok": False}
+    record per run, by ascending seed s."""
 
-    attempts: list[dict] = field(default_factory=list)
+    attempts: list[dict]
 
 
 def rrt_plan(wmap: WorkspaceMap, model: RobotModel,
@@ -162,11 +163,10 @@ def curvature_sign_changes(path: PolyPath) -> int:
 
     Turn direction at an interior vertex is the sign of the cross product of
     the unit directions of the adjoining segments; collinear triples carry no
-    sign and do not reset the last one seen.
+    sign and do not reset the last one seen.  A path of one or two vertices
+    has no interior vertex, so 0.
     """
     verts = path.vertices
-    if len(verts) < 2:
-        raise ValueError("path needs at least 2 vertices")
     changes = 0
     last_sign = 0
     for i in range(1, len(verts) - 1):
@@ -193,19 +193,14 @@ def best_of_n(wmap: WorkspaceMap, model: RobotModel,
         raise ValueError("n must be >= 1")
     best = None
     best_key = None
-    failure = RrtFailure()
     for k in range(n):
         p = replace(params, seed=params.seed + k)
         path = rrt_plan(wmap, model, start, goal, p)
         if path is None:
-            failure.attempts.append({"seed": p.seed, "ok": False})
             continue
-        failure.attempts.append({"seed": p.seed, "ok": True})
-        if len(path.vertices) >= 2:
-            signs = curvature_sign_changes(path)
-        else:
-            signs = 0
-        key = (signs, path.length(), p.seed)
+        key = (curvature_sign_changes(path), path.length(), p.seed)
         if best_key is None or key < best_key:
             best, best_key = path, key
-    return best if best is not None else failure
+    if best is None:
+        return RrtFailure([{"seed": params.seed + k, "ok": False} for k in range(n)])
+    return best

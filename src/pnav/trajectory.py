@@ -20,7 +20,7 @@ import numpy as np
 from .gridmap import WorkspaceMap, obstruction_ratios
 from .lattice import LatticeNode, node_position
 from .rrt import PolyPath
-from .validate import finite_number
+from .validate import finite_number, json_object
 
 HEADING_EPS_DEG = 1e-9
 # Most samples one timed trajectory may hold; a museum plan entry has about
@@ -207,20 +207,15 @@ def to_timed(spath: SegmentPath, v: float = 1.0, omega_deg: float = 90.0,
 @dataclass(frozen=True)
 class CostReport:
     """Trajectory criteria: time-averaged obstruction V, rotation count N,
-    distance D, duration T; search_w1_sum carries the additive obstruction
-    total when the trajectory came from a lattice plan."""
+    distance D, duration T."""
 
     V: float
     N: int
     D: float
     T: float
-    search_w1_sum: float | None = None
 
     def to_dict(self) -> dict:
-        out = {"V": self.V, "N": self.N, "D": self.D, "T": self.T}
-        if self.search_w1_sum is not None:
-            out["search_w1_sum"] = self.search_w1_sum
-        return out
+        return {"V": self.V, "N": self.N, "D": self.D, "T": self.T}
 
 
 def heading_change_runs(theta: np.ndarray) -> list[tuple[int, int]]:
@@ -234,8 +229,7 @@ def heading_change_runs(theta: np.ndarray) -> list[tuple[int, int]]:
                     np.flatnonzero(edges == -1).tolist()))
 
 
-def eval_costs(timed: TimedTrajectory, wmap: WorkspaceMap, r: float,
-               search_w1_sum: float | None = None, *,
+def eval_costs(timed: TimedTrajectory, wmap: WorkspaceMap, r: float, *,
                phi: np.ndarray | None = None) -> CostReport:
     """Evaluate (V, N, D) on a timed trajectory.
 
@@ -258,14 +252,13 @@ def eval_costs(timed: TimedTrajectory, wmap: WorkspaceMap, r: float,
 
     T = float(t[-1])
     if len(s) == 1 or T == 0.0:
-        return CostReport(V=float(phi[0]), N=0, D=0.0, T=T,
-                          search_w1_sum=search_w1_sum)
+        return CostReport(V=float(phi[0]), N=0, D=0.0, T=T)
 
     V = float(np.sum(np.diff(t) * (phi[1:] + phi[:-1]) / 2.0) / T)
     D = float(np.sum(np.hypot(np.diff(x), np.diff(y))))
 
     N = len(heading_change_runs(theta))
-    return CostReport(V=V, N=N, D=D, T=T, search_w1_sum=search_w1_sum)
+    return CostReport(V=V, N=N, D=D, T=T)
 
 
 # -- JSON output -----------------------------------------------------------------
@@ -338,18 +331,8 @@ def timed_to_json(timed: TimedTrajectory, **fields) -> str:
 
 def timed_from_json(text: str | dict) -> TimedTrajectory:
     """Parse and validate the trajectory JSON; errors name the bad field."""
-    if isinstance(text, (str, bytes)):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise TrajectoryError(f"invalid JSON: {exc}") from exc
-    else:
-        data = text
-    if not isinstance(data, dict):
-        raise TrajectoryError("trajectory document must be a JSON object")
-    for key in ("v", "omega_deg", "dt", "samples"):
-        if key not in data:
-            raise TrajectoryError(f"missing field '{key}'")
+    data = json_object(text, "trajectory document", ("v", "omega_deg", "dt", "samples"),
+                       TrajectoryError)
     for key in ("v", "omega_deg", "dt"):
         finite_number(data[key], f"'{key}'", positive=True, error=TrajectoryError)
     samples = data["samples"]

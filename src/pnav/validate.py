@@ -1,8 +1,10 @@
 """The one check for numeric inputs: flags, environment variables, map and
-trajectory JSON, and library parameters."""
+trajectory JSON, and library parameters; and the one reader of JSON
+documents."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -30,3 +32,20 @@ def finite_number(value, name: str, *, positive: bool = False, integer: bool = F
     if positive and number <= 0:
         raise error(what)
     return number
+
+
+def json_object(source, what: str, keys, error: type[ValueError]) -> dict:
+    """source parsed when it is JSON text (str or bytes), else as given; it
+    must be an object holding every one of keys, or error is raised naming
+    what is wrong."""
+    if isinstance(source, (str, bytes)):
+        try:
+            source = json.loads(source)
+        except json.JSONDecodeError as exc:
+            raise error(f"invalid JSON: {exc}") from exc
+    if not isinstance(source, dict):
+        raise error(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in source:
+            raise error(f"missing field '{key}'")
+    return source

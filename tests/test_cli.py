@@ -210,6 +210,9 @@ class TestPlanOutputs:
         assert any(rep["V"] == 0.0 for rep in reports)
         min_d = min(reports, key=lambda rep: rep["D"])
         assert min_d["V"] > 0.0
+        # each report carries its entry's search obstruction total as it is
+        assert all(e["report"]["search_w1_sum"] == e["cost"]["w1_sum"]
+                   for e in doc["entries"])
 
 
 class TestRrtCommand:

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import random
 
 import numpy as np
@@ -98,6 +100,53 @@ class TestLoadMap:
         m = make_map(["#..", ".#.", "..#"])
         again = load_map(dump_map(m))
         assert np.array_equal(m.occupancy, again.occupancy)
+
+
+class TestWorkspaceMapObject:
+    """A map copies its occupancy once, compares by identity and pickles."""
+
+    @staticmethod
+    def answers(wmap):
+        xy = np.array([[0.3, 0.3], [1.2, 2.7], [2.5, 1.5], [3.9, 0.1], [-1.0, 2.0]])
+        sweeps = [((0.5, 0.5), (3.5, 0.5)), ((0.6, 2.4), (3.4, 2.6)), ((1.5, 1.5), (1.5, 1.5))]
+        return (obstruction_ratios(wmap, xy, 0.9).tolist(),
+                [swept_footprint_free(wmap, a, b, 0.3) for a, b in sweeps])
+
+    def test_callers_array_stays_writable_and_apart(self):
+        arr = np.zeros((3, 4), dtype=bool)
+        arr[1, 2] = True
+        wmap = WorkspaceMap(4, 3, 1.0, (0.0, 0.0), arr)
+        assert arr.flags.writeable
+        arr[:] = True
+        assert wmap.occupancy.sum() == 1 and not wmap.is_obstacle(0, 0)
+        assert footprint_free(wmap, (0.5, 0.5), 0.3)
+        assert not wmap.occupancy.flags.writeable
+        with pytest.raises(ValueError):
+            wmap.occupancy[0, 0] = True
+
+    def test_occupancy_is_the_framed_tables_interior(self):
+        wmap = make_map(["#..", ".#.", "..#"])
+        assert np.shares_memory(wmap.occupancy, np.asarray(wmap._framed))
+        assert np.array_equal(np.asarray(wmap._framed)[1:-1, 1:-1], wmap.occupancy)
+
+    def test_equality_and_hash_by_identity(self):
+        m1 = make_map(["#..", "..."])
+        m2 = make_map(["#..", "..."])
+        assert m1 == m1 and not m1 != m1
+        assert m1 != m2 and not m1 == m2
+        assert hash(m1) == hash(m1)
+        assert len({m1, m2}) == 2 and len({m1, m1}) == 1
+
+    @pytest.mark.parametrize("clone", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_pickle_and_deepcopy(self, clone):
+        wmap = make_map(["..#.", ".#..", "...."], resolution=1.0, origin=(0.0, 0.0))
+        other = clone(wmap)
+        assert other is not wmap
+        assert (other.width, other.height, other.resolution, other.origin) == (
+            wmap.width, wmap.height, wmap.resolution, wmap.origin)
+        assert np.array_equal(other.occupancy, wmap.occupancy)
+        assert self.answers(other) == self.answers(wmap)
 
 
 class TestFootprintFree:

@@ -151,9 +151,8 @@ class TestCurvatureSignChanges:
         p = PolyPath(((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 1)))
         assert curvature_sign_changes(p) == 1
 
-    def test_too_few_vertices(self):
-        with pytest.raises(ValueError):
-            curvature_sign_changes(PolyPath(((0, 0),)))
+    def test_one_vertex_has_no_sign_changes(self):
+        assert curvature_sign_changes(PolyPath(((0, 0),))) == 0
 
     def test_rigid_motion_and_scale_invariance(self):
         rng = random.Random(8)

@@ -277,10 +277,9 @@ class TestEvalCosts:
         assert len(front) > 0
         for cost, nodes in front.entries:
             sp = to_segment_path(nodes, wmap, 1.0)
-            rep = eval_costs(to_timed(sp), wmap, 0.8, search_w1_sum=cost.w1)
+            rep = eval_costs(to_timed(sp), wmap, 0.8)
             assert rep.N == cost.w2
             assert rep.D == pytest.approx(cost.w3, abs=1e-9)
-            assert rep.search_w1_sum == cost.w1
 
     def test_dt_refinement_converges(self):
         # V is smooth along a straight approach to a wall, so trapezoidal
