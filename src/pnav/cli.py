@@ -6,7 +6,9 @@ cannot be written.  Every input takes one path.  A numeric parameter is read
 as text from its flag, else its PNAV_* variable, else a default, and _resolve
 converts and checks it; poses go through _parse_pose, and map and trajectory
 files through _read.  Every JSON document is written by trajectory.dump_json,
-and every output file by _write.
+and every output file by _write.  An argument that starts with - and then a
+digit, ".", inf or nan is a value, never an option: --r -1e-3, --start
+-1.5,3.5,0 and a trajectory file -1.json reach pnav, which checks them.
 """
 
 from __future__ import annotations
@@ -18,10 +20,8 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import moastar, rrt, trajectory
-from .gridmap import RobotModel, check_disc_radius, load_map, obstruction_ratios
+from .gridmap import RobotModel, check_disc_radius, load_map
 from .lattice import HEADINGS, LatticeNode, build_lattice
 from .render import render_svg
 from .trajectory import (JsonText, dump_json, eval_costs, timed_from_json, timed_to_json,
@@ -157,22 +157,6 @@ def _entry_record(cost, nodes, spath, trajectory_json: str, report) -> dict:
     }
 
 
-def _front_phi(wmap, timeds, r: float) -> list[np.ndarray]:
-    """Obstruction ratios of each trajectory's sample positions, from one
-    obstruction_ratios batch over the distinct positions of all of them
-    (rotations in place and shared prefixes repeat positions)."""
-    if not timeds:
-        return []
-    xy = np.concatenate([t.samples[:, 1:3] for t in timeds])  # C-contiguous
-    # each (x, y) row viewed as one complex number, far cheaper to sort than
-    # rows; -0.0 and 0.0 compare equal there, which is harmless: they give
-    # the same ratio, as obstruction_ratios only adds, subtracts and compares
-    # coordinates, where the two agree
-    unique, inverse = np.unique(xy.view(np.complex128).ravel(), return_inverse=True)
-    phi = obstruction_ratios(wmap, unique.view(np.float64).reshape(-1, 2), r)[inverse]
-    return np.split(phi, np.cumsum([len(t.samples) for t in timeds])[:-1])
-
-
 def cmd_plan(args) -> int:
     wmap = load_map(_read(args.map, "map file"))
     delta = _resolve(args, "delta", default=2.0 * wmap.resolution)
@@ -196,9 +180,8 @@ def cmd_plan(args) -> int:
     timeds = [to_timed(spath, v=v, omega_deg=omega, dt=dt) for spath in spaths]
     entries = []
     rendered = []
-    for i, ((cost, nodes), spath, timed, phi) in enumerate(
-            zip(front.entries, spaths, timeds, _front_phi(wmap, timeds, r))):
-        report = eval_costs(timed, wmap, r, phi=phi)
+    for i, ((cost, nodes), spath, timed, report) in enumerate(
+            zip(front.entries, spaths, timeds, eval_costs(timeds, wmap, r))):
         entries.append(_entry_record(cost, nodes, spath, timed_to_json(timed), report))
         label = (f"#{i} V={report.V:.4f} N={report.N} D={report.D:.3f}")
         rendered.append((label, timed))
@@ -247,18 +230,18 @@ def cmd_rrt(args) -> int:
                            max_iterations=args.max_iterations, seed=args.seed)
     result = rrt.best_of_n(wmap, model, start, goal, params, args.n)
 
-    if isinstance(result, rrt.RrtFailure):
-        failures = len(result.attempts)
+    if result is None:  # every run failed
+        seeds = range(args.seed, args.seed + args.n)
         _write(out, dump_json({
-            "ok": False, "n": args.n, "base_seed": args.seed,
-            "failures": failures, "attempts": result.attempts,
+            "ok": False, "n": args.n, "base_seed": args.seed, "failures": args.n,
+            "attempts": [{"seed": seed, "ok": False} for seed in seeds],
         }) + "\n")
-        print(f"rrt: no solution in {args.n} runs ({failures} failures)")
+        print(f"rrt: no solution in {args.n} runs ({args.n} failures)")
         return EXIT_EMPTY
 
     spath = to_segment_path(result)
     timed = to_timed(spath, v=v, omega_deg=omega, dt=dt)
-    report = eval_costs(timed, wmap, r)
+    [report] = eval_costs([timed], wmap, r)
     signs = rrt.curvature_sign_changes(result)
     text = timed_to_json(timed, vertices=result.vertices, report=report.to_dict(),
                          curvature_sign_changes=signs, n=args.n, base_seed=args.seed)
@@ -279,7 +262,8 @@ def _evaluated(args):
     def each():
         for path in args.trajectories:
             timed = timed_from_json(_read(path, "trajectory"))
-            yield path, timed, eval_costs(timed, wmap, r)
+            [report] = eval_costs([timed], wmap, r)
+            yield path, timed, report
     return wmap, each()
 
 
@@ -302,22 +286,6 @@ def cmd_render(args) -> int:
 
 
 # -- entry point ------------------------------------------------------------------
-
-
-def _join_negative_values(argv, parser: argparse.ArgumentParser) -> list[str]:
-    """argparse takes a value such as -1e-3 or -1.5,3.5,0 for an option, so
-    one that follows an option that takes a value, in any subcommand of
-    parser, is joined to it, as --r=-1e-3."""
-    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    options = {name for sub in subs.choices.values() for a in sub._actions
-               if a.nargs is None for name in a.option_strings}
-    joined = []
-    for arg in argv:
-        if joined and joined[-1] in options and re.match(r"-([\d.]|inf|nan)", arg, re.I):
-            joined[-1] += "=" + arg
-        else:
-            joined.append(arg)
-    return joined
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,10 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
     rr.add_argument("--start", required=True, help="X,Y")
     rr.add_argument("--goal", required=True, help="X,Y")
     rr.add_argument("--n", type=int, required=True)
-    rr.add_argument("--seed", type=int, default=0)
+    rr.add_argument("--seed", type=int, default=rrt.RrtParams.seed)
     rr.add_argument("--step")
-    rr.add_argument("--goal-bias", type=float, default=0.05)
-    rr.add_argument("--max-iterations", type=int, default=20000)
+    rr.add_argument("--goal-bias", type=float, default=rrt.RrtParams.goal_bias)
+    rr.add_argument("--max-iterations", type=int, default=rrt.RrtParams.max_iterations)
     rr.set_defaults(func=cmd_rrt)
 
     ev = sub.add_parser("eval", parents=[map_file, radius, files],
@@ -365,14 +333,17 @@ def build_parser() -> argparse.ArgumentParser:
                          help="render map and trajectories to SVG")
     re_.set_defaults(func=cmd_render)
 
+    # argparse reads an argument that looks like a negative number as a
+    # value, not an option; its own rule knows -1 and -.5 but not -1e-3,
+    # -inf or -1.5,3.5,0
+    for parser in sub.choices.values():
+        parser._negative_number_matcher = re.compile(r"-([\d.]|inf|nan)", re.I)
     return p
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser()
     try:
-        args = parser.parse_args(_join_negative_values(argv, parser))
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse printed the help (0) or a usage error
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:

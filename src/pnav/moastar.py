@@ -89,16 +89,17 @@ def _tup(v) -> tuple[float, int, float]:
     return v.as_tuple() if isinstance(v, CostVector) else tuple(v)
 
 
-def costs_equal(a, b, tol: float = FLOAT_TOL) -> bool:
-    """Equality up to tol on the float components; exact on the turn count."""
+def costs_equal(a, b) -> bool:
+    """Equality up to FLOAT_TOL on the float components; exact on the turn
+    count."""
     a1, a2, a3 = _tup(a)
     b1, b2, b3 = _tup(b)
-    return a2 == b2 and abs(a1 - b1) <= tol and abs(a3 - b3) <= tol
+    return a2 == b2 and abs(a1 - b1) <= FLOAT_TOL and abs(a3 - b3) <= FLOAT_TOL
 
 
-def _prunes(a: tuple, b: tuple, tol: float = FLOAT_TOL) -> bool:
-    """True if a dominates b or equals it up to tolerance (b is redundant)."""
-    return a[0] <= b[0] + tol and a[1] <= b[1] and a[2] <= b[2] + tol
+def _prunes(a: tuple, b: tuple) -> bool:
+    """True if a dominates b or equals it up to FLOAT_TOL (b is redundant)."""
+    return a[0] <= b[0] + FLOAT_TOL and a[1] <= b[1] and a[2] <= b[2] + FLOAT_TOL
 
 
 def pareto_filter(vectors: list[CostVector]) -> list[CostVector]:
@@ -253,6 +254,15 @@ def _path(label, nodes) -> list[LatticeNode]:
     return out
 
 
+def _check_query(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> None:
+    """PlanningError unless start is a lattice node and goal's position lies
+    on the lattice."""
+    if start not in graph:
+        raise PlanningError("invalid start")
+    if not (0 <= goal.ix < graph.nx and 0 <= goal.iy < graph.ny):
+        raise PlanningError("invalid goal")
+
+
 def plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> ParetoFront:
     """All non-dominated goal-reaching cost vectors with one path each.
 
@@ -260,10 +270,7 @@ def plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> Pare
     free.  Deterministic for identical inputs.  The front's metadata holds
     the search counters described in the module docstring.
     """
-    if start not in graph:
-        raise PlanningError("invalid start")
-    if not (0 <= goal.ix < graph.nx and 0 <= goal.iy < graph.ny):
-        raise PlanningError("invalid goal")
+    _check_query(graph, start, goal)
 
     nodes = graph.nodes
     rows = graph.rows
@@ -385,10 +392,7 @@ def brute_force_front(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -
         raise PlanningError(
             f"graph has {len(graph)} nodes, above the brute-force guard "
             f"of {BRUTE_FORCE_NODE_GUARD}")
-    if start not in graph:
-        raise PlanningError("invalid start")
-    if not (0 <= goal.ix < graph.nx and 0 <= goal.iy < graph.ny):
-        raise PlanningError("invalid goal")
+    _check_query(graph, start, goal)
 
     nodes, rows = graph.nodes, graph.rows
     H3 = _octile_bounds(graph, goal)

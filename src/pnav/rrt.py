@@ -59,14 +59,6 @@ class PolyPath:
                    for a, b in zip(self.vertices, self.vertices[1:]))
 
 
-@dataclass
-class RrtFailure:
-    """best_of_n's result when no run succeeded: one {"seed": s, "ok": False}
-    record per run, by ascending seed s."""
-
-    attempts: list[dict]
-
-
 def rrt_plan(wmap: WorkspaceMap, model: RobotModel,
              start: tuple[float, float], goal: tuple[float, float],
              params: RrtParams) -> PolyPath | None:
@@ -186,9 +178,10 @@ def curvature_sign_changes(path: PolyPath) -> int:
 
 def best_of_n(wmap: WorkspaceMap, model: RobotModel,
               start: tuple[float, float], goal: tuple[float, float],
-              params: RrtParams, n: int) -> PolyPath | RrtFailure:
+              params: RrtParams, n: int) -> PolyPath | None:
     """Run seeds seed..seed+n-1 and return the success with the fewest
-    curvature sign changes; ties go to the shorter path, then the lower seed."""
+    curvature sign changes; ties go to the shorter path, then the lower seed.
+    None when every run failed."""
     if n < 1:
         raise ValueError("n must be >= 1")
     best = None
@@ -201,6 +194,4 @@ def best_of_n(wmap: WorkspaceMap, model: RobotModel,
         key = (curvature_sign_changes(path), path.length(), p.seed)
         if best_key is None or key < best_key:
             best, best_key = path, key
-    if best is None:
-        return RrtFailure([{"seed": params.seed + k, "ok": False} for k in range(n)])
     return best

@@ -229,36 +229,43 @@ def heading_change_runs(theta: np.ndarray) -> list[tuple[int, int]]:
                     np.flatnonzero(edges == -1).tolist()))
 
 
-def eval_costs(timed: TimedTrajectory, wmap: WorkspaceMap, r: float, *,
-               phi: np.ndarray | None = None) -> CostReport:
-    """Evaluate (V, N, D) on a timed trajectory.
+def eval_costs(timeds: list[TimedTrajectory], wmap: WorkspaceMap,
+               r: float) -> list[CostReport]:
+    """Evaluate (V, N, D) on each timed trajectory, in order.
 
     V: trapezoidal time integral of the obstruction ratio divided by T (the
     single-pose value when T = 0).  D: summed sample-to-sample displacement.
     N: maximal runs of sample intervals over which the heading changes
     (rotations in place show up as zero-displacement heading drift).
 
-    phi, when given, is obstruction_ratios(wmap, positions, r) of timed's
-    sample positions, computed by a caller that evaluates many trajectories
-    in one batch; a point's ratio does not depend on its batch, so the report
-    is the same.  When omitted it is computed here.
+    The obstruction ratios come from one obstruction_ratios batch over the
+    distinct sample positions of all the trajectories (rotations in place
+    and shared prefixes repeat positions).  A point's ratio does not depend
+    on its batch, so a trajectory's report is the same alone or with others.
     """
-    s = timed.samples
-    t, x, y, theta = s[:, 0], s[:, 1], s[:, 2], s[:, 3]
-    if phi is None:
-        phi = obstruction_ratios(wmap, s[:, 1:3], r)
-    elif len(phi) != len(s):
-        raise TrajectoryError(f"phi has {len(phi)} values for {len(s)} samples")
+    if not timeds:
+        return []
+    xy = np.concatenate([t.samples[:, 1:3] for t in timeds])  # C-contiguous
+    # each (x, y) row viewed as one complex number, far cheaper to sort than
+    # rows; -0.0 and 0.0 compare equal there, which is harmless: they give
+    # the same ratio, as obstruction_ratios only adds, subtracts and compares
+    # coordinates, where the two agree
+    unique, inverse = np.unique(xy.view(np.complex128).ravel(), return_inverse=True)
+    phis = obstruction_ratios(wmap, unique.view(np.float64).reshape(-1, 2), r)[inverse]
 
-    T = float(t[-1])
-    if len(s) == 1 or T == 0.0:
-        return CostReport(V=float(phi[0]), N=0, D=0.0, T=T)
-
-    V = float(np.sum(np.diff(t) * (phi[1:] + phi[:-1]) / 2.0) / T)
-    D = float(np.sum(np.hypot(np.diff(x), np.diff(y))))
-
-    N = len(heading_change_runs(theta))
-    return CostReport(V=V, N=N, D=D, T=T)
+    reports = []
+    splits = np.cumsum([len(t.samples) for t in timeds])[:-1]
+    for timed, phi in zip(timeds, np.split(phis, splits)):
+        s = timed.samples
+        t, x, y, theta = s[:, 0], s[:, 1], s[:, 2], s[:, 3]
+        T = float(t[-1])
+        if len(s) == 1 or T == 0.0:
+            reports.append(CostReport(V=float(phi[0]), N=0, D=0.0, T=T))
+            continue
+        V = float(np.sum(np.diff(t) * (phi[1:] + phi[:-1]) / 2.0) / T)
+        D = float(np.sum(np.hypot(np.diff(x), np.diff(y))))
+        reports.append(CostReport(V=V, N=len(heading_change_runs(theta)), D=D, T=T))
+    return reports
 
 
 # -- JSON output -----------------------------------------------------------------

@@ -77,10 +77,9 @@ def test_museum_front_tradeoff_structure(museum_graph):
     t0 = time.time()
     wmap, model, graph = museum_graph
     front = plan_pareto(graph, LatticeNode(*MUSEUM_START), GoalSpec(*MUSEUM_GOAL))
-    reports = []
-    for cost, nodes in front.entries:
-        timed = to_timed(to_segment_path(nodes, wmap, MUSEUM_DELTA))
-        reports.append(eval_costs(timed, wmap, model.camera_clearance_radius))
+    timeds = [to_timed(to_segment_path(nodes, wmap, MUSEUM_DELTA))
+              for _, nodes in front.entries]
+    reports = eval_costs(timeds, wmap, model.camera_clearance_radius)
     has_clear = any(rep.V == 0.0 for rep in reports)
     min_d = min(reports, key=lambda rep: rep.D)
     min_n = min(reports, key=lambda rep: rep.N)
@@ -117,18 +116,18 @@ def test_search_evaluator_consistency(museum_graph):
         start = LatticeNode(*rng.choice(positions), rng.choice(HEADINGS))
         goal = GoalSpec(*rng.choice(positions))
         front = plan_pareto(graph, start, goal)
-        for cost, nodes in front.entries:
-            timed = to_timed(to_segment_path(nodes, wmap, MUSEUM_DELTA), dt=0.1)
-            rep = eval_costs(timed, wmap, model.camera_clearance_radius)
+        timeds = [to_timed(to_segment_path(nodes, wmap, MUSEUM_DELTA), dt=0.1)
+                  for _, nodes in front.entries]
+        reps = eval_costs(timeds, wmap, model.camera_clearance_radius)
+        for (cost, _), rep in zip(front.entries, reps):
             checked += 1
             if rep.N != cost.w2 or abs(rep.D - cost.w3) > 1e-9:
                 ok = False
     # time-averaged obstruction: halving the tick keeps shrinking the change
     # (checked on a straight wall approach, where the integrand is smooth)
     sp = to_segment_path(PolyPath(((3.5, 7.5), (9.5, 7.5))))
-    vals = [eval_costs(to_timed(sp, dt=dt), wmap,
-                       model.camera_clearance_radius).V
-            for dt in (0.4, 0.2, 0.1, 0.05, 0.025)]
+    timeds = [to_timed(sp, dt=dt) for dt in (0.4, 0.2, 0.1, 0.05, 0.025)]
+    vals = [rep.V for rep in eval_costs(timeds, wmap, model.camera_clearance_radius)]
     deltas = [abs(a - b) for a, b in zip(vals, vals[1:])]
     converges = deltas[0] > 0 and all(
         d2 <= d1 + 1e-12 for d1, d2 in zip(deltas, deltas[1:]))

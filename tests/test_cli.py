@@ -294,16 +294,16 @@ def former_rrt_json(wmap, start, goal, n, seed, step, max_iterations,
     params = pnav.rrt.RrtParams(step_size=step, goal_bias=0.05,
                                 max_iterations=max_iterations, seed=seed)
     result = pnav.rrt.best_of_n(wmap, model, start, goal, params, n)
-    if isinstance(result, pnav.rrt.RrtFailure):
-        failures = sum(1 for a in result.attempts if not a["ok"])
+    if result is None:
+        attempts = [{"seed": seed + k, "ok": False} for k in range(n)]
         return _dump_json({
             "ok": False, "n": n, "base_seed": seed,
-            "failures": failures, "attempts": result.attempts,
+            "failures": n, "attempts": attempts,
         }) + "\n"
 
     spath = to_segment_path(result)
     timed = to_timed(spath, v=v, omega_deg=omega, dt=dt)
-    report = eval_costs(timed, wmap, r)
+    [report] = eval_costs([timed], wmap, r)
     signs = (pnav.rrt.curvature_sign_changes(result)
              if len(result.vertices) >= 2 else 0)
     doc = json.loads(timed_to_json(timed))
@@ -612,6 +612,19 @@ class TestNumericInputs:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "render"])
+    def test_trajectory_file_named_like_a_negative_number(self, map_file, tmp_path,
+                                                          monkeypatch, command):
+        # argparse's default rule reads -1.json as an option
+        monkeypatch.chdir(tmp_path)
+        argv = valid_argv(command, map_file(free_map(8, 8)), tmp_path, tmp_path / "fig.svg")
+        Path(argv[-1]).rename("-1.json")
+        assert main(argv[:-1] + ["-1.json"]) == 0
+        if command == "eval":
+            assert (tmp_path / "-1.json.report.json").exists()
+        else:
+            assert "-1.json V=" in (tmp_path / "fig.svg").read_text()
+
     @pytest.mark.parametrize("field,bad", [("width", True), ("resolution", math.nan)])
     def test_map_header(self, tmp_path, capsys, field, bad):
         doc = json.loads(dump_map(free_map(3, 3)))
@@ -783,22 +796,19 @@ class TestCanonicalOutput:
         assert "null byte" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_batched_phi_gives_the_same_reports(self):
-        from pnav.cli import _front_phi
+    def test_front_evaluated_at_once_equals_each_alone(self):
         from pnav.fixtures import (MUSEUM_DELTA, MUSEUM_GOAL, MUSEUM_R, MUSEUM_START,
                                    museum_model)
         from pnav.lattice import LatticeNode, build_lattice
         from pnav.moastar import GoalSpec, plan_pareto
-        from pnav.trajectory import eval_costs, to_segment_path, to_timed
 
         wmap = museum_map()
         graph = build_lattice(wmap, museum_model(), MUSEUM_DELTA)
         front = plan_pareto(graph, LatticeNode(*MUSEUM_START), GoalSpec(*MUSEUM_GOAL))
         timeds = [to_timed(to_segment_path(nodes, wmap, MUSEUM_DELTA))
                   for _, nodes in front.entries]
-        phis = _front_phi(wmap, timeds, MUSEUM_R)
-        assert len(front.entries) == len(phis) == 18
-        for timed, phi in zip(timeds, phis):
-            batched = eval_costs(timed, wmap, MUSEUM_R, phi=phi)
-            alone = eval_costs(timed, wmap, MUSEUM_R)
-            assert batched.to_dict() == alone.to_dict()
+        batched = eval_costs(timeds, wmap, MUSEUM_R)
+        assert len(batched) == 18
+        alone = [report for timed in timeds for report in eval_costs([timed], wmap, MUSEUM_R)]
+        assert [rep.to_dict() for rep in batched] == [rep.to_dict() for rep in alone]
+        assert eval_costs([], wmap, MUSEUM_R) == []

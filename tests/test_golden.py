@@ -7,11 +7,12 @@ depend on the platform.  RRT paths stay in: their vertices come from PCG64
 uniforms and correctly rounded arithmetic, and the nearest node from exact
 comparisons.
 
-The last two tests pin the bytes of every file that `pnav plan --svg` on
-the museum query and one `pnav rrt --n 20` write.  Those files hold sampled
-trajectories and their evaluated costs, which numpy computes, so a numpy
-whose float results differ in the last bit could change them; they are the
-"same bytes" check of refactors on the installed toolchain.
+The last three tests pin the bytes of every file that `pnav plan --svg` on
+the museum query and two `pnav rrt --n 20` runs write, one of them a run in
+which every seed fails.  Those files hold sampled trajectories and their
+evaluated costs, which numpy computes, so a numpy whose float results differ
+in the last bit could change them; they are the "same bytes" check of
+refactors on the installed toolchain.
 """
 
 import hashlib
@@ -74,12 +75,9 @@ def test_lattice_and_front_digests(name, edges, front):
     assert (edges_digest(graph), front_digest(result)) == (edges, front)
 
 
-def rrt_digest(result) -> str:
-    """Of a PolyPath's vertices, or of an RrtFailure's attempts."""
-    if isinstance(result, PolyPath):
-        text = repr([(repr(x), repr(y)) for x, y in result.vertices])
-    else:
-        text = repr(result.attempts)
+def rrt_digest(path: PolyPath) -> str:
+    """Of a PolyPath's vertices."""
+    text = repr([(repr(x), repr(y)) for x, y in path.vertices])
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -90,8 +88,6 @@ MUSEUM_RRT = (MUSEUM_START_WORLD[:2], MUSEUM_GOAL_WORLD)
     (0, 20000, "3ec3bb0a366b6c791a3dc49ffe1e0c19b18a278a3c57c1efd8b2518e73161f32"),
     (1000, 20000, "7e1fe75afa2371f83b4d503a82bd037c3a4b3f78ff7f4c47de80e46ed63adfb6"),
     (424242, 20000, "97c59d0fd06ff8dd9bccb10fcc304861ca7c7e80d5687823aac288580fe36c32"),
-    # max_iterations 40: every run fails, and the result is an RrtFailure
-    (77, 40, "443027d2a380eeb968230c585889d93d0d681b18c085f69b48a68f811febcf91"),
 ])
 def test_rrt_best_of_n_digests(base, max_iterations, digest):
     params = RrtParams(step_size=1.0, max_iterations=max_iterations, seed=base)
@@ -135,6 +131,10 @@ MUSEUM_PLAN_FILES = {
 MUSEUM_RRT_FILES = {
     "rrt.json": "09f51171c4a3f9c5bad86c6a665cbe7aa37fbae865cbd9ab2e2dc5552cca5835",
 }
+# --max-iterations 40: every run fails
+MUSEUM_RRT_FAILURE_FILES = {
+    "rrt.json": "bc03217a7e7a584ee974a674f315e8bacf7a7d8c0f07941f1490181ddd15f994",
+}
 
 
 def _write_museum_map(directory) -> str:
@@ -162,3 +162,11 @@ def test_museum_rrt_file_digest(tmp_path, monkeypatch):
                  "--goal", "18.5,3.5", "--n", "20", "--seed", "0", "--rho", "0.3",
                  "--r", "2.0", "--out", "out"]) == 0
     assert _file_digests(tmp_path / "out") == MUSEUM_RRT_FILES
+
+
+def test_museum_rrt_failure_file_digest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["rrt", "--map", _write_museum_map(tmp_path), "--start", "3.5,3.5",
+                 "--goal", "18.5,3.5", "--n", "20", "--seed", "77", "--max-iterations", "40",
+                 "--rho", "0.3", "--r", "2.0", "--out", "out"]) == 2
+    assert _file_digests(tmp_path / "out") == MUSEUM_RRT_FAILURE_FILES

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnav.gridmap import obstruction_ratio, obstruction_ratios
+from pnav.gridmap import obstruction_ratio
 from pnav.lattice import LatticeNode, build_lattice
 from pnav.moastar import GoalSpec, plan_pareto
 from pnav.rrt import PolyPath
@@ -251,20 +251,20 @@ class TestRotationRuns:
                          [4, 2, 0, 30], [5, 3, 0, 40], [6, 4, 0, 40]])
         assert heading_change_runs(tt.samples[:, 3]) == [(0, 3), (4, 5)]
         assert rotation_points(tt) == [(1.0, 0.0)]
-        assert eval_costs(tt, free_map(8, 8), 0.5).N == 2
+        assert eval_costs([tt], free_map(8, 8), 0.5)[0].N == 2
 
 
 class TestEvalCosts:
     def test_stationary_in_free_space(self):
         wmap = free_map(10, 10)
         sp = to_segment_path(PolyPath(((5.0, 5.0),)))
-        rep = eval_costs(to_timed(sp), wmap, 1.0)
+        [rep] = eval_costs([to_timed(sp)], wmap, 1.0)
         assert (rep.V, rep.N, rep.D) == (0.0, 0, 0.0)
 
     def test_straight_translate(self):
         wmap = free_map(12, 6)
         sp = to_segment_path(PolyPath(((3.0, 3.0), (7.0, 3.0))))
-        rep = eval_costs(to_timed(sp), wmap, 1.0)
+        [rep] = eval_costs([to_timed(sp)], wmap, 1.0)
         assert rep.V == 0.0 and rep.N == 0
         assert rep.D == pytest.approx(4.0, abs=1e-9)
 
@@ -277,7 +277,7 @@ class TestEvalCosts:
         assert len(front) > 0
         for cost, nodes in front.entries:
             sp = to_segment_path(nodes, wmap, 1.0)
-            rep = eval_costs(to_timed(sp), wmap, 0.8)
+            [rep] = eval_costs([to_timed(sp)], wmap, 0.8)
             assert rep.N == cost.w2
             assert rep.D == pytest.approx(cost.w3, abs=1e-9)
 
@@ -286,20 +286,12 @@ class TestEvalCosts:
         # integration shows Cauchy behavior: each halving changes V less
         wmap = make_map(["#" * 16] * 4 + ["." * 16] * 12, resolution=0.5)
         sp = to_segment_path(PolyPath(((4.0, 1.0), (4.0, 5.0))))
-        vals = [eval_costs(to_timed(sp, dt=dt), wmap, 2.0).V
-                for dt in (0.4, 0.2, 0.1, 0.05, 0.025)]
+        timeds = [to_timed(sp, dt=dt) for dt in (0.4, 0.2, 0.1, 0.05, 0.025)]
+        vals = [rep.V for rep in eval_costs(timeds, wmap, 2.0)]
         deltas = [abs(a - b) for a, b in zip(vals, vals[1:])]
         assert deltas[0] > 0
         for d1, d2 in zip(deltas, deltas[1:]):
             assert d2 <= d1 + 1e-12
-
-    def test_phi_argument_must_match_the_samples(self):
-        wmap = make_map(["#" * 8] + ["." * 8] * 7)
-        timed = to_timed(to_segment_path(PolyPath(((1.5, 1.5), (6.5, 4.5)))), dt=0.5)
-        phi = obstruction_ratios(wmap, timed.samples[:, 1:3], 2.0)
-        assert eval_costs(timed, wmap, 2.0, phi=phi) == eval_costs(timed, wmap, 2.0)
-        with pytest.raises(TrajectoryError, match="phi has 2 values"):
-            eval_costs(timed, wmap, 2.0, phi=phi[:2])
 
     def test_v_is_trapezoid_mean_of_obstruction(self, monkeypatch):
         # V must not depend on np.trapz, which numpy 2.4 removed
@@ -308,7 +300,7 @@ class TestEvalCosts:
         sp = to_segment_path(PolyPath(((4.0, 1.0), (4.0, 5.0))))
         # dt does not divide the duration, so the last interval is shorter
         timed = to_timed(sp, dt=0.3)
-        rep = eval_costs(timed, wmap, 2.0)
+        [rep] = eval_costs([timed], wmap, 2.0)
 
         t = [float(row[0]) for row in timed.samples]
         phi = [obstruction_ratio(wmap, (row[1], row[2]), 2.0)
@@ -324,7 +316,7 @@ class TestEvalCosts:
     def test_distance_lower_bound(self):
         wmap = free_map(10, 10)
         sp = to_segment_path(PolyPath(((1, 1), (4, 1), (4, 6), (8, 6))))
-        rep = eval_costs(to_timed(sp), wmap, 0.5)
+        [rep] = eval_costs([to_timed(sp)], wmap, 0.5)
         chord = math.dist((1, 1), (8, 6))
         assert rep.D > chord
 
@@ -334,8 +326,8 @@ class TestEvalCosts:
         wmap2 = make_map(["....", ".#..", "...."], origin=(10.0, -5.0))
         sp1 = to_segment_path(PolyPath(((0.5, 0.5), (3.5, 0.5), (3.5, 2.5))))
         sp2 = to_segment_path(PolyPath(((10.5, -4.5), (13.5, -4.5), (13.5, -2.5))))
-        r1 = eval_costs(to_timed(sp1), wmap1, 1.0)
-        r2 = eval_costs(to_timed(sp2), wmap2, 1.0)
+        [r1] = eval_costs([to_timed(sp1)], wmap1, 1.0)
+        [r2] = eval_costs([to_timed(sp2)], wmap2, 1.0)
         assert r1.V == pytest.approx(r2.V, abs=1e-12)
         assert r1.N == r2.N
         assert r1.D == pytest.approx(r2.D, abs=1e-12)
