@@ -263,6 +263,8 @@ def _evaluated(args):
         for path in args.trajectories:
             timed = timed_from_json(_read(path, "trajectory"))
             [report] = eval_costs([timed], wmap, r)
+            if not all(map(math.isfinite, report.to_dict().values())):
+                raise CliError(f"trajectory {path}: report {report.to_dict()} is not finite")
             yield path, timed, report
     return wmap, each()
 

@@ -322,7 +322,8 @@ def _clear_sweeps(wmap: WorkspaceMap, a: np.ndarray, b: np.ndarray,
 def _sweeps_free(wmap: WorkspaceMap, a: np.ndarray, b: np.ndarray,
                  rho: float) -> list[bool]:
     """[swept_footprint_free(wmap, a[i], b[i], rho) for every i]: the batch
-    broad phase, then the scalar test for every sweep it does not clear."""
+    broad phase, then the scalar test for every sweep it does not clear.
+    Each sweep's answer is independent of the others and of their order."""
     free = _clear_sweeps(wmap, a, b, rho)
     out = free.tolist()
     for i in np.flatnonzero(~free).tolist():
@@ -361,7 +362,8 @@ def obstruction_ratios(wmap: WorkspaceMap, xy, r: float) -> np.ndarray:
     each axis; a subsample of those cells is in the disc when
     dx^2 + dy^2 <= r^2, and obstructed when its cell is an obstacle or out of
     bounds.  The ratio is obstructed / total on the integer counts; when no
-    subsample is in the disc, it is 1.0 or 0.0 by the cell holding p.
+    subsample is in the disc, it is 1.0 or 0.0 by the cell holding p.  Each
+    point's ratio is independent of the other points and of their order.
     """
     r = check_disc_radius(wmap, r)
     s = DISC_SAMPLES_PER_CELL
@@ -373,8 +375,9 @@ def obstruction_ratios(wmap: WorkspaceMap, xy, r: float) -> np.ndarray:
         raise ValueError("xy must be finite")
     ox, oy = wmap.origin
     res = wmap.resolution
-    px = (xy[:, 0] - ox) / res
-    py = (xy[:, 1] - oy) / res
+    with np.errstate(over="ignore"):  # a far point may reach inf: its ratio is 1.0
+        px = (xy[:, 0] - ox) / res
+        py = (xy[:, 1] - oy) / res
     # A point whose window misses the map counts frame cells only, so its
     # ratio is 1.0 (its host cell is off the map too).  It is set here, before
     # any cast to int64, which a far point would overflow.

@@ -6,14 +6,15 @@ between any two headings at a position; Type-B edges translate one
 heading-aligned step to an 8-neighbor.  Every edge carries a three-component
 cost vector (obstruction, turn count, distance).
 
-Nodes are numbered in `LatticeGraph.nodes` order: positions ascend by
-(ix, iy), and the node at position index p with heading HEADINGS[k] has id
+`LatticeGraph.phi` maps each free position to its obstruction ratio in
+node-id order, ascending by (ix, iy), and the graph derives `nodes` and ids
+from it: the node at the p-th position with heading HEADINGS[k] has id
 8 * p + k.  `LatticeGraph.rows[id]`, the only edge store, lists that node's
 outgoing edges as (dst id, w1, w2, w3) tuples, so a search can run on
 integer ids.  Entries 0-6 rotate to the other 7 headings, ascending, each
 costing (phi here, 1, 0.0); entry 7, present when the swept footprint is
-free, translates, so a node has at most one translation predecessor.
-Every reader in this package walks the rows: the search, its bounds and the
+free, translates, so a node has at most one translation predecessor.  Every
+reader in this package walks the rows: the search, its bounds and the
 exhaustive oracle; none calls neighbors.  The neighbors method builds a
 node's `LatticeEdge`s from its row on each call, as the benchmark's and the
 tests' view of the edges.
@@ -90,25 +91,20 @@ def node_position(node: LatticeNode, wmap: WorkspaceMap, delta: float) -> tuple[
 class LatticeGraph:
     """Immutable directed graph over (ix, iy, heading) lattice nodes."""
 
-    def __init__(self, delta: float, nx: int, ny: int,
-                 phi: dict[tuple[int, int], float], nodes: tuple[LatticeNode, ...],
-                 rows: list[tuple[tuple[int, float, int, float], ...]],
-                 first_id: dict[tuple[int, int], int]):
+    def __init__(self, delta: float, nx: int, ny: int, phi: dict[tuple[int, int], float],
+                 rows: list[tuple[tuple[int, float, int, float], ...]]):
         self.delta = delta
         self.nx, self.ny = nx, ny
-        self.phi = phi
-        self.nodes = nodes  # id -> node, 8 headings per position
+        self.phi = phi  # position -> phi, in node-id order
         self.rows = rows  # id -> ((dst id, w1, w2, w3), ...), 7 rotations then a translation
-        self._first_id = first_id  # position -> id of its heading-0 node
+        self.nodes = tuple(LatticeNode(ix, iy, h) for ix, iy in phi for h in HEADINGS)
+        self._first_id = {pos: 8 * p for p, pos in enumerate(phi)}  # id of its heading-0 node
 
     def __contains__(self, node: LatticeNode) -> bool:
-        return isinstance(node, LatticeNode) and (node.ix, node.iy) in self._first_id
+        return isinstance(node, LatticeNode) and (node.ix, node.iy) in self.phi
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def has_position(self, ix: int, iy: int) -> bool:
-        return (ix, iy) in self.phi
 
     def node_id(self, node: LatticeNode) -> int:
         """The node's index in `nodes` and `rows`."""
@@ -150,40 +146,33 @@ def build_lattice(wmap: WorkspaceMap, model: RobotModel, delta: float) -> Lattic
 
     rho = model.footprint_radius
     ox, oy = wmap.origin
-    # position centres as node_position computes them, in (iy, ix) order,
-    # the order phi keys the free ones in
+    # position centres as node_position computes them, in (ix, iy) order, so
+    # the free ones come out in node-id order
     gx, gy = np.meshgrid(ox + (np.arange(nx) + 0.5) * delta,
-                         oy + (np.arange(ny) + 0.5) * delta)
+                         oy + (np.arange(ny) + 0.5) * delta, indexing="ij")
     centres = np.column_stack((gx.ravel(), gy.ravel()))
     free = np.flatnonzero(_sweeps_free(wmap, centres, centres, rho))
-    fy, fx = np.divmod(free, nx)
-    ratios = obstruction_ratios(wmap, centres[free], model.camera_clearance_radius)
-    phi = dict(zip(zip(fx.tolist(), fy.tolist()), ratios.tolist()))
-
-    order = np.lexsort((fy, fx))  # positions ascend by (ix, iy)
-    pix, piy = fx[order], fy[order]
-    positions = list(zip(pix.tolist(), piy.tolist()))
-    first_id = {pos: 8 * p for p, pos in enumerate(positions)}
-    nodes = tuple(LatticeNode(ix, iy, h) for ix, iy in positions for h in HEADINGS)
-    phis = ratios[order].tolist()  # phi by position index
+    pix, piy = np.divmod(free, ny)
+    xy = centres[free]
+    phis = obstruction_ratios(wmap, xy, model.camera_clearance_radius).tolist()
+    phi = dict(zip(zip(pix.tolist(), piy.tolist()), phis))
 
     # Type-B: dst[p, k] is the position that heading k steps to from
     # position p, -1 when it is not a lattice position; the swept footprint
     # decides which of those steps are edges, and target[p, k] is then the
     # destination node id, else -1
     index = np.full((ny + 2, nx + 2), -1, dtype=np.intp)  # framed, as steps reach past the map
-    index[piy + 1, pix + 1] = np.arange(len(positions))
+    index[piy + 1, pix + 1] = np.arange(len(phis))
     steps = np.array([HEADING_STEP[h] for h in HEADINGS])
     dst = index[piy[:, None] + 1 + steps[:, 1], pix[:, None] + 1 + steps[:, 0]]
     src, heading = np.nonzero(dst >= 0)
-    xy = centres[free[order]]
     free_step = _sweeps_free(wmap, xy[src], xy[dst[src, heading]], rho)
     target = np.full_like(dst, -1)
     target[src, heading] = np.where(free_step, 8 * dst[src, heading] + heading, -1)
 
     step = [delta if h in AXIS_HEADINGS else SQRT2 * delta for h in HEADINGS]
     rows: list[tuple[tuple[int, float, int, float], ...]] = []
-    for base, w1, targets in zip(range(0, len(nodes), 8), phis, target.tolist()):
+    for base, w1, targets in zip(range(0, 8 * len(phis), 8), phis, target.tolist()):
         # one row entry per heading, shared by the position's 8 rows
         turns = tuple([(base + k, w1, 1, 0.0) for k in range(8)])
         for k, d in enumerate(targets):
@@ -191,4 +180,4 @@ def build_lattice(wmap: WorkspaceMap, model: RobotModel, delta: float) -> Lattic
             row = turns[:k] + turns[k + 1:]
             rows.append(row + ((d, phis[d >> 3], 0, step[k]),) if d >= 0 else row)
 
-    return LatticeGraph(delta, nx, ny, phi, nodes, rows, first_id)
+    return LatticeGraph(delta, nx, ny, phi, rows)

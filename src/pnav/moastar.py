@@ -160,10 +160,10 @@ def _sorted_front(solutions) -> list[tuple[CostVector, list[LatticeNode]]]:
 
 def _goal_ids(graph: LatticeGraph, goal: GoalSpec) -> list[int]:
     """Ids of the nodes that satisfy the goal, ascending."""
-    if not graph.has_position(goal.ix, goal.iy):
+    if (goal.ix, goal.iy) not in graph.phi:
         return []
-    base = graph.node_id(LatticeNode(goal.ix, goal.iy, 0))
-    return [i for i in range(base, base + 8) if goal.satisfied_by(graph.nodes[i])]
+    headings = HEADINGS if goal.heading is None else (goal.heading,)
+    return [graph.node_id(LatticeNode(goal.ix, goal.iy, h)) for h in headings]
 
 
 def _octile_bounds(graph: LatticeGraph, goal: GoalSpec) -> list[float]:
@@ -171,8 +171,8 @@ def _octile_bounds(graph: LatticeGraph, goal: GoalSpec) -> list[float]:
     to the goal's, one octile per position for its 8 headings."""
     delta = graph.delta
     h3 = []
-    for n in graph.nodes[::8]:
-        h3 += [octile((goal.ix - n.ix) * delta, (goal.iy - n.iy) * delta)] * len(HEADINGS)
+    for ix, iy in graph.phi:
+        h3 += [octile((goal.ix - ix) * delta, (goal.iy - iy) * delta)] * len(HEADINGS)
     return h3
 
 

@@ -80,15 +80,17 @@ def render_svg(wmap: WorkspaceMap,
         pts = _fill("%.3f,%.3f", screen(s[:, 1], s[:, 2]), " ")
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="2"/>')
-        for (rx, ry) in rotation_points(timed):
-            (cx, cy), = screen(rx, ry)
-            out.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="4" '
-                       f'fill="none" stroke="{color}" stroke-width="1.5"/>')
+        markers = rotation_points(timed)
+        if markers:
+            out.append(_fill(f'<circle cx="%.3f" cy="%.3f" r="4" fill="none" stroke="{color}" '
+                             f'stroke-width="1.5"/>', screen(*np.array(markers).T), "\n"))
         ly = h_px + _LEGEND_ROW * (i + 1) - 4
         out.append(f'<rect x="{_fmt(float(_MARGIN))}" y="{_fmt(ly - 9)}" '
                    f'width="12" height="12" fill="{color}"/>')
+        # xml.sax.saxutils.escape, without its import of urllib.request and ssl
+        text = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         out.append(f'<text x="{_fmt(_MARGIN + 18.0)}" y="{_fmt(ly)}" '
-                   f'font-family="monospace" font-size="12">{label}</text>')
+                   f'font-family="monospace" font-size="12">{text}</text>')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -263,7 +263,8 @@ def eval_costs(timeds: list[TimedTrajectory], wmap: WorkspaceMap,
             reports.append(CostReport(V=float(phi[0]), N=0, D=0.0, T=T))
             continue
         V = float(np.sum(np.diff(t) * (phi[1:] + phi[:-1]) / 2.0) / T)
-        D = float(np.sum(np.hypot(np.diff(x), np.diff(y))))
+        with np.errstate(over="ignore"):  # inf past the float range
+            D = float(np.sum(np.hypot(np.diff(x), np.diff(y))))
         reports.append(CostReport(V=V, N=len(heading_change_runs(theta)), D=D, T=T))
     return reports
 
@@ -296,10 +297,12 @@ def _slotted(obj, texts: list):
 
 
 def dump_json(doc) -> str:
-    """json.dumps(doc, indent=1, sort_keys=True), with each JsonText value
-    spliced in verbatim where the dump holds a placeholder string for it."""
+    """json.dumps(doc, indent=1, sort_keys=True, allow_nan=False), with each
+    JsonText value spliced in verbatim where the dump holds a placeholder
+    string for it."""
     texts = []
-    parts = json.dumps(_slotted(doc, texts), indent=1, sort_keys=True).split(json.dumps(_SLOT))
+    parts = json.dumps(_slotted(doc, texts), indent=1, sort_keys=True,
+                       allow_nan=False).split(json.dumps(_SLOT))
     if len(parts) != len(texts) + 1:
         raise RuntimeError(f"dump has {len(parts) - 1} text slots for {len(texts)} JSON texts")
     return "".join(part + text for part, text in zip(parts, texts + [""]))

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -459,6 +460,24 @@ class TestEvalCommand:
         assert rep["D"] == pytest.approx(4.0)
         assert rep["N"] == 0
 
+    @pytest.mark.parametrize("command", ["eval", "render"])
+    def test_report_past_the_float_range_is_refused(self, tmp_path, capsys, command):
+        # finite samples whose displacement overflows: D would be inf
+        samples = [{"t": float(t), "x": c, "y": c, "theta_deg": 0.0}
+                   for t, c in enumerate((-1e308, 1e308))]
+        tfile = tmp_path / "far.json"
+        tfile.write_text(json.dumps(
+            {"v": 1.0, "omega_deg": 90.0, "dt": 1.0, "samples": samples}))
+        museum_path = tmp_path / "museum.json"
+        museum_path.write_text(dump_map(museum_map()))
+        out = tmp_path / "fig.svg"
+        extra = ["--out", str(out)] if command == "render" else []
+        code = main([command, "--map", str(museum_path), "--r", "2", *extra, str(tfile)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"trajectory {tfile}: report " in err and "'D': inf" in err
+        assert not (tmp_path / "far.json.report.json").exists() and not out.exists()
+
     def test_schema_violation_names_field(self, map_file, tmp_path, capsys):
         tfile = tmp_path / "bad.json"
         tfile.write_text('{"v": 1.0, "omega_deg": 90.0, "dt": 0.05}')
@@ -496,6 +515,14 @@ class TestRenderCommand:
         svg = out.read_text()
         assert svg.count("<polyline") == 3
         assert svg.count("V=") == 3
+
+    def test_label_with_markup_characters(self, map_file, tmp_path):
+        t = self._write_traj(tmp_path, "a&b<c.json", [(1, 1), (3, 1)])
+        out = tmp_path / "fig.svg"
+        assert main(["render", "--map", map_file(free_map(5, 5)),
+                     "--r", "0.5", "--out", str(out), t]) == 0
+        [label] = ET.parse(out).getroot().iter("{http://www.w3.org/2000/svg}text")
+        assert label.text.startswith("a&b<c.json V=")
 
     def test_render_deterministic(self, map_file, tmp_path):
         t = self._write_traj(tmp_path, "a.json", [(1, 1), (4, 4)])
@@ -812,3 +839,39 @@ class TestCanonicalOutput:
         alone = [report for timed in timeds for report in eval_costs([timed], wmap, MUSEUM_R)]
         assert [rep.to_dict() for rep in batched] == [rep.to_dict() for rep in alone]
         assert eval_costs([], wmap, MUSEUM_R) == []
+
+
+def strict_json(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity, which JSON lacks."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_every_written_file_parses_strictly(tmp_path):
+    """The files of museum plan --svg, rrt --n 3, eval and render: each SVG
+    is XML and each JSON document standard JSON."""
+    museum_path = tmp_path / "museum.json"
+    museum_path.write_text(dump_map(museum_map()))
+    shared = ["--map", str(museum_path), "--rho", "0.3", "--r", "2.0"]
+    assert main(["plan", *shared, "--start", "3.5,3.5,0", "--goal", "18.5,3.5",
+                 "--delta", "1.0", "--svg", "--out", str(tmp_path / "plan")]) == 0
+    assert main(["rrt", *shared, "--start", "3.5,3.5", "--goal", "18.5,3.5", "--n", "3",
+                 "--out", str(tmp_path / "rrt")]) == 0
+    front = strict_json((tmp_path / "plan" / "front.json").read_text())
+    trajectories = [str(tmp_path / "rrt" / "rrt.json")]
+    for i, entry in enumerate(front["entries"]):
+        trajectories.append(str(tmp_path / f"entry_{i}.json"))
+        Path(trajectories[-1]).write_text(json.dumps(entry["trajectory"]))
+    assert main(["eval", "--map", str(museum_path), "--r", "2.0", *trajectories]) == 0
+    assert main(["render", "--map", str(museum_path), "--r", "2.0",
+                 "--out", str(tmp_path / "fig.svg"), *trajectories]) == 0
+
+    files = [path for path in tmp_path.rglob("*") if path.is_file()]
+    assert sum(path.suffix == ".svg" for path in files) == len(front["entries"]) + 2
+    assert sum(path.name.endswith(".report.json") for path in files) == len(trajectories)
+    for path in files:
+        if path.suffix == ".svg":
+            ET.parse(path)
+        else:
+            strict_json(path.read_text())

@@ -61,7 +61,7 @@ class TestBuild:
         for ix in range(5):
             for iy in range(5):
                 pos = node_position(LatticeNode(ix, iy, 0), wmap, 1.0)
-                assert g.has_position(ix, iy) == footprint_free(wmap, pos, 0.6)
+                assert ((ix, iy) in g.phi) == footprint_free(wmap, pos, 0.6)
 
     def test_interior_node_edge_counts(self):
         g = build_lattice(free_map(7, 7), SMALL, 1.0)
@@ -93,7 +93,7 @@ class TestBuild:
             expect_b = 0
             dx, dy = HEADING_STEP[node.heading]
             jx, jy = node.ix + dx, node.iy + dy
-            if g.has_position(jx, jy) and 0 <= jx < g.nx and 0 <= jy < g.ny:
+            if (jx, jy) in g.phi and 0 <= jx < g.nx and 0 <= jy < g.ny:
                 # the swept gate, written out between the two node positions
                 dst = LatticeNode(jx, jy, node.heading)
                 if swept_footprint_free(wmap, node_position(node, wmap, 1.0),
@@ -282,6 +282,14 @@ class TestRows:
             model = RobotModel(footprint_radius=rng.choice([0.2, 0.3, 0.5]),
                                camera_clearance_radius=rng.choice([0.4, 1.2]))
             self.assert_rows_match_edges(build_lattice(wmap, model, 1.0))
+
+    def test_phi_keys_in_node_id_order(self, museum):
+        rng = random.Random(6174)
+        graphs = [build_lattice(*museum, 1.0)] + [
+            build_lattice(random_map(rng, rng.randint(2, 9), rng.randint(2, 7), 0.25), SMALL, 1.0)
+            for _ in range(12)]
+        for g in graphs:
+            assert list(g.phi) == sorted(g.phi) == [(n.ix, n.iy) for n in g.nodes[::8]]
 
     def test_blocked_map_has_no_rows(self):
         g = build_lattice(make_map(["##", "##"]), SMALL, 1.0)

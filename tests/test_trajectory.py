@@ -381,7 +381,7 @@ def reference_timed_json(timed, **fields):
                 "theta_deg": float(r[3])} for r in timed.samples]
     return json.dumps({"v": timed.v, "omega_deg": timed.omega_deg,
                        "dt": timed.dt, "samples": samples, **fields},
-                      indent=1, sort_keys=True)
+                      indent=1, sort_keys=True, allow_nan=False)
 
 
 # finite floats, with the ones whose repr is easiest to get wrong
@@ -406,7 +406,13 @@ class TestTrajectoryWriter:
     def test_text_equals_json_dumps(self, rows, v, omega_deg, dt, fields):
         samples = np.array(rows, dtype=float).reshape(-1, 4)
         timed = TimedTrajectory(samples, v, omega_deg, dt)
-        assert timed_to_json(timed, **fields) == reference_timed_json(timed, **fields)
+        try:
+            expected = reference_timed_json(timed, **fields)
+        except ValueError:  # a NaN or infinity in fields, which JSON lacks
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                timed_to_json(timed, **fields)
+            return
+        assert timed_to_json(timed, **fields) == expected
 
     def test_lattice_and_polyline_trajectories(self):
         wmap = free_map(6, 6)
@@ -462,3 +468,8 @@ class TestDumpJson:
     def test_plain_string_equal_to_the_slot_is_refused(self, doc):
         with pytest.raises(RuntimeError, match="text slots for"):
             dump_json(doc)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_refused(self, value):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            dump_json({"report": {"D": value}})
