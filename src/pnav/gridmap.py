@@ -164,10 +164,11 @@ def load_map(source: str | bytes | dict) -> WorkspaceMap:
     if len(rows) != height:
         raise MapFormatError(f"'rows' count {len(rows)} does not match height {height}")
 
-    occ = np.zeros((height, width), dtype=bool)
-    for i, row in enumerate(rows):
+    for i, row in enumerate(rows):  # before allocating width * height cells
         if not isinstance(row, str) or len(row) != width:
             raise MapFormatError(f"'rows[{i}]' length does not match width {width}")
+    occ = np.zeros((height, width), dtype=bool)
+    for i, row in enumerate(rows):
         for j, ch in enumerate(row):
             if ch == "#":
                 occ[height - 1 - i, j] = True  # rows are top-first

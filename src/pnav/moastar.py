@@ -2,18 +2,25 @@
 
 The search optimizes the componentwise sum g = (g1, g2, g3) of edge cost
 vectors.  A label is pruned at generation when an existing label at the same
-node is at least as good in every component (or equal up to tolerance).  It
-is pruned at pop and at generation when an already found solution is at
-least as good as its bound f = (g1 + h1, g2 + h2, g3 + h3): h3 is the octile
-distance, and h1 and h2 are the least obstruction sum and the least turn
-count still needed to reach the goal, each found on its own by a backward
-pass over reversed edges (the ideal-point heuristic of NAMOA*, Mandow &
-Perez-de-la-Cruz 2010).  A node with no path to the goal has no bound and
-is never entered.  The open list stays ordered by (g3 + h3, g2, g1), not
-by f: the path kept for a cost vector is the first one generated, which
-depends on the pop order, so this order keeps the representative paths.  With all edge costs non-negative and no zero-cost
-cycles the search returns exactly the non-dominated goal-reaching cost
-vectors, one representative path per distinct vector.
+node is at least as good in every component (or equal up to tolerance).  Its
+bound is f = (g1 + h1, g2 + h2, g3 + h3): h3 is the octile distance, and h1
+and h2 are the least obstruction sum and the least turn count still needed
+to reach the goal, each found on its own by a backward pass over reversed
+edges (the ideal-point heuristic of NAMOA*, Mandow & Perez-de-la-Cruz 2010).
+A node with no path to the goal has no bound and is never entered.  The open
+list stays ordered by (g3 + h3, g2, g1), not by f: the path kept for a cost
+vector is the first one generated, which depends on the pop order, so this
+order keeps the representative paths.  With all edge costs non-negative and
+no zero-cost cycles the search returns exactly the non-dominated
+goal-reaching cost vectors, one representative path per distinct vector.
+
+At pop and at generation, a label is pruned when a solution found so far is
+at least as good as f in V and N: sol[min(f2, top)] <= f1 (_least_v).  As h3
+is consistent and 0 at the goal, pop keys are non-decreasing up to rounding,
+so every such solution has D' <= f3: the lazy dimensionality reduction of
+NAMOA*dr (Pulido et al. 2015) and BOA* (Hernandez et al. 2023).  FLOAT_TOL
+covers the rounding, about an ulp of f3 a step (a few steps at 1e6 m,
+thousands at 1e3 m); past it, a D just above f3 can prune the label.
 
 A label that a rotation reached (its parent is at the same position) is
 expanded by its translation only; it never rotates twice in a row (the
@@ -244,6 +251,14 @@ def _ideal_bounds(graph: LatticeGraph, goal: GoalSpec) -> tuple[list, list]:
     return h1, h2
 
 
+def _least_v(solutions: list) -> list[float]:
+    """sol[n], n up to top, the largest g2: the least g1 of solutions with g2 <= n."""
+    sol = [math.inf] * (max((sg[1] for sg in solutions), default=0) + 1)
+    for g1, g2, *_ in solutions:
+        sol[g2] = min(sol[g2], g1)
+    return list(itertools.accumulate(sol, min))
+
+
 def _path(label, nodes) -> list[LatticeNode]:
     """The node path of a label chain (see plan_pareto)."""
     out = []
@@ -255,11 +270,10 @@ def _path(label, nodes) -> list[LatticeNode]:
 
 
 def _check_query(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> None:
-    """PlanningError unless start is a lattice node and goal's position lies
-    on the lattice."""
+    """PlanningError unless start and goal's position lie on the lattice."""
     if start not in graph:
         raise PlanningError("invalid start")
-    if not (0 <= goal.ix < graph.nx and 0 <= goal.iy < graph.ny):
+    if (goal.ix, goal.iy) not in graph.phi:
         raise PlanningError("invalid goal")
 
 
@@ -293,31 +307,24 @@ def plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> Pare
     labels: list[list | None] = [None] * len(nodes)
     labels[s] = [root]
     solutions: list[list] = []  # goal labels
+    sol = _least_v(solutions)  # [inf]: prunes nothing
     generated = expanded = at_node = by_solution = 0
     peak_open = len(open_heap)
 
-    # The scans below are _prunes(a, b) written out, with its sums:
-    # a[0] <= b[0] + tol and a[1] <= b[1] and a[2] <= b[2] + tol.
+    # The node scans below are _prunes(old, child) and its converse, inlined.
     while open_heap:
         lab = heappop(open_heap)[4]
         if not lab[5]:  # removed by a dominator
             continue
         g1, g2, g3, u, parent, _ = lab
-        f1 = (g1 + H1[u]) + tol
-        f2 = g2 + H2[u]
-        f3 = (g3 + H3[u]) + tol
-        pruned = False
-        for sg in solutions:
-            if sg[0] <= f1 and sg[1] <= f2 and sg[2] <= f3:
-                pruned = True
-                break
-        if pruned:
+        if sol[min(g2 + H2[u], len(sol) - 1)] <= (g1 + H1[u]) + tol:
             by_solution += 1
             continue
 
         if is_goal[u]:
             solutions[:] = [sg for sg in solutions if not _prunes(lab, sg)]
             solutions.append(lab)
+            sol = _least_v(solutions)
             # any extension strictly worsens some component; no expansion
             continue
 
@@ -343,15 +350,7 @@ def plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> Pare
             if pruned:
                 at_node += 1
                 continue
-            f = c + H3[v]
-            f1 = (a + h1) + tol
-            f2 = b + H2[v]
-            f3 = f + tol
-            for sg in solutions:
-                if sg[0] <= f1 and sg[1] <= f2 and sg[2] <= f3:
-                    pruned = True
-                    break
-            if pruned:
+            if sol[min(b + H2[v], len(sol) - 1)] <= (a + h1) + tol:
                 by_solution += 1
                 continue
             dead = [old for old in existing
@@ -362,7 +361,7 @@ def plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> Pare
                 existing[:] = [old for old in existing if old[5]]
             child = [a, b, c, v, lab, True]
             existing.append(child)
-            heappush(open_heap, (f, b, a, next(counter), child))
+            heappush(open_heap, (c + H3[v], b, a, next(counter), child))
             if len(open_heap) > peak_open:
                 peak_open = len(open_heap)
 

@@ -96,6 +96,15 @@ class TestExitCodes:
         assert "invalid goal" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("goal", ["0.5,0.5", "0.5,0.5,90"])
+    def test_goal_on_an_obstacle(self, map_file, tmp_path, capsys, goal):
+        # an error like a start there, not a valid query with an empty front
+        code = run_plan(map_file(make_map(["...", "...", "#.."])), tmp_path / "out",
+                        start="2.5,2.5,0", goal=goal)
+        assert code == 1
+        assert "invalid goal" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_start_and_goal_name_the_start(self, map_file, tmp_path, capsys):
         # plan_pareto checks the start first
         code = run_plan(map_file(make_map(["#..", "...", "..."])), tmp_path / "out",

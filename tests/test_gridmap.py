@@ -96,6 +96,15 @@ class TestLoadMap:
         with pytest.raises(MapFormatError, match="rows\\[1\\]"):
             load_map(json.dumps(doc))
 
+    @pytest.mark.parametrize("row", [".", 7])
+    def test_row_checked_before_the_grid_is_allocated(self, row):
+        # a grid of 10**15 cells is past any address space: the bad row must
+        # be named before numpy is asked for it
+        doc = {"width": 10 ** 15, "height": 1, "resolution": 1.0,
+               "origin": [0, 0], "rows": [row]}
+        with pytest.raises(MapFormatError, match="'rows\\[0\\]' length"):
+            load_map(json.dumps(doc))
+
     def test_dump_round_trip(self):
         m = make_map(["#..", ".#.", "..#"])
         again = load_map(dump_map(m))

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from pnav.gridmap import RobotModel
 from pnav.lattice import HEADINGS, CostVector, LatticeGraph, LatticeNode, build_lattice
 from pnav.moastar import (FLOAT_TOL, GoalSpec, PlanningError, _ideal_bounds,
-                          _octile_bounds, brute_force_front, costs_equal, dominates,
-                          octile, pareto_filter, plan_pareto)
+                          _least_v, _octile_bounds, _prunes, brute_force_front,
+                          costs_equal, dominates, octile, pareto_filter, plan_pareto)
 
 from conftest import free_map, make_map
-from test_moastar_reference import reference_plan_pareto
+from test_moastar_reference import assert_same_search, reference_plan_pareto
 
 SQRT2 = math.sqrt(2.0)
 SMALL = RobotModel(footprint_radius=0.2, camera_clearance_radius=0.4)
@@ -178,6 +178,14 @@ class TestPlanPareto:
         with pytest.raises(PlanningError, match="invalid goal"):
             plan_pareto(g, LatticeNode(0, 0, 0), GoalSpec(5, 0))
 
+    @pytest.mark.parametrize("heading", [None, 90])
+    def test_goal_on_an_obstacle(self, heading):
+        g = build_lattice(make_map(["#.", ".."]), SMALL, 1.0)
+        assert (0, 1) not in g.phi
+        for search in (plan_pareto, brute_force_front):
+            with pytest.raises(PlanningError, match="invalid goal"):
+                search(g, LatticeNode(1, 0, 0), GoalSpec(0, 1, heading))
+
     def test_unreachable_goal_gives_empty_front(self):
         g = build_lattice(make_map(["..#..", "..#..", "..#.."]), SMALL, 1.0)
         front = plan_pareto(g, LatticeNode(0, 0, 0), GoalSpec(4, 0))
@@ -234,6 +242,67 @@ class TestPlanPareto:
                     assert H2[i] <= cost.w2 - acc[1]
                     assert H3[i] <= cost.w3 - acc[2] + 1e-9
         assert H1[g.node_id(LatticeNode(0, 0, 0))] > 0
+
+
+class TestLeastVTable:
+    """The solution check of plan_pareto: sol[min(f2, top)] <= f1 + FLOAT_TOL
+    with sol = _least_v(solutions), each solution a goal label [g1, g2, g3]."""
+
+    @staticmethod
+    def prunes(sol, f1, f2):
+        return sol[min(f2, len(sol) - 1)] <= f1 + FLOAT_TOL
+
+    def test_least_v_falls_as_n_rises(self):
+        sol = _least_v([[5.0, 0, 10.0], [1.0, 4, 14.0], [3.0, 2, 12.0]])
+        assert sol == [5.0, 5.0, 3.0, 3.0, 1.0]
+        assert self.prunes(sol, 5.0, 1) and not self.prunes(sol, 4.0, 1)
+        assert self.prunes(sol, 3.0, 3) and not self.prunes(sol, 2.9, 3)
+
+    def test_lookup_past_the_largest_turn_count(self):
+        sol = _least_v([[5.0, 0, 10.0], [3.0, 2, 12.0]])
+        assert len(sol) == 3
+        assert self.prunes(sol, 3.0, 99) and not self.prunes(sol, 2.9, 99)
+
+    def test_empty_table_before_the_first_solution(self):
+        sol = _least_v([])
+        assert sol == [math.inf]
+        assert not any(self.prunes(sol, 1e300, n) for n in (0, 1, 99))
+
+    def test_rebuild_after_a_tie_removes_a_solution(self):
+        # Two positions, start S = (0, 0) and goal G = (1, 0), phi 0, and h3
+        # 0 (delta 0); S's heading k translates to G's heading k by a leg
+        # whose w2 stands for the turns of a longer path.  The goal labels
+        # pop as A (V 1, N 3, D 5), then B, which equals A up to
+        # FLOAT_TOL in V and D with a turn fewer and so removes it, then C,
+        # which A would prune (1 <= V_C + FLOAT_TOL) and B does not.  A table
+        # that kept A's V would drop C.
+        eps = FLOAT_TOL
+        legs = {0: (1.0 + eps / 2, 2, 5.0 + 2.0 ** -40),  # B, no rotation
+                1: (1.0, 2, 5.0),  # A, after one rotation
+                2: (1.0 - 0.7 * eps, 3, 6.0)}  # C, after one rotation
+        rows = []
+        for p in range(2):
+            for k in range(8):
+                row = tuple((8 * p + j, 0.0, 1, 0.0) for j in range(8) if j != k)
+                rows.append(row + ((8 + k, *legs[k]),) if p == 0 and k in legs else row)
+        g = LatticeGraph(0.0, 2, 1, {(0, 0): 0.0, (1, 0): 0.0}, rows)
+        start, goal = LatticeNode(0, 0, 0), GoalSpec(1, 0)
+        front = plan_pareto(g, start, goal)
+        assert [c.as_tuple() for c in front.costs()] == [
+            (1.0 + eps / 2, 2, 5.0 + 2.0 ** -40), (1.0 - 0.7 * eps, 4, 6.0)]
+        assert [p[-1] for _, p in front.entries] == [LatticeNode(1, 0, 0),
+                                                     LatticeNode(1, 0, 90)]
+        assert_same_search(g, start, goal)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0, 10), st.integers(0, 8), st.floats(0, 10)),
+                    max_size=8),
+           st.floats(0, 10), st.integers(0, 12))
+    def test_equals_the_scan_when_d_is_bounded(self, solutions, f1, f2):
+        # every solution was popped before the label, so its D is at most f3
+        f3 = max((sg[2] for sg in solutions), default=0.0)
+        scan = any(_prunes(sg, (f1, f2, f3)) for sg in solutions)
+        assert self.prunes(_least_v(solutions), f1, f2) == scan
 
 
 class TestBruteForce:
