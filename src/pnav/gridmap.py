@@ -46,7 +46,6 @@ per point where testing every subsample was O(r^2), with the same counts.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -126,15 +125,6 @@ class WorkspaceMap:
         return (WorkspaceMap, (self.width, self.height, self.resolution, self.origin,
                                self.occupancy))
 
-    def in_bounds(self, ix: int, iy: int) -> bool:
-        return 0 <= ix < self.width and 0 <= iy < self.height
-
-    def is_obstacle(self, ix: int, iy: int) -> bool:
-        """Out-of-bounds cells count as obstacle."""
-        if not self.in_bounds(ix, iy):
-            return True
-        return bool(self.occupancy[iy, ix])
-
     @property
     def world_bounds(self) -> tuple[float, float, float, float]:
         ox, oy = self.origin
@@ -177,21 +167,6 @@ def load_map(source: str | bytes | dict) -> WorkspaceMap:
 
     return WorkspaceMap(width=width, height=height, resolution=resolution,
                         origin=(origin[0], origin[1]), occupancy=occ)
-
-
-def dump_map(wmap: WorkspaceMap) -> str:
-    """Inverse of load_map (useful for fixtures and tests)."""
-    rows = []
-    for iy in range(wmap.height - 1, -1, -1):
-        rows.append("".join("#" if wmap.occupancy[iy, ix] else "."
-                            for ix in range(wmap.width)))
-    return json.dumps({
-        "width": wmap.width,
-        "height": wmap.height,
-        "resolution": wmap.resolution,
-        "origin": list(wmap.origin),
-        "rows": rows,
-    }, indent=1)
 
 
 def footprint_free(wmap: WorkspaceMap, position: tuple[float, float], rho: float) -> bool:
@@ -248,7 +223,8 @@ def swept_footprint_free(wmap: WorkspaceMap, p0: tuple[float, float],
     Exact continuous test: collision iff some obstacle (or out-of-bounds)
     cell square lies strictly closer than rho to the segment, compared as
     d^2 < rho^2; the rho-inflated segment bounding box must also stay inside
-    the map (touching the border is allowed).
+    the map (touching the border is allowed).  A NaN coordinate raises
+    ValueError naming its endpoint; an infinite one lies outside the map.
     """
     if not 0 < rho < math.inf:  # also NaN, which fails every comparison
         raise ValueError(f"rho must be a finite number > 0, got {rho!r}")
@@ -256,9 +232,15 @@ def swept_footprint_free(wmap: WorkspaceMap, p0: tuple[float, float],
     ox, oy = wmap.origin
     xmin, ymin, xmax, ymax = wmap.world_bounds
     (ax, ay), (bx, by) = p0, p1
-    lo_x, hi_x = min(ax, bx), max(ax, bx)
-    lo_y, hi_y = min(ay, by), max(ay, by)
-    if lo_x - rho < xmin or lo_y - rho < ymin or hi_x + rho > xmax or hi_y + rho > ymax:
+    # a NaN stays in lo or hi, as it would not in min and max, and then
+    # fails the bounds check
+    lo_x, hi_x = (ax, bx) if ax <= bx else (bx, ax)
+    lo_y, hi_y = (ay, by) if ay <= by else (by, ay)
+    if not (lo_x - rho >= xmin and lo_y - rho >= ymin
+            and hi_x + rho <= xmax and hi_y + rho <= ymax):
+        for name, (x, y) in (("p0", p0), ("p1", p1)):
+            if math.isnan(x) or math.isnan(y):
+                raise ValueError(f"{name} must not have a NaN coordinate, got {(x, y)!r}")
         return False
     ix0 = int(math.floor((lo_x - rho - ox) / res))
     ix1 = int(math.floor((hi_x + rho - ox) / res))
@@ -272,8 +254,8 @@ def swept_footprint_free(wmap: WorkspaceMap, p0: tuple[float, float],
     # u = 2**-53 and K = |ox| / res + width, that quotient is below
     # width + 6 u K < width + 1, as WorkspaceMap keeps K <= 2**50.  So
     # ix1 <= width: a disc touching the border (hi_x + rho == xmax) reaches
-    # the frame column, an out-of-bounds obstacle as in is_obstacle, no
-    # further.  Likewise for y.
+    # the frame column, whose cells lie off the map and count as obstacles,
+    # no further.  Likewise for y.
     sat = wmap._obstacle_sat
     if sat[iy1 + 1, ix1 + 1] - sat[iy1 + 1, ix0] - sat[iy0, ix1 + 1] + sat[iy0, ix0] == 0:
         return True  # no obstacle cell in the window
@@ -298,7 +280,7 @@ def _clear_sweeps(wmap: WorkspaceMap, a: np.ndarray, b: np.ndarray,
     holds no obstacle, so that swept_footprint_free returns True; False
     where only the exact test can tell.  The same float operations as the
     scalar give the same windows.  A NaN coordinate fails the bounds check
-    here, leaving it to the scalar.
+    here, so the sweep goes to the scalar, which raises ValueError for it.
     """
     if not 0 < rho < math.inf:
         raise ValueError(f"rho must be a finite number > 0, got {rho!r}")

@@ -7,23 +7,26 @@ heading-aligned step to an 8-neighbor.  Every edge carries a three-component
 cost vector (obstruction, turn count, distance).
 
 `LatticeGraph.phi` maps each free position to its obstruction ratio in
-node-id order, ascending by (ix, iy), and the graph derives `nodes` and ids
-from it: the node at the p-th position with heading HEADINGS[k] has id
-8 * p + k.  `LatticeGraph.rows[id]`, the only edge store, lists that node's
-outgoing edges as (dst id, w1, w2, w3) tuples, so a search can run on
-integer ids.  Entries 0-6 rotate to the other 7 headings, ascending, each
-costing (phi here, 1, 0.0); entry 7, present when the swept footprint is
-free, translates, so a node has at most one translation predecessor.  Every
-reader in this package walks the rows: the search, its bounds and the
-exhaustive oracle; none calls neighbors.  The neighbors method builds a
-node's `LatticeEdge`s from its row on each call, as the benchmark's and the
-tests' view of the edges.
+node-id order, ascending by (ix, iy), and the graph derives ids from it: the
+node at the p-th position with heading HEADINGS[k] has id 8 * p + k.  The
+graph holds no node objects: node(id), the inverse of node_id, builds one on
+each call, and `nodes`, all of them in id order, is built at its first read,
+for the benchmark and the tests.  `LatticeGraph.rows[id]`, the only edge
+store, lists that node's outgoing edges as (dst id, w1, w2, w3) tuples, so a
+search can run on integer ids.  Entries 0-6 rotate to the other 7 headings,
+ascending, each costing (phi here, 1, 0.0); entry 7, present when the swept
+footprint is free, translates, so a node has at most one translation
+predecessor.  Every reader in this package walks the rows: the search, its
+bounds and the exhaustive oracle; none calls neighbors.  The neighbors
+method builds a node's `LatticeEdge`s from its row on each call, as the
+benchmark's and the tests' view of the edges.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -97,17 +100,26 @@ class LatticeGraph:
         self.nx, self.ny = nx, ny
         self.phi = phi  # position -> phi, in node-id order
         self.rows = rows  # id -> ((dst id, w1, w2, w3), ...), 7 rotations then a translation
-        self.nodes = tuple(LatticeNode(ix, iy, h) for ix, iy in phi for h in HEADINGS)
+        self._positions = list(phi)  # position p of node id 8 * p + k
         self._first_id = {pos: 8 * p for p, pos in enumerate(phi)}  # id of its heading-0 node
 
     def __contains__(self, node: LatticeNode) -> bool:
         return isinstance(node, LatticeNode) and (node.ix, node.iy) in self.phi
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return 8 * len(self.phi)
+
+    @cached_property
+    def nodes(self) -> tuple[LatticeNode, ...]:
+        """Every node, in id order; built at the first read."""
+        return tuple(LatticeNode(ix, iy, h) for ix, iy in self._positions for h in HEADINGS)
+
+    def node(self, i: int) -> LatticeNode:
+        """The node with id i: the inverse of node_id."""
+        return LatticeNode(*self._positions[i >> 3], HEADINGS[i & 7])
 
     def node_id(self, node: LatticeNode) -> int:
-        """The node's index in `nodes` and `rows`."""
+        """The node's index in `rows`."""
         try:
             return self._first_id[(node.ix, node.iy)] + HEADING_INDEX[node.heading]
         except KeyError:

@@ -40,11 +40,11 @@ paths.
 
 plan_pareto runs on the lattice's integer node ids (see pnav.lattice): it
 reads successors from LatticeGraph.rows and nothing else of the edges, keeps
-its labels, bounds and goal flags in lists indexed by id, and maps ids back
-to nodes only for the paths it returns.  A label is a list of its g, its
-node id, its parent label and a live flag; a node's list holds its labels,
-and a label removed from it by a dominator is marked dead, so a pop skips it
-in O(1).
+its labels, bounds and goal flags in lists indexed by id, and builds nodes,
+through LatticeGraph.node, only for the paths it returns.  A label is a list
+of its g, its node id, its parent label and a live flag; a node's list holds
+its labels, and a label removed from it by a dominator is marked dead, so a
+pop skips it in O(1).
 
 plan_pareto's front carries deterministic search counters in its metadata:
 labels generated and expanded, labels pruned at a node and pruned by a
@@ -58,8 +58,8 @@ actually built, so they do not count the skipped rotations.
 brute_force_front is the independent oracle: exhaustive depth-first path
 enumeration (no repeated (position, heading) state within a path), with
 branch-and-bound pruning against already collected solutions.  It walks the
-same rows on integer ids and shares only the lattice and the octile bound
-with the search.
+same rows on integer ids, builds the nodes of its stored paths as the search
+does, and shares only the lattice and the octile bound with the search.
 """
 
 from __future__ import annotations
@@ -259,11 +259,11 @@ def _least_v(solutions: list) -> list[float]:
     return list(itertools.accumulate(sol, min))
 
 
-def _path(label, nodes) -> list[LatticeNode]:
+def _path(label, graph: LatticeGraph) -> list[LatticeNode]:
     """The node path of a label chain (see plan_pareto)."""
     out = []
     while label is not None:
-        out.append(nodes[label[3]])
+        out.append(graph.node(label[3]))
         label = label[4]
     out.reverse()
     return out
@@ -286,11 +286,10 @@ def plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> Pare
     """
     _check_query(graph, start, goal)
 
-    nodes = graph.nodes
     rows = graph.rows
     H1, H2 = _ideal_bounds(graph, goal)
     H3 = _octile_bounds(graph, goal)
-    is_goal = [False] * len(nodes)
+    is_goal = [False] * len(rows)
     for t in _goal_ids(graph, goal):
         is_goal[t] = True
     inf, tol = math.inf, FLOAT_TOL
@@ -304,7 +303,7 @@ def plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> Pare
     # empty at once when the start has no path to the goal
     open_heap = [(H3[s], 0, 0.0, next(counter), root)] if H1[s] < inf else []
     # per node id: the non-dominated labels known there (open or expanded)
-    labels: list[list | None] = [None] * len(nodes)
+    labels: list[list | None] = [None] * len(rows)
     labels[s] = [root]
     solutions: list[list] = []  # goal labels
     sol = _least_v(solutions)  # [inf]: prunes nothing
@@ -365,7 +364,7 @@ def plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> Pare
             if len(open_heap) > peak_open:
                 peak_open = len(open_heap)
 
-    entries = _sorted_front([(sl[:3], _path(sl, nodes)) for sl in solutions])
+    entries = _sorted_front([(sl[:3], _path(sl, graph)) for sl in solutions])
     metadata = {"generated": generated, "expanded": expanded,
                 "pruned_at_node": at_node, "pruned_by_solution": by_solution,
                 "dead_ends": H1.count(inf), "peak_open": peak_open,
@@ -393,7 +392,7 @@ def brute_force_front(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -
             f"of {BRUTE_FORCE_NODE_GUARD}")
     _check_query(graph, start, goal)
 
-    nodes, rows = graph.nodes, graph.rows
+    rows = graph.rows
     H3 = _octile_bounds(graph, goal)
     targets = set(_goal_ids(graph, goal))
     # deterministic successor order biased toward the goal so pruning bites
@@ -403,9 +402,9 @@ def brute_force_front(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -
 
     s = graph.node_id(start)
     path = [s]
-    on_path = [False] * len(nodes)
+    on_path = [False] * len(rows)
     on_path[s] = True
-    seen: list[list[tuple]] = [[] for _ in nodes]
+    seen: list[list[tuple]] = [[] for _ in rows]
 
     def visit(u: int, g: tuple):
         f = (g[0], g[1], g[2] + H3[u])
@@ -417,7 +416,7 @@ def brute_force_front(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -
         known[:] = [old for old in known if not _prunes(g, old)]
         known.append(g)
         if u in targets:
-            solutions.append((g, [nodes[i] for i in path]))
+            solutions.append((g, [graph.node(i) for i in path]))
             return
         for v, w1, w2, w3 in succ[u]:
             if on_path[v]:

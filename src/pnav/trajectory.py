@@ -171,7 +171,8 @@ def to_timed(spath: SegmentPath, v: float = 1.0, omega_deg: float = 90.0,
     total = t
     if total / dt > MAX_SAMPLES:  # checked before any tick is built
         raise TrajectoryError(f"dt {dt!r} gives more than {MAX_SAMPLES} samples "
-                              f"over the {total:.6g} s trajectory")
+                              f"over the {total:.6g} s trajectory "
+                              f"(v {v!r}, omega_deg {omega_deg!r})")
     if not moves:  # a path with no segments stands at its start pose
         ends.append(0.0)
         moves.append(False)
@@ -245,7 +246,7 @@ def eval_costs(timeds: list[TimedTrajectory], wmap: WorkspaceMap,
     """
     if not timeds:
         return []
-    xy = np.concatenate([t.samples[:, 1:3] for t in timeds])  # C-contiguous
+    xy = np.concatenate([t.samples[:, 1:3] for t in timeds], dtype=np.float64)  # C-contiguous
     # each (x, y) row viewed as one complex number, far cheaper to sort than
     # rows; -0.0 and 0.0 compare equal there, which is harmless: they give
     # the same ratio, as obstruction_ratios only adds, subtracts and compares

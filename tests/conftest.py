@@ -17,6 +17,24 @@ def make_map(rows, resolution=1.0, origin=(0.0, 0.0)):
     }))
 
 
+def dump_map(wmap):
+    """The map JSON text of wmap: the inverse of load_map."""
+    rows = ["".join("#" if cell else "." for cell in wmap.occupancy[iy])
+            for iy in range(wmap.height - 1, -1, -1)]
+    return json.dumps({"width": wmap.width, "height": wmap.height,
+                       "resolution": wmap.resolution, "origin": list(wmap.origin),
+                       "rows": rows}, indent=1)
+
+
+def in_bounds(wmap, ix, iy):
+    return 0 <= ix < wmap.width and 0 <= iy < wmap.height
+
+
+def is_obstacle(wmap, ix, iy):
+    """Cell (ix, iy) is an obstacle; out-of-map cells count as obstacles."""
+    return not in_bounds(wmap, ix, iy) or bool(wmap.occupancy[iy, ix])
+
+
 def free_map(width, height, resolution=1.0):
     occ = np.zeros((height, width), dtype=bool)
     return WorkspaceMap(width=width, height=height, resolution=resolution,

@@ -13,7 +13,7 @@ import pytest
 from pnav.cli import main
 from pnav.fixtures import (MUSEUM_DELTA, MUSEUM_GOAL, MUSEUM_START,
                            museum_map, museum_model)
-from pnav.gridmap import RobotModel, dump_map, obstruction_ratio
+from pnav.gridmap import RobotModel, obstruction_ratio
 from pnav.lattice import HEADINGS, CostVector, LatticeNode, build_lattice
 from pnav.moastar import (GoalSpec, brute_force_front, costs_equal, dominates,
                           pareto_filter, plan_pareto)
@@ -21,7 +21,7 @@ from pnav.rrt import (PolyPath, RrtParams, best_of_n, curvature_sign_changes,
                       rrt_plan)
 from pnav.trajectory import eval_costs, to_segment_path, to_timed
 
-from conftest import free_map, make_map
+from conftest import dump_map, free_map, make_map
 
 
 def report(name: str, ok: bool, elapsed: float, budget: float):

@@ -11,11 +11,11 @@ import pytest
 import pnav.cli
 import pnav.rrt
 from pnav.cli import main
-from pnav.gridmap import RobotModel, dump_map
+from pnav.gridmap import RobotModel
 from pnav.fixtures import museum_map
 from pnav.trajectory import eval_costs, timed_to_json, to_segment_path, to_timed
 
-from conftest import free_map, make_map
+from conftest import dump_map, free_map, make_map
 
 SQRT2 = math.sqrt(2.0)
 
@@ -675,6 +675,22 @@ class TestNumericInputs:
         assert run_plan(map_file(free_map(3, 3)), tmp_path / "out",
                         extra=("--dt", "1e-9")) == 1
         assert "dt 1e-09 gives more than" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag,named", [("plan", "--omega", "omega_deg 1e-300"),
+                                                    ("rrt", "--v", "v 1e-300")])
+    def test_tiny_speed_is_named_with_dt(self, map_file, tmp_path, capsys, command, flag,
+                                         named):
+        # the sample cap names the speeds, not only the default dt
+        path = map_file(free_map(8, 8))
+        if command == "plan":
+            code = run_plan(path, tmp_path / "out", extra=(flag, "1e-300"))
+        else:
+            code = main(["rrt", "--map", path, "--start", "1.0,1.0", "--goal", "7.0,7.0",
+                         "--n", "5", "--rho", "0.2", "--r", "0.8", flag, "1e-300",
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "dt 0.05 gives more than" in err and named in err
 
     @pytest.mark.parametrize("command", ["plan", "rrt"])
     def test_overflowing_camera_radius_is_an_input_error(self, map_file, tmp_path, capsys,

@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 
 from pnav.gridmap import (DISC_SAMPLES_PER_CELL, MAX_WINDOW_SUBSAMPLES, MapFormatError,
                           WorkspaceMap, _clear_sweeps, _dist2_segment_square, _sweeps_free,
-                          dump_map, footprint_free,
-                          load_map, obstruction_ratio,
+                          footprint_free, load_map, obstruction_ratio,
                           obstruction_ratios, swept_footprint_free)
 from pnav.validate import finite_number
 
-from conftest import free_map, make_map
+from conftest import dump_map, free_map, in_bounds, is_obstacle, make_map
 
 
 class TestLoadMap:
@@ -24,7 +23,7 @@ class TestLoadMap:
         m = make_map(["...", ".#."], resolution=1.0)
         assert m.width == 3 and m.height == 2
         # rows are top-first, so '#' at row 1 col 1 is cell (1, 0)
-        assert m.is_obstacle(1, 0)
+        assert is_obstacle(m, 1, 0)
         assert sum(m.occupancy.ravel()) == 1
 
     def test_zero_rows_rejected(self):
@@ -127,7 +126,7 @@ class TestWorkspaceMapObject:
         wmap = WorkspaceMap(4, 3, 1.0, (0.0, 0.0), arr)
         assert arr.flags.writeable
         arr[:] = True
-        assert wmap.occupancy.sum() == 1 and not wmap.is_obstacle(0, 0)
+        assert wmap.occupancy.sum() == 1 and not is_obstacle(wmap, 0, 0)
         assert footprint_free(wmap, (0.5, 0.5), 0.3)
         assert not wmap.occupancy.flags.writeable
         with pytest.raises(ValueError):
@@ -196,6 +195,28 @@ class TestFootprintFree:
         with pytest.raises(ValueError, match="rho must be a finite number > 0"):
             swept_footprint_free(m, (1.5, 1.5), (2.5, 2.5), rho)
 
+    @pytest.mark.parametrize("p0,p1,name", [
+        ((3, 3), (math.nan, math.nan), "p1"),
+        ((math.nan, math.nan), (3, 3), "p0"),
+        ((3, 3), (3, math.nan), "p1"),
+        ((math.nan, 3), (3, 3), "p0"),
+        ((math.inf, math.nan), (3, 3), "p0"),
+    ], ids=["p1", "p0", "p1-y", "p0-x", "p0-beside-inf"])
+    def test_nan_endpoint_names_it_on_either_side(self, museum, p0, p1, name):
+        wmap, _ = museum
+        with pytest.raises(ValueError, match=f"{name} must not have a NaN coordinate"):
+            swept_footprint_free(wmap, p0, p1, 0.3)
+        with pytest.raises(ValueError, match=f"{name} must not have a NaN coordinate"):
+            _sweeps_free(wmap, np.array([p0], dtype=float), np.array([p1], dtype=float), 0.3)
+
+    @pytest.mark.parametrize("far", [(math.inf, 3), (3, -math.inf), (math.inf, math.inf)])
+    def test_infinite_endpoint_lies_outside_the_map(self, museum, far):
+        wmap, _ = museum
+        for p0, p1 in (((3, 3), far), (far, (3, 3))):
+            assert not swept_footprint_free(wmap, p0, p1, 0.3)
+            assert _sweeps_free(wmap, np.array([p0], dtype=float),
+                                np.array([p1], dtype=float), 0.3) == [False]
+
 
 # The two former collision tests, kept verbatim (renamed) as oracles.  The
 # standing test compared d^2 < rho^2, the swept one hypot(d) < rho.
@@ -222,7 +243,7 @@ def _former_footprint_free(wmap: WorkspaceMap, position: tuple[float, float], rh
     iy1 = int(math.floor((y + rho - oy) / res))
     for iy in range(iy0, iy1 + 1):
         for ix in range(ix0, ix1 + 1):
-            if not wmap.is_obstacle(ix, iy):
+            if not is_obstacle(wmap, ix, iy):
                 continue
             # closest point of the cell square to the disc center
             cx0, cy0 = ox + ix * res, oy + iy * res
@@ -296,7 +317,7 @@ def _former_swept_footprint_free(wmap: WorkspaceMap, p0: tuple[float, float],
     iy1 = int(math.floor((hi_y + rho - oy) / res))
     for iy in range(iy0, iy1 + 1):
         for ix in range(ix0, ix1 + 1):
-            if not wmap.is_obstacle(ix, iy):
+            if not is_obstacle(wmap, ix, iy):
                 continue
             cx0, cy0 = ox + ix * res, oy + iy * res
             if _segment_box_distance(p0, p1, cx0, cy0, cx0 + res, cy0 + res) < rho:
@@ -396,7 +417,7 @@ def _exact_swept_footprint_free(wmap: WorkspaceMap, p0: tuple[float, float],
     rho2 = rho * rho
     for iy in range(iy0, iy1 + 1):
         for ix in range(ix0, ix1 + 1):
-            if not wmap.is_obstacle(ix, iy):
+            if not is_obstacle(wmap, ix, iy):
                 continue
             cx0, cy0 = ox + ix * res, oy + iy * res
             if _dist2_segment_square(ax, ay, bx, by, cx0, cy0, cx0 + res, cy0 + res) < rho2:
@@ -479,7 +500,7 @@ class TestBroadPhase:
             assert swept_footprint_free(free, p0, p1, rho)
             ix0, ix1, iy0, iy1 = self.window(free, p0, p1, rho)
             for ix, iy in {(ix0, iy0), (ix1, iy0), (ix0, iy1), (ix1, iy1)}:
-                if not free.in_bounds(ix, iy):
+                if not in_bounds(free, ix, iy):
                     continue
                 occ = np.zeros((10, 12), dtype=bool)
                 occ[iy, ix] = True
@@ -748,7 +769,7 @@ def _obstruction_cell_units(wmap: WorkspaceMap, px: float, py: float, r_cells: f
     total = int(inside.sum())
     if total == 0:
         # radius small relative to the subsample grid: fall back to the host cell
-        return 1.0 if wmap.is_obstacle(int(math.floor(px)), int(math.floor(py))) else 0.0
+        return 1.0 if is_obstacle(wmap, int(math.floor(px)), int(math.floor(py))) else 0.0
 
     cxs = np.floor(xs).astype(int)
     cys = np.floor(ys).astype(int)

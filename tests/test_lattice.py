@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pnav.fixtures import MUSEUM_GOAL, MUSEUM_START
 from pnav.gridmap import (RobotModel, footprint_free, obstruction_ratios,
                           swept_footprint_free)
 from pnav.lattice import (AXIS_HEADINGS, HEADING_STEP, HEADINGS, SQRT2,
                           CostVector, LatticeEdge, LatticeError, LatticeNode,
                           build_lattice, node_position)
+from pnav.moastar import GoalSpec, brute_force_front, plan_pareto
 from pnav.validate import finite_number
 
 from conftest import free_map, make_map
@@ -299,6 +301,28 @@ class TestRows:
         g = build_lattice(free_map(2, 2), SMALL, 1.0)
         with pytest.raises(LatticeError, match="not in graph"):
             g.node_id(LatticeNode(5, 5, 0))
+
+
+class TestNodeIds:
+    """node(id) inverts node_id, and the graph builds its node tuple only
+    when something reads it."""
+
+    def test_node_inverts_node_id(self, museum):
+        for g in (build_lattice(*museum, 1.0), build_lattice(make_map(["##", "##"]), SMALL, 1.0)):
+            assert len(g) == 8 * len(g.phi) == len(g.rows)
+            every = [LatticeNode(ix, iy, h) for ix, iy in g.phi for h in HEADINGS]
+            for node in every:
+                assert g.node(g.node_id(node)) == node
+            assert [g.node(i) for i in range(len(g))] == every == list(g.nodes)
+
+    def test_no_node_tuple_after_a_search(self, museum):
+        g = build_lattice(*museum, 1.0)
+        assert "nodes" not in vars(g)
+        front = plan_pareto(g, LatticeNode(*MUSEUM_START), GoalSpec(*MUSEUM_GOAL))
+        assert len(front) > 0 and "nodes" not in vars(g)
+        small = build_lattice(make_map(["...", "..."]), SMALL, 1.0)
+        assert len(brute_force_front(small, LatticeNode(0, 0, 0), GoalSpec(2, 1))) > 0
+        assert "nodes" not in vars(small)
 
 
 @dataclasses.dataclass(frozen=True)

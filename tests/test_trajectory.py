@@ -313,6 +313,18 @@ class TestEvalCosts:
         assert rep.V == pytest.approx(trapezoid / t[-1], rel=1e-12)
         assert rep.V != pytest.approx(left_sum / t[-1], rel=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_samples_of_another_dtype_read_as_their_values(self, museum, dtype):
+        wmap, _ = museum
+        timed = to_timed(to_segment_path(PolyPath(((3.0, 3.0), (4.0, 3.0)))))
+        samples = timed.samples.astype(dtype)
+        [got] = eval_costs([TimedTrajectory(samples, 1.0, 90.0, 0.05)], wmap, 2.0)
+        [want] = eval_costs([TimedTrajectory(samples.astype(np.float64), 1.0, 90.0, 0.05)],
+                            wmap, 2.0)
+        assert got == want
+        if dtype is np.int64:  # every sample at x = 3 or 4, y = 3: no obstruction
+            assert got.V == 0.0
+
     def test_distance_lower_bound(self):
         wmap = free_map(10, 10)
         sp = to_segment_path(PolyPath(((1, 1), (4, 1), (4, 6), (8, 6))))
