@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import moastar, rrt, trajectory
-from .gridmap import RobotModel, check_disc_radius, load_map
+from .gridmap import RobotModel, check_disc_radius, check_footprint_radius, load_map
 from .lattice import HEADINGS, LatticeNode, build_lattice
 from .render import render_svg
 from .trajectory import (JsonText, dump_json, eval_costs, timed_from_json, timed_to_json,
@@ -43,7 +43,8 @@ class CliError(ValueError):
 
 def _resolve(args, name: str, default=None) -> float:
     """The text of flag --<name>, else of PNAV_<NAME>, else default; the text
-    must be a finite number > 0."""
+    must be a finite number > 0, and rho's must pass the collision test's
+    check_footprint_radius."""
     flag, var = f"--{name}", f"PNAV_{name.upper()}"
     source, text = flag, getattr(args, name)
     if text is None:
@@ -56,7 +57,8 @@ def _resolve(args, name: str, default=None) -> float:
         value = float(text)
     except ValueError:  # not a number: the same message as NaN
         value = math.nan
-    return finite_number(value, source, positive=True, error=CliError)
+    value = finite_number(value, source, positive=True, error=CliError)
+    return check_footprint_radius(value, source) if name == "rho" else value
 
 
 def _read(path: str, what: str) -> str:

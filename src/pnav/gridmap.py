@@ -13,7 +13,10 @@ square, and otherwise the least of each endpoint's squared distance to the
 square and each corner's squared distance to ab.  Standing and sweeping
 discs decide tangency alike: d^2 == rho^2 in floating point is free.  So a
 disc of radius sqrt(1/8) at distance sqrt(1/8) from a corner collides,
-because rho^2 rounds up past d^2 = 1/8.
+because rho^2 rounds up past d^2 = 1/8.  rho must be at least 2**-511, so
+that rho^2 is a normal float and d^2 = 0 < rho^2 always holds: a smaller
+rho's square is subnormal or 0, and a disc at an obstacle's centre would
+be free.
 
 The test has a broad phase.  WorkspaceMap builds two tables once, when it
 is made: its occupancy framed by one obstacle cell on every side, and the
@@ -25,11 +28,23 @@ d^2 < rho^2 test.  This cannot change a decision: the exact scan of a
 window returns False only on an obstacle or out-of-map cell of that window,
 and the frame holds every out-of-map cell a window can reach.  The broad
 phase comes in two forms over the one table: the scalar one inside
-swept_footprint_free, and a batch one (_clear_sweeps) that computes the
-same bounds checks, windows and counts for many sweeps at once with the
-same float operations.  The lattice build runs the batch over all its
-standing discs and all its steps, and only the sweeps it cannot clear go
-to swept_footprint_free, so the exact test itself stays in one place.
+swept_footprint_free, which reads the tables through 1-D views of their
+rows (cheaper to index than 2-D views, and copying nothing), and a batch one
+(_clear_sweeps) that computes the same bounds checks, windows and counts
+for many sweeps at once with the same float operations.  The lattice build
+runs the batch over all its standing discs and all its steps, and only the
+sweeps it cannot clear go to swept_footprint_free, so the exact test itself
+stays in one place.
+
+The narrow phase makes two passes over the window's obstacle cells.  The
+first tests only the end disc at b, b's squared distance to the square
+against rho^2, and returns False at its first hit; the second runs the rest
+of the d^2 test on the cells the first collected.  Both passes together
+decide exactly as the one d^2 test per cell: d^2 is either 0 < rho^2 or a
+minimum that includes b's term, so b's term < rho^2 implies d^2 < rho^2; and
+where b's term >= rho^2, d^2 < rho^2 holds exactly when the rest does.  In
+the RRT most colliding sweeps collide at their new end, which the first
+pass finds without clipping the segment against any square.
 
 The obstruction ratio has one implementation, the batched
 obstruction_ratios; obstruction_ratio calls it.  Its
@@ -48,6 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +74,10 @@ from .validate import finite_number, json_object
 DISC_SAMPLES_PER_CELL = 4
 # Bound on |origin| / resolution + cells along each axis of a map.
 _MAX_CELL_COORDINATE = 2 ** 50
+# The least footprint radius: rho >= 2**-511 exactly when rho * rho is a
+# normal float, at least 2**-1022, as 2**-511 squares exactly and rounding
+# is monotone (a rho just below it squares to the largest subnormal).
+_MIN_RHO = 2.0 ** -511
 
 
 class MapFormatError(ValueError):
@@ -72,7 +92,8 @@ class RobotModel:
     camera_clearance_radius: float
 
     def __post_init__(self):
-        finite_number(self.footprint_radius, "footprint_radius", positive=True)
+        check_footprint_radius(finite_number(self.footprint_radius, "footprint_radius",
+                                             positive=True), "footprint_radius")
         finite_number(self.camera_clearance_radius, "camera_clearance_radius",
                       positive=True)
 
@@ -95,10 +116,15 @@ class WorkspaceMap:
     # memoryviews of numpy arrays: _framed (bool), the occupancy framed by one
     # obstacle cell on every side, so cell (ix, iy) is _framed[iy + 1, ix + 1],
     # and _obstacle_sat (int64), its summed-area table: [j, i] counts the
-    # obstacles in _framed[:j + 1, :i + 1].  swept_footprint_free indexes both;
-    # _clear_sweeps reads np.asarray(_obstacle_sat), which copies nothing.
+    # obstacles in _framed[:j + 1, :i + 1].  _framed_rows and _sat_rows hold
+    # a 1-D read-only view of each row of the same two arrays, copying
+    # nothing: swept_footprint_free reads rows[j][i], which takes about two
+    # thirds of the time of a 2-D memoryview's [j, i].  _clear_sweeps reads
+    # np.asarray(_obstacle_sat), which copies nothing either.
     _framed: memoryview = field(init=False, repr=False)
     _obstacle_sat: memoryview = field(init=False, repr=False)
+    _framed_rows: tuple = field(init=False, repr=False)
+    _sat_rows: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         finite_number(self.width, "width", positive=True, integer=True)
@@ -116,16 +142,19 @@ class WorkspaceMap:
         framed[1:-1, 1:-1] = self.occupancy
         framed.setflags(write=False)
         sat = framed.cumsum(axis=0, dtype=np.int64).cumsum(axis=1)
+        sat.setflags(write=False)
         object.__setattr__(self, "occupancy", framed[1:-1, 1:-1])
         object.__setattr__(self, "_framed", memoryview(framed))
-        object.__setattr__(self, "_obstacle_sat", memoryview(sat).toreadonly())
+        object.__setattr__(self, "_obstacle_sat", memoryview(sat))
+        object.__setattr__(self, "_framed_rows", tuple(map(memoryview, framed)))
+        object.__setattr__(self, "_sat_rows", tuple(map(memoryview, sat)))
 
     def __reduce__(self):
         # the memoryviews do not pickle; the map rebuilds them from its fields
         return (WorkspaceMap, (self.width, self.height, self.resolution, self.origin,
                                self.occupancy))
 
-    @property
+    @cached_property
     def world_bounds(self) -> tuple[float, float, float, float]:
         ox, oy = self.origin
         return (ox, oy, ox + self.width * self.resolution, oy + self.height * self.resolution)
@@ -172,7 +201,24 @@ def load_map(source: str | bytes | dict) -> WorkspaceMap:
 def footprint_free(wmap: WorkspaceMap, position: tuple[float, float], rho: float) -> bool:
     """True iff a disc of radius rho at position overlaps no obstacle cell:
     the zero-length sweep swept_footprint_free(wmap, position, position, rho)."""
+    _no_nan("position", position)
     return swept_footprint_free(wmap, position, position, rho)
+
+
+def check_footprint_radius(rho, name: str = "rho") -> float:
+    """rho, or ValueError naming name: a finite number >= 2**-511, so that
+    rho * rho is a normal float.  The one check of the collision test's rho."""
+    if not _MIN_RHO <= rho < math.inf:  # also NaN, which fails every comparison
+        raise ValueError(f"{name} must be a finite number > 0 whose square is a normal "
+                         f"float (at least 2**-511), got {rho!r}")
+    return rho
+
+
+def _no_nan(name: str, point: tuple[float, float]) -> None:
+    """ValueError naming name when point has a NaN coordinate."""
+    x, y = point
+    if math.isnan(x) or math.isnan(y):
+        raise ValueError(f"{name} must not have a NaN coordinate, got {(x, y)!r}")
 
 
 def _dist2_point_square(px, py, x0, y0, x1, y1):
@@ -190,9 +236,11 @@ def _dist2_point_segment(px, py, ax, ay, vx, vy):
     return dx * dx + dy * dy
 
 
-def _dist2_segment_square(ax, ay, bx, by, x0, y0, x1, y1):
-    """Squared distance between the segment ab and the closed square
-    [x0, x1] x [y0, y1]; 0.0 when they meet."""
+def _dist2_segment_square_but_b(ax, ay, bx, by, x0, y0, x1, y1):
+    """The squared distance between the segment ab and the closed square
+    [x0, x1] x [y0, y1] without b's own term: 0.0 when they meet, else the
+    least of a's squared distance to the square and each corner's to ab.
+    Its minimum with _dist2_point_square(bx, by, ...) is that distance."""
     vx, vy = bx - ax, by - ay
     # Liang-Barsky: clip the parameter range [0, 1] of a + t v to the square
     t0, t1 = 0.0, 1.0
@@ -208,7 +256,6 @@ def _dist2_segment_square(ax, ay, bx, by, x0, y0, x1, y1):
         return 0.0
     # Apart: the closest pair has an endpoint of ab or a corner of the square.
     return min(_dist2_point_square(ax, ay, x0, y0, x1, y1),
-               _dist2_point_square(bx, by, x0, y0, x1, y1),
                _dist2_point_segment(x0, y0, ax, ay, vx, vy),
                _dist2_point_segment(x1, y0, ax, ay, vx, vy),
                _dist2_point_segment(x1, y1, ax, ay, vx, vy),
@@ -223,11 +270,11 @@ def swept_footprint_free(wmap: WorkspaceMap, p0: tuple[float, float],
     Exact continuous test: collision iff some obstacle (or out-of-bounds)
     cell square lies strictly closer than rho to the segment, compared as
     d^2 < rho^2; the rho-inflated segment bounding box must also stay inside
-    the map (touching the border is allowed).  A NaN coordinate raises
-    ValueError naming its endpoint; an infinite one lies outside the map.
+    the map (touching the border is allowed).  rho must pass
+    check_footprint_radius.  A NaN coordinate raises ValueError naming its
+    endpoint; an infinite one lies outside the map.
     """
-    if not 0 < rho < math.inf:  # also NaN, which fails every comparison
-        raise ValueError(f"rho must be a finite number > 0, got {rho!r}")
+    check_footprint_radius(rho)
     res = wmap.resolution
     ox, oy = wmap.origin
     xmin, ymin, xmax, ymax = wmap.world_bounds
@@ -238,14 +285,13 @@ def swept_footprint_free(wmap: WorkspaceMap, p0: tuple[float, float],
     lo_y, hi_y = (ay, by) if ay <= by else (by, ay)
     if not (lo_x - rho >= xmin and lo_y - rho >= ymin
             and hi_x + rho <= xmax and hi_y + rho <= ymax):
-        for name, (x, y) in (("p0", p0), ("p1", p1)):
-            if math.isnan(x) or math.isnan(y):
-                raise ValueError(f"{name} must not have a NaN coordinate, got {(x, y)!r}")
+        _no_nan("p0", p0)
+        _no_nan("p1", p1)
         return False
-    ix0 = int(math.floor((lo_x - rho - ox) / res))
-    ix1 = int(math.floor((hi_x + rho - ox) / res))
-    iy0 = int(math.floor((lo_y - rho - oy) / res))
-    iy1 = int(math.floor((hi_y + rho - oy) / res))
+    ix0 = math.floor((lo_x - rho - ox) / res)
+    ix1 = math.floor((hi_x + rho - ox) / res)
+    iy0 = math.floor((lo_y - rho - oy) / res)
+    iy1 = math.floor((hi_y + rho - oy) / res)
     # The window ix0..ix1 x iy0..iy1 lies in the framed map, -1 <= i <= width
     # (height), so no lookup below wraps or overruns.  Low side: rounding is
     # monotone, so fl(lo_x - rho) >= ox gives fl(fl(lo_x - rho) - ox) >= 0
@@ -256,18 +302,26 @@ def swept_footprint_free(wmap: WorkspaceMap, p0: tuple[float, float],
     # ix1 <= width: a disc touching the border (hi_x + rho == xmax) reaches
     # the frame column, whose cells lie off the map and count as obstacles,
     # no further.  Likewise for y.
-    sat = wmap._obstacle_sat
-    if sat[iy1 + 1, ix1 + 1] - sat[iy1 + 1, ix0] - sat[iy0, ix1 + 1] + sat[iy0, ix0] == 0:
+    top, bottom = wmap._sat_rows[iy1 + 1], wmap._sat_rows[iy0]
+    if top[ix1 + 1] - top[ix0] - bottom[ix1 + 1] + bottom[ix0] == 0:
         return True  # no obstacle cell in the window
     rho2 = rho * rho
-    framed = wmap._framed
+    framed = wmap._framed_rows
+    cells = []
+    # pass 1: the end disc at b alone (see the module docstring)
     for j in range(iy0 + 1, iy1 + 2):  # framed row j holds cells iy = j - 1
+        row = framed[j]
+        cy0 = oy + (j - 1) * res
         for i in range(ix0 + 1, ix1 + 2):
-            if not framed[j, i]:
-                continue
-            cx0, cy0 = ox + (i - 1) * res, oy + (j - 1) * res
-            if _dist2_segment_square(ax, ay, bx, by, cx0, cy0, cx0 + res, cy0 + res) < rho2:
-                return False
+            if row[i]:
+                cx0 = ox + (i - 1) * res
+                if _dist2_point_square(bx, by, cx0, cy0, cx0 + res, cy0 + res) < rho2:
+                    return False
+                cells.append((cx0, cy0))
+    # pass 2: the rest of the segment test
+    for cx0, cy0 in cells:
+        if _dist2_segment_square_but_b(ax, ay, bx, by, cx0, cy0, cx0 + res, cy0 + res) < rho2:
+            return False
     return True
 
 
@@ -282,8 +336,7 @@ def _clear_sweeps(wmap: WorkspaceMap, a: np.ndarray, b: np.ndarray,
     scalar give the same windows.  A NaN coordinate fails the bounds check
     here, so the sweep goes to the scalar, which raises ValueError for it.
     """
-    if not 0 < rho < math.inf:
-        raise ValueError(f"rho must be a finite number > 0, got {rho!r}")
+    check_footprint_radius(rho)
     res = wmap.resolution
     ox, oy = wmap.origin
     xmin, ymin, xmax, ymax = wmap.world_bounds

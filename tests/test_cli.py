@@ -762,6 +762,14 @@ class TestUsageErrors:
         *(pytest.param(c, "--r", None, {"PNAV_R": "abc"},
                        "error: PNAV_R must be a finite number > 0\n", id=f"{c}-r-variable")
           for c in COMMANDS),
+        # a rho whose square is 0 or subnormal, by the flag or the variable
+        *(pytest.param(c, "--rho", rho, {}, f"error: --rho must be a finite number > 0 "
+                       f"whose square is a normal float (at least 2**-511), got {rho}\n",
+                       id=f"{c}-rho-{rho}-flag")
+          for c in ("plan", "rrt") for rho in ("1e-170", "5e-324")),
+        *(pytest.param(c, "--rho", None, {"PNAV_RHO": "1e-170"},
+                       "error: PNAV_RHO must be a finite number > 0 whose square",
+                       id=f"{c}-rho-variable") for c in ("plan", "rrt")),
         pytest.param("rrt", "--n", "1.5", {}, "argument --n: invalid int value: '1.5'",
                      id="rrt-n-not-int"),
         pytest.param("rrt", "--seed", "x", {}, "argument --seed: invalid int value: 'x'",

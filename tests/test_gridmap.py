@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pnav.fixtures import museum_map
 from pnav.gridmap import (DISC_SAMPLES_PER_CELL, MAX_WINDOW_SUBSAMPLES, MapFormatError,
-                          WorkspaceMap, _clear_sweeps, _dist2_segment_square, _sweeps_free,
-                          footprint_free, load_map, obstruction_ratio,
+                          RobotModel, WorkspaceMap, _clear_sweeps, _sweeps_free,
+                          check_footprint_radius, footprint_free, load_map, obstruction_ratio,
                           obstruction_ratios, swept_footprint_free)
 from pnav.validate import finite_number
 
@@ -137,6 +138,24 @@ class TestWorkspaceMapObject:
         assert np.shares_memory(wmap.occupancy, np.asarray(wmap._framed))
         assert np.array_equal(np.asarray(wmap._framed)[1:-1, 1:-1], wmap.occupancy)
 
+    @staticmethod
+    def assert_row_views(wmap):
+        """_framed_rows and _sat_rows are read-only views of each row of the
+        map's two tables, copying nothing."""
+        for rows, table in ((wmap._framed_rows, wmap._framed),
+                            (wmap._sat_rows, wmap._obstacle_sat)):
+            table = np.asarray(table)
+            assert len(rows) == wmap.height + 2
+            for j, row in enumerate(rows):
+                assert row.readonly and row.ndim == 1
+                assert np.shares_memory(np.asarray(row), table)
+                assert np.array_equal(np.asarray(row), table[j])
+            with pytest.raises(TypeError):
+                rows[1][1] = rows[1][1]
+
+    def test_row_views_share_the_tables(self):
+        self.assert_row_views(make_map(["#..", ".#.", "..#", "..."]))
+
     def test_equality_and_hash_by_identity(self):
         m1 = make_map(["#..", "..."])
         m2 = make_map(["#..", "..."])
@@ -154,6 +173,9 @@ class TestWorkspaceMapObject:
         assert (other.width, other.height, other.resolution, other.origin) == (
             wmap.width, wmap.height, wmap.resolution, wmap.origin)
         assert np.array_equal(other.occupancy, wmap.occupancy)
+        self.assert_row_views(other)  # rebuilt for the clone, on its own tables
+        assert not np.shares_memory(np.asarray(other._sat_rows[1]),
+                                    np.asarray(wmap._obstacle_sat))
         assert self.answers(other) == self.answers(wmap)
 
 
@@ -194,6 +216,37 @@ class TestFootprintFree:
             footprint_free(m, (2.5, 2.5), rho)
         with pytest.raises(ValueError, match="rho must be a finite number > 0"):
             swept_footprint_free(m, (1.5, 1.5), (2.5, 2.5), rho)
+
+    @pytest.mark.parametrize("position", [(math.nan, 1.0), (3.5, math.nan)])
+    def test_nan_position_names_position(self, museum, position):
+        wmap, _ = museum
+        with pytest.raises(ValueError, match="position must not have a NaN coordinate"):
+            footprint_free(wmap, position, 0.3)
+
+    @pytest.mark.parametrize("rho", [1e-170, 5e-324, 2.0 ** -511 * (1 - 2.0 ** -53)])
+    def test_rho_whose_square_underflows_rejected(self, rho):
+        # rho * rho is 0 or subnormal: 0 < rho^2 could fail for a disc on an
+        # obstacle, so the disc at an obstacle's centre would be free
+        assert rho * rho < 2.0 ** -1022
+        m = make_map(["...", ".#.", "..."])
+        for call in (lambda: footprint_free(m, (1.5, 1.5), rho),
+                     lambda: swept_footprint_free(m, (0.5, 0.5), (1.5, 1.5), rho),
+                     lambda: check_footprint_radius(rho)):
+            with pytest.raises(ValueError, match="rho must be a finite number > 0 whose square"):
+                call()
+        with pytest.raises(ValueError, match="footprint_radius must be a finite number > 0 "
+                                             "whose square"):
+            RobotModel(footprint_radius=rho, camera_clearance_radius=1.0)
+
+    def test_least_rho_accepted(self):
+        rho = 2.0 ** -511
+        assert rho * rho == 2.0 ** -1022  # the least normal float
+        m = make_map(["...", ".#.", "..."])
+        assert check_footprint_radius(rho) == rho
+        assert not footprint_free(m, (1.5, 1.5), rho)
+        assert not footprint_free(m, (1.0, 1.5), rho)  # on the square's side
+        assert footprint_free(m, (0.5, 1.5), rho)
+        assert not swept_footprint_free(m, (0.5, 1.5), (2.5, 1.5), rho)
 
     @pytest.mark.parametrize("p0,p1,name", [
         ((3, 3), (math.nan, math.nan), "p1"),
@@ -388,6 +441,49 @@ class TestOneCollisionTest:
         assert not footprint_free(wmap, p0, rho)
         assert footprint_free(wmap, p1, rho)
         assert swept_footprint_free(wmap, p0, p1, rho) == footprint_free(wmap, p0, rho)
+
+
+# The squared-distance functions of the one-pass narrow phase, kept verbatim
+# for the oracle below, so that it shares no code with the two-pass test.
+
+def _dist2_point_square(px, py, x0, y0, x1, y1):
+    """Squared distance from a point to the closed square [x0, x1] x [y0, y1]."""
+    dx = px - min(max(px, x0), x1)
+    dy = py - min(max(py, y0), y1)
+    return dx * dx + dy * dy
+
+
+def _dist2_point_segment(px, py, ax, ay, vx, vy):
+    """Squared distance from a point to the segment a .. a + v."""
+    vv = vx * vx + vy * vy
+    t = 0.0 if vv == 0.0 else min(max(((px - ax) * vx + (py - ay) * vy) / vv, 0.0), 1.0)
+    dx, dy = px - (ax + t * vx), py - (ay + t * vy)
+    return dx * dx + dy * dy
+
+
+def _dist2_segment_square(ax, ay, bx, by, x0, y0, x1, y1):
+    """Squared distance between the segment ab and the closed square
+    [x0, x1] x [y0, y1]; 0.0 when they meet."""
+    vx, vy = bx - ax, by - ay
+    # Liang-Barsky: clip the parameter range [0, 1] of a + t v to the square
+    t0, t1 = 0.0, 1.0
+    for p, q in ((-vx, ax - x0), (vx, x1 - ax), (-vy, ay - y0), (vy, y1 - ay)):
+        if p == 0.0:
+            if q < 0.0:  # parallel to this side and outside it
+                t0 = 2.0
+        elif p < 0.0:
+            t0 = max(t0, q / p)
+        else:
+            t1 = min(t1, q / p)
+    if t0 <= t1:
+        return 0.0
+    # Apart: the closest pair has an endpoint of ab or a corner of the square.
+    return min(_dist2_point_square(ax, ay, x0, y0, x1, y1),
+               _dist2_point_square(bx, by, x0, y0, x1, y1),
+               _dist2_point_segment(x0, y0, ax, ay, vx, vy),
+               _dist2_point_segment(x1, y0, ax, ay, vx, vy),
+               _dist2_point_segment(x1, y1, ax, ay, vx, vy),
+               _dist2_point_segment(x0, y1, ax, ay, vx, vy))
 
 
 def _exact_swept_footprint_free(wmap: WorkspaceMap, p0: tuple[float, float],
@@ -648,11 +744,82 @@ class TestBatchBroadPhase:
         assert _clear_sweeps(wmap, empty, empty, 0.2).shape == (0,)
         assert _sweeps_free(wmap, empty, empty, 0.2) == []
 
-    @pytest.mark.parametrize("rho", [0.0, -0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("rho", [0.0, -0.1, math.nan, math.inf, 1e-170, 5e-324])
     def test_bad_rho_rejected_as_by_the_scalar(self, rho):
         wmap = WorkspaceMap(3, 2, 0.5, (0.0, 0.0), np.zeros((2, 3), dtype=bool))
         with pytest.raises(ValueError, match="rho must be a finite number > 0"):
             _clear_sweeps(wmap, np.empty((0, 2)), np.empty((0, 2)), rho)
+        with pytest.raises(ValueError, match="rho must be a finite number > 0"):
+            swept_footprint_free(wmap, (0.75, 0.5), (0.75, 0.5), rho)
+
+
+def cells_map(width, height, cells):
+    """A map of 1 m cells at the origin whose obstacles are the (ix, iy) cells."""
+    occ = np.zeros((height, width), dtype=bool)
+    for ix, iy in cells:
+        occ[iy, ix] = True
+    return WorkspaceMap(width, height, 1.0, (0.0, 0.0), occ)
+
+
+class TestTwoPassNarrowPhase:
+    """The narrow phase tests the end disc at p1 over the whole window
+    first, then the rest of the segment test; it decides as the one-pass
+    oracle, _exact_swept_footprint_free, on every case."""
+
+    @staticmethod
+    def decide(wmap, p0, p1, rho):
+        got = swept_footprint_free(wmap, p0, p1, rho)
+        assert got == _exact_swept_footprint_free(wmap, p0, p1, rho), (p0, p1, rho)
+        return got
+
+    def test_end_disc_hit_after_a_cell_that_does_not_collide(self):
+        # the window is cells 0..2 x 0..2; (2, 0) comes first in scan order
+        # and lies 0.41 m from the segment, (2, 2) lies 0.25 m from p1
+        p0, p1, rho = (0.5, 0.5), (2.4, 1.75), 0.3
+        assert self.decide(cells_map(4, 4, [(2, 0)]), p0, p1, rho)
+        assert not self.decide(cells_map(4, 4, [(2, 2)]), p0, p1, rho)
+        assert not self.decide(cells_map(4, 4, [(2, 0), (2, 2)]), p0, p1, rho)
+
+    @pytest.mark.parametrize("p0", [(0.5, 1.5), (1.75, 3.25), (1.75, 1.5)],
+                             ids=["approaching", "grazing", "standing"])
+    def test_tangent_end_disc_is_free(self, p0):
+        # cell (2, 1) is [2, 3] x [1, 2]: at p1 the disc touches its side,
+        # d^2 == rho^2 == 1/16 exactly
+        wmap, rho = cells_map(4, 4, [(2, 1)]), 0.25
+        assert self.decide(wmap, p0, (1.75, 1.5), rho)
+        assert not self.decide(wmap, p0, (1.75 + 2.0 ** -20, 1.5), rho)
+        assert footprint_free(wmap, (1.75, 1.5), rho)
+
+    @pytest.mark.parametrize("p0,p1,rho", [
+        ((0.5, 2.9), (2.9, 0.5), 0.5),  # passes corner (2, 2) at 0.42 m
+        ((0.3, 1.5), (2.7, 1.5), 0.25),  # crosses the square
+    ], ids=["corner", "crossing"])
+    def test_free_end_discs_but_a_colliding_body(self, p0, p1, rho):
+        wmap = cells_map(4, 4, [(1, 1)])
+        for p in (p0, p1):
+            assert _dist2_point_square(*p, 1.0, 1.0, 2.0, 2.0) >= rho * rho
+            assert self.decide(wmap, p, p, rho)
+        assert not self.decide(wmap, p0, p1, rho)
+        assert not self.decide(wmap, p1, p0, rho)
+
+    def test_rrt_like_sweeps_on_the_museum_map(self):
+        # steps of 1 m from points anywhere on the map, as rrt_plan makes them
+        wmap, rho = museum_map(), 0.3
+        xmin, ymin, xmax, ymax = wmap.world_bounds
+        rng = np.random.default_rng(2023)
+        n = 2000
+        a = rng.uniform([xmin, ymin], [xmax, ymax], (n, 2))
+        angle = rng.uniform(0.0, 2.0 * math.pi, n)
+        b = a + np.column_stack([np.cos(angle), np.sin(angle)])
+        kinds = {"free": 0, "end disc": 0, "body only": 0}
+        for p0, p1 in zip(map(tuple, a.tolist()), map(tuple, b.tolist())):
+            if self.decide(wmap, p0, p1, rho):
+                kinds["free"] += 1
+            elif _exact_swept_footprint_free(wmap, p1, p1, rho):
+                kinds["body only"] += 1
+            else:
+                kinds["end disc"] += 1
+        assert min(kinds.values()) >= 50, kinds
 
 
 class TestObstructionRatio:
