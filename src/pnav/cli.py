@@ -97,11 +97,13 @@ def _out_dir(text: str) -> Path:
 
 
 def _world_to_lattice(x: float, y: float, wmap, delta: float, what: str) -> tuple[int, int]:
+    """The lattice position whose delta-block holds (x, y): the nearest
+    block centre, a point on a block edge going to the upper block."""
     ox, oy = wmap.origin
-    fx, fy = (x - ox) / delta - 0.5, (y - oy) / delta - 0.5
+    fx, fy = (x - ox) / delta, (y - oy) / delta
     if not (math.isfinite(fx) and math.isfinite(fy)):
         raise CliError(f"{what} is out of range of the lattice at --delta {delta!r}")
-    return (int(round(fx)), int(round(fy)))
+    return (math.floor(fx), math.floor(fy))
 
 
 def _write(path: Path, text: str, make_dir: bool = True) -> None:

@@ -104,7 +104,7 @@ class WorkspaceMap:
 
     occupancy is indexed [iy, ix] with iy = 0 at the bottom (smallest world y).
     The map copies the array it is given; occupancy is then a read-only view
-    of the interior of _framed, the map's one copy of it.
+    of the interior of the framed table below, the map's one copy of it.
     """
 
     width: int
@@ -113,16 +113,15 @@ class WorkspaceMap:
     origin: tuple[float, float]
     occupancy: np.ndarray = field(repr=False)
     # The collision test's tables, built once in __post_init__ as read-only
-    # memoryviews of numpy arrays: _framed (bool), the occupancy framed by one
-    # obstacle cell on every side, so cell (ix, iy) is _framed[iy + 1, ix + 1],
-    # and _obstacle_sat (int64), its summed-area table: [j, i] counts the
-    # obstacles in _framed[:j + 1, :i + 1].  _framed_rows and _sat_rows hold
-    # a 1-D read-only view of each row of the same two arrays, copying
-    # nothing: swept_footprint_free reads rows[j][i], which takes about two
-    # thirds of the time of a 2-D memoryview's [j, i].  _clear_sweeps reads
-    # np.asarray(_obstacle_sat), which copies nothing either.
-    _framed: memoryview = field(init=False, repr=False)
-    _obstacle_sat: memoryview = field(init=False, repr=False)
+    # numpy arrays: the framed table (bool, occupancy.base), the occupancy
+    # framed by one obstacle cell on every side, so cell (ix, iy) is its
+    # [iy + 1, ix + 1], and _obstacle_sat (int64), its summed-area table:
+    # [j, i] counts the obstacles in framed[:j + 1, :i + 1].  _framed_rows and
+    # _sat_rows hold a 1-D read-only memoryview of each row of the two,
+    # copying nothing: swept_footprint_free reads rows[j][i], which takes
+    # about two thirds of the time of a 2-D memoryview's [j, i].
+    # _clear_sweeps indexes _obstacle_sat itself.
+    _obstacle_sat: np.ndarray = field(init=False, repr=False)
     _framed_rows: tuple = field(init=False, repr=False)
     _sat_rows: tuple = field(init=False, repr=False)
 
@@ -144,8 +143,7 @@ class WorkspaceMap:
         sat = framed.cumsum(axis=0, dtype=np.int64).cumsum(axis=1)
         sat.setflags(write=False)
         object.__setattr__(self, "occupancy", framed[1:-1, 1:-1])
-        object.__setattr__(self, "_framed", memoryview(framed))
-        object.__setattr__(self, "_obstacle_sat", memoryview(sat))
+        object.__setattr__(self, "_obstacle_sat", sat)
         object.__setattr__(self, "_framed_rows", tuple(map(memoryview, framed)))
         object.__setattr__(self, "_sat_rows", tuple(map(memoryview, sat)))
 
@@ -350,7 +348,7 @@ def _clear_sweeps(wmap: WorkspaceMap, a: np.ndarray, b: np.ndarray,
     ix1 = np.floor((hi[inside, 0] - ox) / res).astype(np.intp) + 1
     iy0 = np.floor((lo[inside, 1] - oy) / res).astype(np.intp)
     iy1 = np.floor((hi[inside, 1] - oy) / res).astype(np.intp) + 1
-    sat = np.asarray(wmap._obstacle_sat)
+    sat = wmap._obstacle_sat
     clear[inside] = sat[iy1, ix1] - sat[iy1, ix0] - sat[iy0, ix1] + sat[iy0, ix0] == 0
     return clear
 

@@ -1,9 +1,11 @@
 """Constant-speed time parameterization and cost evaluation of trajectories.
 
 A piecewise-linear path with rotations in place becomes a SegmentPath
-(alternating Rotate / Translate spans), then a TimedTrajectory sampled on a
-uniform tick.  Evaluation produces the (V, N, D) report: time-averaged
-obstruction, rotation count and traveled distance, plus the duration.
+(a chain of Rotate / Translate spans), then a TimedTrajectory sampled on a
+uniform tick.  Lattice node paths and RRT polylines alike are first listed
+as (point, heading) poses, which one walk turns into segments.
+Evaluation produces the (V, N, D) report: time-averaged obstruction,
+rotation count and traveled distance, plus the duration.
 
 dump_json writes every JSON document pnav writes, splicing in JsonText
 values verbatim; timed_to_json writes the trajectory document through it.
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridmap import WorkspaceMap, obstruction_ratios
-from .lattice import LatticeNode, node_position
+from .lattice import node_position
 from .rrt import PolyPath
 from .validate import finite_number, json_object
 
@@ -76,60 +78,38 @@ def to_segment_path(path, wmap: WorkspaceMap | None = None,
                     delta: float | None = None) -> SegmentPath:
     """Convert a lattice node path (needs wmap and delta) or a PolyPath.
 
-    Lattice rotations use the shorter arc; runs of equal-heading translations
-    merge into a single Translate.  Polyline headings are tangent to the
-    segments, with a Rotate at each direction change.
+    Either becomes a list of (point, heading) poses, and one walk turns two
+    poses at one point into a Rotate by the shorter arc and a run of moves
+    at one heading into a single Translate.  A lattice node gives its
+    position and heading.  A polyline vertex gives the heading of its
+    straight run, then, where the next segment turns from it by more than
+    HEADING_EPS_DEG, a pose turned to that segment.
     """
     if isinstance(path, PolyPath):
-        return _from_polyline(path)
-    return _from_lattice(path, wmap, delta)
-
-
-def _from_lattice(path: list[LatticeNode], wmap: WorkspaceMap, delta: float) -> SegmentPath:
-    if not path:
+        verts = path.vertices
+        headings = [wrap_deg(math.degrees(math.atan2(b[1] - a[1], b[0] - a[0])))
+                    for a, b in zip(verts, verts[1:])] or [0.0]
+        poses = [(verts[0], headings[0])]
+        for v, h in zip(verts[1:], headings):
+            if abs(signed_arc_deg(poses[-1][1], h)) > HEADING_EPS_DEG:
+                poses.append((poses[-1][0], h))
+            poses.append((v, poses[-1][1]))
+    elif not path:
         raise TrajectoryError("empty path")
-    if wmap is None or delta is None:
+    elif wmap is None or delta is None:
         raise TrajectoryError("lattice paths need wmap and delta")
-    pos = [node_position(n, wmap, delta) for n in path]
-    segments = []
-    i = 0
-    while i < len(path) - 1:
-        a, b = path[i], path[i + 1]
-        if (a.ix, a.iy) == (b.ix, b.iy):
-            arc = signed_arc_deg(a.heading, b.heading)
-            segments.append(Rotate(pos[i], float(a.heading), float(b.heading), arc))
-            i += 1
+    else:
+        poses = [(node_position(n, wmap, delta), n.heading) for n in path]
+    segments = []  # a straight run is a [p0, p1, heading] list until the end
+    for (p, h), (q, k) in zip(poses, poses[1:]):
+        if p == q:
+            segments.append(Rotate(p, float(h), float(k), signed_arc_deg(h, k)))
+        elif segments and isinstance(segments[-1], list) and segments[-1][2] == k:
+            segments[-1][1] = q
         else:
-            j = i + 1  # extend the straight run while the heading repeats
-            while (j < len(path) - 1
-                   and path[j + 1].heading == a.heading
-                   and (path[j + 1].ix, path[j + 1].iy) != (path[j].ix, path[j].iy)):
-                j += 1
-            segments.append(Translate(pos[i], pos[j], float(a.heading)))
-            i = j
-    return SegmentPath(pos[0], float(path[0].heading), tuple(segments))
-
-
-def _from_polyline(poly: PolyPath) -> SegmentPath:
-    verts = poly.vertices
-    if len(verts) == 1:
-        return SegmentPath(verts[0], 0.0, ())
-    headings = []
-    for a, b in zip(verts, verts[1:]):
-        headings.append(wrap_deg(math.degrees(math.atan2(b[1] - a[1], b[0] - a[0]))))
-    segments = []
-    run_start = 0
-    cur = headings[0]
-    for i in range(1, len(headings) + 1):
-        if i < len(headings) and abs(signed_arc_deg(cur, headings[i])) <= HEADING_EPS_DEG:
-            continue
-        segments.append(Translate(verts[run_start], verts[i], cur))
-        if i < len(headings):
-            arc = signed_arc_deg(cur, headings[i])
-            segments.append(Rotate(verts[i], cur, headings[i], arc))
-            run_start = i
-            cur = headings[i]
-    return SegmentPath(verts[0], headings[0], tuple(segments))
+            segments.append([p, q, float(h)])
+    return SegmentPath(poses[0][0], float(poses[0][1]),
+                       tuple(Translate(*s) if isinstance(s, list) else s for s in segments))
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,35 @@ class TestExitCodes:
         assert code == 0
 
 
+class TestWorldToLattice:
+    """A pose goes to the lattice position whose delta-block holds it: the
+    nearest block centre, a point on a block edge going to the upper block."""
+
+    def test_block_edges_go_to_the_upper_block(self):
+        wmap = museum_map()  # origin (0, 0)
+        xs = [3.0, 3.25, 3.5, 3.75, 4.0, 4.5, 4.999, 5.0, 5.5, 6.0, 6.5, 7.0]
+        got = [pnav.cli._world_to_lattice(x, x + 1.0, wmap, 1.0, "--start") for x in xs]
+        assert got == [(math.floor(x), math.floor(x) + 1) for x in xs]
+        assert pnav.cli._world_to_lattice(3.0, 5.0, wmap, 2.0, "--start") == (1, 2)
+
+    @pytest.mark.parametrize("start", ["3,3,0", "5,4,0"])
+    def test_plan_start_on_a_block_corner(self, map_file, tmp_path, start):
+        code = main(["plan", "--map", map_file(museum_map()), "--start", start,
+                     "--goal", "18.5,3.5", "--delta", "1.0", "--rho", "0.3",
+                     "--r", "2.0", "--out", str(tmp_path / "out")])
+        assert code == 0
+        doc = json.loads((tmp_path / "out" / "front.json").read_text())
+        assert doc["start"] == [int(v) for v in start.split(",")]
+
+    def test_a_tiny_offset_off_the_map_is_an_invalid_start(self, map_file, tmp_path,
+                                                           capsys):
+        code = run_plan(map_file(free_map(3, 3)), tmp_path / "out",
+                        start="-1e-300,0.5,0")
+        assert code == 1
+        assert "invalid start" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestPlanOutputs:
     def test_front_sorted_by_distance(self, map_file, tmp_path):
         wmap = make_map(["......",

@@ -135,16 +135,15 @@ class TestWorkspaceMapObject:
 
     def test_occupancy_is_the_framed_tables_interior(self):
         wmap = make_map(["#..", ".#.", "..#"])
-        assert np.shares_memory(wmap.occupancy, np.asarray(wmap._framed))
-        assert np.array_equal(np.asarray(wmap._framed)[1:-1, 1:-1], wmap.occupancy)
+        assert np.shares_memory(wmap.occupancy, wmap.occupancy.base)
+        assert np.array_equal(wmap.occupancy.base[1:-1, 1:-1], wmap.occupancy)
 
     @staticmethod
     def assert_row_views(wmap):
         """_framed_rows and _sat_rows are read-only views of each row of the
         map's two tables, copying nothing."""
-        for rows, table in ((wmap._framed_rows, wmap._framed),
+        for rows, table in ((wmap._framed_rows, wmap.occupancy.base),
                             (wmap._sat_rows, wmap._obstacle_sat)):
-            table = np.asarray(table)
             assert len(rows) == wmap.height + 2
             for j, row in enumerate(rows):
                 assert row.readonly and row.ndim == 1

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import random
 import weakref
 
 import numpy as np
@@ -8,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnav.gridmap import obstruction_ratio
-from pnav.lattice import LatticeNode, build_lattice
-from pnav.moastar import GoalSpec, plan_pareto
-from pnav.rrt import PolyPath
+from pnav.gridmap import RobotModel, WorkspaceMap, obstruction_ratio
+from pnav.lattice import HEADINGS, LatticeNode, build_lattice, node_position
+from pnav.moastar import GoalSpec, brute_force_front, plan_pareto
+from pnav.rrt import PolyPath, RrtParams, rrt_plan
 from pnav.render import rotation_points
-from pnav.trajectory import (MAX_SAMPLES, Rotate, SegmentPath, TimedTrajectory,
-                             Translate, TrajectoryError, eval_costs,
+from pnav.trajectory import (HEADING_EPS_DEG, MAX_SAMPLES, Rotate, SegmentPath,
+                             TimedTrajectory, Translate, TrajectoryError, eval_costs,
                              JsonText, dump_json, heading_change_runs, signed_arc_deg,
                              timed_from_json, timed_to_json, to_segment_path, to_timed,
                              wrap_deg)
@@ -58,6 +59,156 @@ class TestSegmentPath:
         assert signed_arc_deg(0, 45) == 45.0
         assert signed_arc_deg(0, 180) == 180.0  # tie goes counterclockwise
         assert signed_arc_deg(315, 45) == 90.0
+
+
+def _from_lattice(path: list[LatticeNode], wmap: WorkspaceMap, delta: float) -> SegmentPath:
+    if not path:
+        raise TrajectoryError("empty path")
+    if wmap is None or delta is None:
+        raise TrajectoryError("lattice paths need wmap and delta")
+    pos = [node_position(n, wmap, delta) for n in path]
+    segments = []
+    i = 0
+    while i < len(path) - 1:
+        a, b = path[i], path[i + 1]
+        if (a.ix, a.iy) == (b.ix, b.iy):
+            arc = signed_arc_deg(a.heading, b.heading)
+            segments.append(Rotate(pos[i], float(a.heading), float(b.heading), arc))
+            i += 1
+        else:
+            j = i + 1  # extend the straight run while the heading repeats
+            while (j < len(path) - 1
+                   and path[j + 1].heading == a.heading
+                   and (path[j + 1].ix, path[j + 1].iy) != (path[j].ix, path[j].iy)):
+                j += 1
+            segments.append(Translate(pos[i], pos[j], float(a.heading)))
+            i = j
+    return SegmentPath(pos[0], float(path[0].heading), tuple(segments))
+
+
+def _from_polyline(poly: PolyPath) -> SegmentPath:
+    verts = poly.vertices
+    if len(verts) == 1:
+        return SegmentPath(verts[0], 0.0, ())
+    headings = []
+    for a, b in zip(verts, verts[1:]):
+        headings.append(wrap_deg(math.degrees(math.atan2(b[1] - a[1], b[0] - a[0]))))
+    segments = []
+    run_start = 0
+    cur = headings[0]
+    for i in range(1, len(headings) + 1):
+        if i < len(headings) and abs(signed_arc_deg(cur, headings[i])) <= HEADING_EPS_DEG:
+            continue
+        segments.append(Translate(verts[run_start], verts[i], cur))
+        if i < len(headings):
+            arc = signed_arc_deg(cur, headings[i])
+            segments.append(Rotate(verts[i], cur, headings[i], arc))
+            run_start = i
+            cur = headings[i]
+    return SegmentPath(verts[0], headings[0], tuple(segments))
+
+
+class TestSegmentPathAgainstFormer:
+    """The one pose walk gives the former two converters' segment paths,
+    _from_lattice and _from_polyline above (verbatim), compared by repr, so
+    that an int heading where the former gave a float would show."""
+
+    @staticmethod
+    def assert_same(path, wmap=None, delta=None):
+        former = _from_polyline(path) if isinstance(path, PolyPath) else \
+            _from_lattice(path, wmap, delta)
+        got = to_segment_path(path, wmap, delta)
+        assert repr(got) == repr(former)
+        return got
+
+    def test_museum_front(self, museum):
+        from pnav.fixtures import MUSEUM_DELTA, MUSEUM_GOAL, MUSEUM_START
+        wmap, model = museum
+        graph = build_lattice(wmap, model, MUSEUM_DELTA)
+        front = plan_pareto(graph, LatticeNode(*MUSEUM_START), GoalSpec(*MUSEUM_GOAL))
+        assert len(front.entries) == 18
+        for _, nodes in front.entries:
+            self.assert_same(nodes, wmap, MUSEUM_DELTA)
+
+    def test_brute_force_fronts_on_random_maps(self):
+        rng = random.Random(2424)
+        paths = 0
+        for _ in range(60):
+            w, h = rng.randint(2, 4), rng.randint(2, 4)
+            rows = ["".join("#" if rng.random() < 0.2 else "." for _ in range(w))
+                    for _ in range(h)]
+            wmap = make_map(rows, resolution=0.5, origin=(-1.25, 0.75))
+            graph = build_lattice(wmap, RobotModel(footprint_radius=0.1,
+                                                   camera_clearance_radius=0.6), 0.5)
+            free = sorted(graph.phi)
+            if not free:
+                continue
+            sp, gp = rng.choice(free), rng.choice(free)
+            start = LatticeNode(sp[0], sp[1], rng.choice(HEADINGS))
+            goal = GoalSpec(gp[0], gp[1], rng.choice([None] + list(HEADINGS)))
+            for _, nodes in brute_force_front(graph, start, goal).entries:
+                self.assert_same(nodes, wmap, 0.5)
+                paths += 1
+        assert paths >= 60
+
+    def test_hand_made_node_lists(self):
+        wmap = free_map(3, 3)
+        twice = [LatticeNode(0, 0, 45), LatticeNode(0, 0, 45), LatticeNode(0, 0, 90),
+                 LatticeNode(0, 1, 90), LatticeNode(0, 2, 90), LatticeNode(0, 2, 270)]
+        for nodes in ([LatticeNode(1, 1, 90)],
+                      [LatticeNode(0, 0, 0), LatticeNode(0, 0, 0)],
+                      [LatticeNode(0, 0, 0), LatticeNode(1, 0, 0), LatticeNode(1, 0, 0),
+                       LatticeNode(2, 0, 0)],
+                      twice,
+                      # not lattice paths: a move that also turns ends the run
+                      [LatticeNode(0, 0, 0), LatticeNode(1, 0, 45), LatticeNode(2, 1, 45)],
+                      [LatticeNode(0, 0, 0), LatticeNode(1, 0, 0), LatticeNode(2, 0, 90),
+                       LatticeNode(2, 1, 90)]):
+            self.assert_same(nodes, wmap, 1.0)
+        spath = to_segment_path([LatticeNode(0, 0, 0), LatticeNode(0, 0, 0)], wmap, 1.0)
+        assert spath.segments == (Rotate((0.5, 0.5), 0.0, 0.0, 0.0),)
+        # a repeated node, then a turn: two rotations in a row
+        spath = to_segment_path(twice, wmap, 1.0)
+        assert [type(s) for s in spath.segments] == [Rotate, Rotate, Translate, Rotate]
+
+    def test_museum_rrt_paths(self, museum):
+        from pnav.fixtures import MUSEUM_GOAL_WORLD, MUSEUM_START_WORLD
+        wmap, model = museum
+        ran = 0
+        for seed in range(200):
+            path = rrt_plan(wmap, model, MUSEUM_START_WORLD[:2], MUSEUM_GOAL_WORLD,
+                            RrtParams(step_size=1.0, seed=seed))
+            if path is not None:
+                self.assert_same(path)
+                ran += 1
+        assert ran >= 200
+
+    def test_collinear_and_near_collinear_polylines(self):
+        """Seeded polylines on a 1/8 grid, where a vertex that continues a
+        segment between grid points is exactly collinear with it, or moved
+        off that line by 1e-12, 1e-9 or 1e-7."""
+        rng = random.Random(4242)
+        merged = split = 0
+        for _ in range(3000):
+            verts = [(rng.randint(-80, 80) / 8, rng.randint(-80, 80) / 8)]
+            for _ in range(rng.randint(0, 8)):
+                (x, y), k = verts[-1], rng.randint(1, 3)
+                if len(verts) > 1 and rng.random() < 0.7:
+                    px, py = verts[-2]
+                    off = rng.choice([0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-7, -1e-7])
+                    dx, dy = (x - px) * k, (y - py) * k
+                    if rng.random() < 0.5:
+                        dx += off
+                    else:
+                        dy += off
+                else:
+                    dx, dy = rng.randint(-16, 16) / 8, rng.randint(-16, 16) / 8
+                if (dx, dy) != (0, 0):
+                    verts.append((x + dx, y + dy))
+            kinds = [type(s) for s in self.assert_same(PolyPath(tuple(verts))).segments]
+            merged += kinds.count(Translate) < len(verts) - 1
+            split += kinds.count(Rotate) > 0
+        assert merged > 500 and split > 500
 
 
 class TestToTimed:
