@@ -4,6 +4,14 @@ Plain RRT in the plane with straight-line steering; no kinematic
 constraints.  Candidate paths from N seeded reruns are ranked by the number
 of curvature sign changes (fewest wins), then by length, then by seed, which
 keeps the whole procedure reproducible.
+
+rrt_plan draws the samples of _NN_BLOCK iterations at a time, finds each
+one's nearest among the nodes the tree held when the block started with one
+distance matrix, then scans the nodes added since, which replace it only
+when strictly nearer.  That builds the tree the one-sample-at-a-time loop
+builds: the sample stream does not depend on the tree (a goal-bias draw,
+then two coordinate draws unless it picks the goal), every squared distance
+comes from the same float operations, and the lowest index wins a tie.
 """
 
 from __future__ import annotations
@@ -20,6 +28,9 @@ COLLINEAR_EPS = 1e-9
 # Uniforms rrt_plan draws from its Generator at a time; fixed, so memory does
 # not grow with max_iterations.
 _UNIFORM_BLOCK = 256
+# Iterations whose samples rrt_plan draws, and whose nearest old nodes it
+# finds with one distance matrix, at a time.
+_NN_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -103,44 +114,67 @@ def rrt_plan(wmap: WorkspaceMap, model: RobotModel,
             and swept_footprint_free(wmap, start, goal, rho):
         return PolyPath((start, goal))
 
-    for _ in range(params.max_iterations):
-        if uniform() < params.goal_bias:
-            sample = goal
-        else:
-            sample = (xmin + uniform() * (xmax - xmin),
-                      ymin + uniform() * (ymax - ymin))
-        n = len(nodes)
-        d2 = (xs[:n] - sample[0]) ** 2 + (ys[:n] - sample[1]) ** 2
-        near_idx = int(d2.argmin())
-        near = nodes[near_idx]
-        dist = math.sqrt(d2[near_idx])
-        if dist < 1e-12:
-            continue
-        scale = min(1.0, params.step_size / dist)
-        new = (near[0] + scale * (sample[0] - near[0]),
-               near[1] + scale * (sample[1] - near[1]))
-        # No separate standing test at new: a free sweep contains its end
-        # disc, and its cell window contains the standing window, so the
-        # sweep from near to new is free only if new is.
-        if not swept_footprint_free(wmap, near, new, rho):
-            continue
-        if n == len(xs):  # doubling: amortised O(1) per node
-            xs = np.concatenate([xs, np.empty_like(xs)])
-            ys = np.concatenate([ys, np.empty_like(ys)])
-        xs[n], ys[n] = new
-        nodes.append(new)
-        parents.append(near_idx)
+    for first in range(0, params.max_iterations, _NN_BLOCK):
+        samples = []
+        for _ in range(min(_NN_BLOCK, params.max_iterations - first)):
+            if uniform() < params.goal_bias:
+                samples.append(goal)
+            else:
+                samples.append((xmin + uniform() * (xmax - xmin),
+                                ymin + uniform() * (ymax - ymin)))
+        # each sample's nearest among the nodes held when the block starts
+        m = len(nodes)
+        sxy = np.array(samples, dtype=float)
+        d2 = (xs[:m] - sxy[:, :1]) ** 2 + (ys[:m] - sxy[:, 1:]) ** 2
+        for sample, near_idx, near_d2 in zip(samples, d2.argmin(axis=1).tolist(),
+                                             d2.min(axis=1).tolist()):
+            near_idx, near_d2 = _nearest(nodes, m, sample, near_idx, near_d2)
+            near = nodes[near_idx]
+            dist = math.sqrt(near_d2)
+            if dist < 1e-12:
+                continue
+            scale = min(1.0, params.step_size / dist)
+            new = (near[0] + scale * (sample[0] - near[0]),
+                   near[1] + scale * (sample[1] - near[1]))
+            # No separate standing test at new: a free sweep contains its end
+            # disc, and its cell window contains the standing window, so the
+            # sweep from near to new is free only if new is.
+            if not swept_footprint_free(wmap, near, new, rho):
+                continue
+            n = len(nodes)
+            if n == len(xs):  # doubling: amortised O(1) per node
+                xs = np.concatenate([xs, np.empty_like(xs)])
+                ys = np.concatenate([ys, np.empty_like(ys)])
+            xs[n], ys[n] = new
+            nodes.append(new)
+            parents.append(near_idx)
 
-        if math.hypot(goal[0] - new[0], goal[1] - new[1]) <= tol \
-                and swept_footprint_free(wmap, new, goal, rho):
-            idx = len(nodes) - 1
-            if goal != new:
-                nodes.append(goal)
-                parents.append(idx)
+            if math.hypot(goal[0] - new[0], goal[1] - new[1]) <= tol \
+                    and swept_footprint_free(wmap, new, goal, rho):
                 idx = len(nodes) - 1
-            return backtrace(idx)
+                if goal != new:
+                    nodes.append(goal)
+                    parents.append(idx)
+                    idx = len(nodes) - 1
+                return backtrace(idx)
 
     return None
+
+
+def _nearest(nodes: list, first: int, sample: tuple[float, float],
+             idx: int, d2: float) -> tuple[int, float]:
+    """The nearest of nodes to sample and its squared distance, given idx,
+    the nearest of nodes[:first], at squared distance d2.  A later node
+    replaces it only when strictly nearer, so the lowest index wins a tie,
+    as an argmin over all the nodes does."""
+    sx, sy = sample
+    for j in range(first, len(nodes)):
+        dx = nodes[j][0] - sx
+        dy = nodes[j][1] - sy
+        e = dx * dx + dy * dy
+        if e < d2:
+            idx, d2 = j, e
+    return idx, d2
 
 
 def _uniforms(rng: np.random.Generator):
@@ -182,8 +216,7 @@ def best_of_n(wmap: WorkspaceMap, model: RobotModel,
     """Run seeds seed..seed+n-1 and return the success with the fewest
     curvature sign changes; ties go to the shorter path, then the lower seed.
     None when every run failed."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    finite_number(n, "n", positive=True, integer=True)
     best = None
     best_key = None
     for k in range(n):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridmap import WorkspaceMap, obstruction_ratios
-from .lattice import node_position
+from .lattice import HEADING_STEP, node_position
 from .rrt import PolyPath
 from .validate import finite_number, json_object
 
@@ -84,6 +84,9 @@ def to_segment_path(path, wmap: WorkspaceMap | None = None,
     position and heading.  A polyline vertex gives the heading of its
     straight run, then, where the next segment turns from it by more than
     HEADING_EPS_DEG, a pose turned to that segment.
+
+    A lattice step that changes position must move one HEADING_STEP of its
+    node's heading and keep that heading; any other raises TrajectoryError.
     """
     if isinstance(path, PolyPath):
         verts = path.vertices
@@ -99,6 +102,11 @@ def to_segment_path(path, wmap: WorkspaceMap | None = None,
     elif wmap is None or delta is None:
         raise TrajectoryError("lattice paths need wmap and delta")
     else:
+        for i, (a, b) in enumerate(zip(path, path[1:])):
+            move = (b.ix - a.ix, b.iy - a.iy)
+            if move != (0, 0) and (move, b.heading) != (HEADING_STEP[a.heading], a.heading):
+                raise TrajectoryError(f"step {i} of the path, {a} to {b}, "
+                                      "is not a lattice edge")
         poses = [(node_position(n, wmap, delta), n.heading) for n in path]
     segments = []  # a straight run is a [p0, p1, heading] list until the end
     for (p, h), (q, k) in zip(poses, poses[1:]):

@@ -54,6 +54,24 @@ class TestSegmentPath:
         with pytest.raises(TrajectoryError, match="empty"):
             to_segment_path([], free_map(2, 2), 1.0)
 
+    @pytest.mark.parametrize("nodes, step", [
+        # two blocks along heading 0: a diagonal sampled facing east
+        ([LatticeNode(0, 0, 0), LatticeNode(2, 2, 0)], 0),
+        # a move that also turns: 0 to 45 degrees between ticks, no Rotate
+        ([LatticeNode(0, 0, 0), LatticeNode(1, 0, 45), LatticeNode(2, 1, 45)], 0),
+        ([LatticeNode(0, 0, 0), LatticeNode(1, 0, 0), LatticeNode(2, 0, 90),
+          LatticeNode(2, 1, 90)], 1),
+        # one step off the heading, one step backwards
+        ([LatticeNode(0, 0, 90), LatticeNode(0, 0, 0), LatticeNode(1, 1, 0)], 1),
+        ([LatticeNode(1, 0, 0), LatticeNode(0, 0, 0)], 0),
+        ([LatticeNode(0, 0, 45), LatticeNode(1, 1, 45), LatticeNode(1, 1, 90),
+          LatticeNode(1, 1, 90), LatticeNode(2, 2, 90)], 3),
+    ])
+    def test_steps_that_are_not_lattice_edges_rejected(self, nodes, step):
+        with pytest.raises(TrajectoryError,
+                           match=f"step {step} of the path, .* is not a lattice edge"):
+            to_segment_path(nodes, free_map(3, 3), 1.0)
+
     def test_shorter_arc_with_ccw_tie(self):
         assert signed_arc_deg(0, 270) == -90.0
         assert signed_arc_deg(0, 45) == 45.0
@@ -159,11 +177,7 @@ class TestSegmentPathAgainstFormer:
                       [LatticeNode(0, 0, 0), LatticeNode(0, 0, 0)],
                       [LatticeNode(0, 0, 0), LatticeNode(1, 0, 0), LatticeNode(1, 0, 0),
                        LatticeNode(2, 0, 0)],
-                      twice,
-                      # not lattice paths: a move that also turns ends the run
-                      [LatticeNode(0, 0, 0), LatticeNode(1, 0, 45), LatticeNode(2, 1, 45)],
-                      [LatticeNode(0, 0, 0), LatticeNode(1, 0, 0), LatticeNode(2, 0, 90),
-                       LatticeNode(2, 1, 90)]):
+                      twice):
             self.assert_same(nodes, wmap, 1.0)
         spath = to_segment_path([LatticeNode(0, 0, 0), LatticeNode(0, 0, 0)], wmap, 1.0)
         assert spath.segments == (Rotate((0.5, 0.5), 0.0, 0.0, 0.0),)
