@@ -23,9 +23,9 @@ from pathlib import Path
 from . import moastar, rrt, trajectory
 from .gridmap import RobotModel, check_disc_radius, check_footprint_radius, load_map
 from .lattice import HEADINGS, LatticeNode, build_lattice
-from .render import render_svg
-from .trajectory import (JsonText, dump_json, eval_costs, timed_from_json, timed_to_json,
-                         to_segment_path, to_timed)
+from .render import render_svg, svg_layers
+from .trajectory import (JsonText, dump_json, eval_costs, sample_blocks, timed_from_json,
+                         timed_to_json, to_segment_path, to_timed)
 from .validate import finite_number
 
 EXIT_OK = 0
@@ -182,15 +182,19 @@ def cmd_plan(args) -> int:
 
     spaths = [to_segment_path(nodes, wmap, delta) for _, nodes in front.entries]
     timeds = [to_timed(spath, v=v, omega_deg=omega, dt=dt) for spath in spaths]
+    # the text every document of the front shares, each number formatted once
+    blocks = sample_blocks(timeds)
+    rects, tracks = svg_layers(wmap, timeds) if args.svg else ("", [])
     entries = []
     rendered = []
-    for i, ((cost, nodes), spath, timed, report) in enumerate(
-            zip(front.entries, spaths, timeds, eval_costs(timeds, wmap, r))):
-        entries.append(_entry_record(cost, nodes, spath, timed_to_json(timed), report))
+    for i, ((cost, nodes), spath, timed, block, report) in enumerate(
+            zip(front.entries, spaths, timeds, blocks, eval_costs(timeds, wmap, r))):
+        entries.append(_entry_record(cost, nodes, spath, timed_to_json(timed, block), report))
         label = (f"#{i} V={report.V:.4f} N={report.N} D={report.D:.3f}")
         rendered.append((label, timed))
         if args.svg:
-            _write(outdir / f"entry_{i:03d}.svg", render_svg(wmap, [(label, timed)]))
+            _write(outdir / f"entry_{i:03d}.svg",
+                   render_svg(wmap, [(label, timed)], (rects, tracks[i:i + 1])))
 
     doc = {
         "map": args.map,
@@ -202,7 +206,7 @@ def cmd_plan(args) -> int:
     }
     _write(outdir / "front.json", dump_json(doc) + "\n")
     if args.svg:
-        _write(outdir / "front.svg", render_svg(wmap, rendered))
+        _write(outdir / "front.svg", render_svg(wmap, rendered, (rects, tracks)))
     print(f"front: {len(entries)} entries -> {outdir / 'front.json'}")
     return EXIT_OK if entries else EXIT_EMPTY
 

@@ -375,7 +375,8 @@ def plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> Pare
 def brute_force_front(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> ParetoFront:
     """Oracle: depth-first enumeration of paths that never revisit a
     (position, heading) state, keeping goal-reaching cost vectors and
-    Pareto-filtering them.
+    filtering them with the search's own pruning relation, so that the
+    oracle and the search call the same vectors dominated.
 
     Two prunings keep it tractable without changing the returned vector set,
     both sound because edge costs are non-negative and every cycle strictly
@@ -434,11 +435,13 @@ def brute_force_front(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -
     finally:
         sys.setrecursionlimit(old_limit)
 
-    # keep the first-discovered path for each surviving vector
-    front = []
-    for v in pareto_filter([CostVector(*g) for g, _ in solutions]):
-        for g, p in solutions:
-            if costs_equal(v, g):
-                front.append((g, p))
-                break
+    # keep the first-discovered path of each vector, then drop each vector
+    # that another prunes as the search prunes, FLOAT_TOL included: two
+    # lengths equal in exact arithmetic can differ by an ulp as float sums
+    first: list[tuple[tuple, list[LatticeNode]]] = []
+    for g, p in solutions:
+        if not any(costs_equal(h, g) for h, _ in first):
+            first.append((g, p))
+    front = [(g, p) for i, (g, p) in enumerate(first)
+             if not any(j != i and _prunes(h, g) for j, (h, _) in enumerate(first))]
     return ParetoFront(_sorted_front(front))

@@ -9,6 +9,10 @@ rotation count and traveled distance, plus the duration.
 
 dump_json writes every JSON document pnav writes, splicing in JsonText
 values verbatim; timed_to_json writes the trajectory document through it.
+Its "samples" list text comes from sample_blocks, which formats the samples
+of several trajectories together, each distinct float once: pnav plan makes
+one call for its whole front and hands each entry's block to timed_to_json
+as samples=, and a call without samples= formats its trajectory alone.
 """
 
 from __future__ import annotations
@@ -297,12 +301,56 @@ def dump_json(doc) -> str:
     return "".join(part + text for part, text in zip(parts, texts + [""]))
 
 
-# one sample of the "samples" list at indent=1, keys in sorted order
-_SAMPLE_JSON = '  {\n   "t": %r,\n   "theta_deg": %r,\n   "x": %r,\n   "y": %r\n  }'
+# one sample of the "samples" list at indent=1, keys in sorted order, filled
+# with the float.__repr__ text of t, theta_deg, x and y
+_SAMPLE_JSON = '  {\n   "t": %s,\n   "theta_deg": %s,\n   "x": %s,\n   "y": %s\n  }'
 _SAMPLE_KEYS = ("t", "x", "y", "theta_deg")  # column order of TimedTrajectory.samples
 
 
-def timed_to_json(timed: TimedTrajectory, **fields) -> str:
+def distinct_texts(values: np.ndarray, fmt) -> tuple[str, ...]:
+    """fmt(v) for each value v of values, read as float64, in flat order.
+    fmt runs once per distinct bit pattern, so -0.0 and 0.0 each keep their
+    own text."""
+    bits, inverse = np.unique(np.ascontiguousarray(values, dtype=np.float64).view(np.int64),
+                              return_inverse=True)
+    texts = np.array(list(map(fmt, bits.view(np.float64).tolist())), dtype=object)
+    return tuple(texts[inverse.ravel()].tolist())
+
+
+def sample_blocks(timeds: list[TimedTrajectory]) -> list[JsonText]:
+    """The "samples" list text of each trajectory, as timed_to_json writes
+    it: one fixed per-sample template over the samples' float.__repr__ text,
+    which is what json writes for a finite float.  A non-finite sample
+    raises TrajectoryError naming it (json would write NaN, which
+    timed_from_json rejects).
+
+    The trajectories of a front share most of their values (the tick column,
+    positions and headings), so their columns are formatted together, each
+    distinct value once.
+    """
+    cols = []
+    for timed in timeds:
+        s = timed.samples
+        if not np.isfinite(s).all():
+            i, k = np.argwhere(~np.isfinite(s))[0].tolist()
+            raise TrajectoryError(f"'samples[{i}].{_SAMPLE_KEYS[k]}' must be a finite "
+                                  f"number, not {float(s[i, k])!r}")
+        cols.append(s[:, [0, 3, 1, 2]])  # t, theta_deg, x, y
+    values = distinct_texts(np.concatenate(cols or [np.empty((0, 4))]), repr)
+    blocks, at = [], 0
+    for c in cols:
+        n = len(c)
+        if not n:
+            blocks.append(JsonText("[]"))
+            continue
+        blocks.append(JsonText("[\n" + (",\n".join([_SAMPLE_JSON] * n)
+                                        % values[at:at + 4 * n]) + "\n ]"))
+        at += 4 * n
+    return blocks
+
+
+def timed_to_json(timed: TimedTrajectory, samples: JsonText | None = None,
+                  **fields) -> str:
     """The trajectory document with any extra top-level fields, exactly the
     text of
 
@@ -310,22 +358,14 @@ def timed_to_json(timed: TimedTrajectory, **fields) -> str:
                    "samples": [{"t": t, "x": x, "y": y, "theta_deg": th}, ...],
                    **fields})
 
-    The sample block is one fixed per-sample template over %r of the float
-    samples: for a finite float, float.__repr__ is what json writes.  A
-    non-finite sample raises TrajectoryError naming it (json would write
-    NaN, which timed_from_json rejects).
+    samples is timed's block from sample_blocks, which formats the
+    trajectories of a front together; without it, timed_to_json formats
+    timed's alone.
     """
-    s = timed.samples
-    if not np.isfinite(s).all():
-        i, k = np.argwhere(~np.isfinite(s))[0].tolist()
-        raise TrajectoryError(f"'samples[{i}].{_SAMPLE_KEYS[k]}' must be a finite "
-                              f"number, not {float(s[i, k])!r}")
-    block = "[]"
-    if len(s):
-        values = tuple(s[:, [0, 3, 1, 2]].ravel().tolist())  # t, theta_deg, x, y
-        block = "[\n" + (",\n".join([_SAMPLE_JSON] * len(s)) % values) + "\n ]"
+    if samples is None:
+        [samples] = sample_blocks([timed])
     return dump_json(dict(v=timed.v, omega_deg=timed.omega_deg, dt=timed.dt,
-                          samples=JsonText(block), **fields))
+                          samples=samples, **fields))
 
 
 def timed_from_json(text: str | dict) -> TimedTrajectory:

@@ -317,6 +317,16 @@ class TestBruteForce:
         assert len(front) == 1
         assert front.costs()[0] == CostVector(0.0, 0, 1.0)
 
+    def test_lengths_one_ulp_apart_are_one_length(self):
+        # both paths are 1 + 2 sqrt(2) long, but their float sums differ in
+        # the last bit; the search's pruning takes them as equal in D, so
+        # (0.365.., 2, D) removes (1.115.., 4, D'), and the oracle must agree
+        g = build_lattice(make_map(["....."] * 5), RobotModel(0.2, 1.0), 1.0)
+        start, goal = LatticeNode(4, 0, 45), GoalSpec(2, 3, 90)
+        want = [(0.36538461538461536, 2, 3.8284271247461903)]
+        assert [c.as_tuple() for c in plan_pareto(g, start, goal).costs()] == want
+        assert [c.as_tuple() for c in brute_force_front(g, start, goal).costs()] == want
+
     def test_guard_rejects_large_graphs(self):
         g = build_lattice(free_map(10, 10), SMALL, 1.0)
         with pytest.raises(PlanningError, match="guard"):

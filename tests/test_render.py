@@ -1,10 +1,20 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pnav
+from pnav.cli import main
 from pnav.fixtures import museum_map
-from pnav.gridmap import WorkspaceMap
-from pnav.render import _MARGIN, _SCALE, _LEGEND_ROW, PALETTE, render_svg, rotation_points
-from pnav.trajectory import TimedTrajectory
+from pnav.gridmap import WorkspaceMap, load_map
+from pnav.render import (_MARGIN, _SCALE, _LEGEND_ROW, PALETTE, render_svg, rotation_points,
+                         svg_layers)
+from pnav.trajectory import TimedTrajectory, timed_from_json
+
+from conftest import dump_map, free_map
+
+MUSEUM = Path(pnav.__file__).parent / "data" / "museum.json"
 
 
 def _fmt(x: float) -> str:
@@ -92,3 +102,54 @@ def test_same_bytes_as_the_former_renderer(seed):
 
 def test_museum_map_without_trajectories():
     assert render_svg(museum_map(), []) == _former_render_svg(museum_map(), [])
+
+
+# -- the layers one plan shares between its documents ---------------------------
+
+
+def straight_trajectory(n: int) -> TimedTrajectory:
+    """n samples along x at one heading: no rotation, so no markers."""
+    s = np.column_stack([np.arange(n) * 0.1, np.linspace(0.5, 4.5, n),
+                         np.full(n, 1.5), np.zeros(n)])
+    return TimedTrajectory(s, 1.0, 90.0, 0.1)
+
+
+@pytest.mark.parametrize("wmap", [museum_map(), WorkspaceMap(6, 4, 1.0, (0.0, 0.0),
+                                                             np.zeros((4, 6), bool))],
+                         ids=["museum", "no-obstacles"])
+def test_documents_from_shared_layers(wmap):
+    # ten tracks, so the palette wraps; every other one has no rotation
+    rng = np.random.default_rng(7)
+    trajectories = [(f"t{k}", straight_trajectory(12) if k % 2 else random_trajectory(rng, 20))
+                    for k in range(10)]
+    rects, tracks = svg_layers(wmap, [timed for _, timed in trajectories])
+    assert (rects == "") == (not wmap.occupancy.any())
+    assert {len(markers) > 0 for _, markers in tracks} == {True, False}
+    for i, entry in enumerate(trajectories):
+        assert (render_svg(wmap, [entry], (rects, tracks[i:i + 1]))
+                == _former_render_svg(wmap, [entry]))
+    assert render_svg(wmap, trajectories, (rects, tracks)) == _former_render_svg(wmap, trajectories)
+
+
+@pytest.mark.parametrize("map_text, start, goal, entries", [
+    (MUSEUM.read_text(), "3.5,3.5,0", "18.5,3.5", 18),
+    (dump_map(free_map(8, 4)), "0.5,1.5,0", "6.5,1.5", 1),  # no obstacle, no turn
+], ids=["museum", "straight-on-free-map"])
+def test_plan_svgs_equal_the_former_renderer(tmp_path, map_text, start, goal, entries):
+    """pnav plan --svg renders every entry's SVG and front.svg from one
+    svg_layers call; each file must equal the former renderer's document of
+    the entries read back from front.json."""
+    (tmp_path / "map.json").write_text(map_text)
+    out = tmp_path / "out"
+    assert main(["plan", "--map", str(tmp_path / "map.json"), "--start", start,
+                 "--goal", goal, "--delta", "1.0", "--rho", "0.3", "--r", "2.0",
+                 "--svg", "--out", str(out)]) == 0
+    wmap = load_map(map_text)
+    front = json.loads((out / "front.json").read_text())["entries"]
+    rendered = [(f"#{i} V={e['report']['V']:.4f} N={e['report']['N']} "
+                 f"D={e['report']['D']:.3f}", timed_from_json(e["trajectory"]))
+                for i, e in enumerate(front)]
+    assert len(rendered) == entries > 0
+    for i, entry in enumerate(rendered):
+        assert (out / f"entry_{i:03d}.svg").read_text() == _former_render_svg(wmap, [entry])
+    assert (out / "front.svg").read_text() == _former_render_svg(wmap, rendered)

@@ -16,8 +16,8 @@ from pnav.rrt import PolyPath, RrtParams, rrt_plan
 from pnav.render import rotation_points
 from pnav.trajectory import (HEADING_EPS_DEG, MAX_SAMPLES, Rotate, SegmentPath,
                              TimedTrajectory, Translate, TrajectoryError, eval_costs,
-                             JsonText, dump_json, heading_change_runs, signed_arc_deg,
-                             timed_from_json, timed_to_json, to_segment_path, to_timed,
+                             JsonText, dump_json, heading_change_runs, sample_blocks,
+                             signed_arc_deg, timed_from_json, timed_to_json, to_segment_path, to_timed,
                              wrap_deg)
 from pnav.validate import finite_number
 
@@ -590,6 +590,20 @@ class TestTrajectoryWriter:
                 timed_to_json(timed, **fields)
             return
         assert timed_to_json(timed, **fields) == expected
+
+    # values that trajectories of one front share, always with the pairs
+    # that compare equal, or nearly, as floats but write differently
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), pool=st.lists(FINITE, max_size=6))
+    def test_blocks_of_trajectories_that_share_values(self, data, pool):
+        value = st.sampled_from(pool + [0.0, -0.0, 5e-324, -5e-324])
+        rows = st.lists(st.tuples(value, value, value, value), max_size=10)
+        timeds = [TimedTrajectory(np.array(r, dtype=float).reshape(-1, 4), v, omega_deg, dt)
+                  for r, v, omega_deg, dt in data.draw(
+                      st.lists(st.tuples(rows, SCALAR, SCALAR, SCALAR), min_size=1, max_size=4))]
+        blocks = sample_blocks(timeds)
+        assert ([timed_to_json(timed, block) for timed, block in zip(timeds, blocks)]
+                == [reference_timed_json(timed) for timed in timeds])
 
     def test_lattice_and_polyline_trajectories(self):
         wmap = free_map(6, 6)
