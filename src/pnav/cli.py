@@ -129,20 +129,20 @@ _ROTATE_JSON = ('    {\n     "arc": %r,\n     "from_heading": %r,\n     "kind": 
 _TRANSLATE_JSON = ('    {\n     "heading": %r,\n     "kind": "translate",\n'
                    '     "p0": [\n      %r,\n      %r\n     ],\n'
                    '     "p1": [\n      %r,\n      %r\n     ]\n    }')
-# indent of an entry's fields in front.json: entries > entry > field
-_ENTRY_INDENT = "   "
+# depth of an entry's fields in front.json: entries > entry > field
+_ENTRY_DEPTH = 3
 
 
 def _entry_list(templates: list[str], values: tuple) -> JsonText:
     """An entry's list field, its items the templates filled with values."""
     if not templates:
         return JsonText("[]")
-    return JsonText(("[\n" + ",\n".join(templates) + "\n" + _ENTRY_INDENT + "]") % values)
+    return JsonText(("[\n" + ",\n".join(templates) + "\n" + " " * _ENTRY_DEPTH + "]") % values)
 
 
-def _entry_record(cost, nodes, spath, trajectory_json: str, report) -> dict:
+def _entry_record(cost, nodes, spath, timed, samples: JsonText, report) -> dict:
     """An entry of front.json; its "nodes", "segments" and "trajectory" are
-    JsonText at the entry's depth."""
+    JsonText at the entry's depth, samples being timed's block at that depth."""
     templates, values = [], []
     for seg in spath.segments:
         if isinstance(seg, trajectory.Rotate):
@@ -157,7 +157,7 @@ def _entry_record(cost, nodes, spath, trajectory_json: str, report) -> dict:
         "nodes": _entry_list([_NODE_JSON] * len(nodes),
                              tuple(v for n in nodes for v in (n.ix, n.iy, n.heading))),
         "segments": _entry_list(templates, tuple(values)),
-        "trajectory": JsonText(trajectory_json.replace("\n", "\n" + _ENTRY_INDENT)),
+        "trajectory": JsonText(timed_to_json(timed, samples, _ENTRY_DEPTH)),
     }
 
 
@@ -182,14 +182,14 @@ def cmd_plan(args) -> int:
 
     spaths = [to_segment_path(nodes, wmap, delta) for _, nodes in front.entries]
     timeds = [to_timed(spath, v=v, omega_deg=omega, dt=dt) for spath in spaths]
-    # the text every document of the front shares, each number formatted once
-    blocks = sample_blocks(timeds)
+    # each number formatted once; each block popped into its entry's text
+    blocks = sample_blocks(timeds, _ENTRY_DEPTH)[::-1]
     rects, tracks = svg_layers(wmap, timeds) if args.svg else ("", [])
     entries = []
     rendered = []
-    for i, ((cost, nodes), spath, timed, block, report) in enumerate(
-            zip(front.entries, spaths, timeds, blocks, eval_costs(timeds, wmap, r))):
-        entries.append(_entry_record(cost, nodes, spath, timed_to_json(timed, block), report))
+    for i, ((cost, nodes), spath, timed, report) in enumerate(
+            zip(front.entries, spaths, timeds, eval_costs(timeds, wmap, r))):
+        entries.append(_entry_record(cost, nodes, spath, timed, blocks.pop(), report))
         label = (f"#{i} V={report.V:.4f} N={report.N} D={report.D:.3f}")
         rendered.append((label, timed))
         if args.svg:

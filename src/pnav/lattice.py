@@ -11,15 +11,16 @@ node-id order, ascending by (ix, iy), and the graph derives ids from it: the
 node at the p-th position with heading HEADINGS[k] has id 8 * p + k.  The
 graph holds no node objects: node(id), the inverse of node_id, builds one on
 each call, and `nodes`, all of them in id order, is built at its first read,
-for the benchmark and the tests.  `LatticeGraph.rows[id]`, the only edge
-store, lists that node's outgoing edges as (dst id, w1, w2, w3) tuples, so a
-search can run on integer ids.  Entries 0-6 rotate to the other 7 headings,
-ascending, each costing (phi here, 1, 0.0); entry 7, present when the swept
-footprint is free, translates, so a node has at most one translation
-predecessor.  Every reader in this package walks the rows: the search, its
-bounds and the exhaustive oracle; none calls neighbors.  The neighbors
-method builds a node's `LatticeEdge`s from its row on each call, as the
-benchmark's and the tests' view of the edges.
+for the benchmark and the tests.  The graph stores only what geometry does
+not fix: `LatticeGraph.moves[id]` is the id of the node's one translation
+target, one step along its heading, or -1 when the swept footprint is
+blocked, so a node has at most one translation predecessor.  Rotations are
+implied: a node rotates to the other 7 headings at its position at (phi
+here, 1, 0.0) each, and translates from heading k at (phi there, 0,
+steps[k]).  The search and its bounds read phi and moves; row(id) lists a
+node's edges as (dst id, w1, w2, w3), rotations by heading and then the
+translation, for the oracle and for neighbors, which builds a node's
+`LatticeEdge`s from it on each call as the benchmark's and the tests' view.
 """
 
 from __future__ import annotations
@@ -95,11 +96,12 @@ class LatticeGraph:
     """Immutable directed graph over (ix, iy, heading) lattice nodes."""
 
     def __init__(self, delta: float, nx: int, ny: int, phi: dict[tuple[int, int], float],
-                 rows: list[tuple[tuple[int, float, int, float], ...]]):
+                 moves: list[int]):
         self.delta = delta
         self.nx, self.ny = nx, ny
         self.phi = phi  # position -> phi, in node-id order
-        self.rows = rows  # id -> ((dst id, w1, w2, w3), ...), 7 rotations then a translation
+        self.moves = moves  # id -> id of its translation target, or -1
+        self.steps = tuple(delta if h in AXIS_HEADINGS else SQRT2 * delta for h in HEADINGS)
         self._positions = list(phi)  # position p of node id 8 * p + k
         self._first_id = {pos: 8 * p for p, pos in enumerate(phi)}  # id of its heading-0 node
 
@@ -119,21 +121,25 @@ class LatticeGraph:
         return LatticeNode(*self._positions[i >> 3], HEADINGS[i & 7])
 
     def node_id(self, node: LatticeNode) -> int:
-        """The node's index in `rows`."""
+        """The node's index in `moves`."""
         try:
             return self._first_id[(node.ix, node.iy)] + HEADING_INDEX[node.heading]
         except KeyError:
             raise LatticeError(f"node {node} not in graph") from None
 
+    def row(self, i: int) -> tuple[tuple[int, float, int, float], ...]:
+        """Node i's edges as (dst id, w1, w2, w3): the rotations to the other
+        7 headings here, ascending, then its translation, if it has one."""
+        phi, pos, k, d = self.phi, self._positions, i & 7, self.moves[i]
+        turns = [(i - k + j, phi[pos[i >> 3]], 1, 0.0) for j in range(8) if j != k]
+        return tuple(turns + [(d, phi[pos[d >> 3]], 0, self.steps[k])] if d >= 0 else turns)
+
     def neighbors(self, node: LatticeNode) -> tuple[LatticeEdge, ...]:
         """Outgoing edges: Type-A by ascending destination heading, then Type-B,
-        built from the node's row.
-
-        Its readers are the benchmark, which counts and walks edges through
-        it, and the tests; nothing in this package calls it.
-        """
+        built from the node's row, for the benchmark, which counts and walks
+        edges through it, and the tests; nothing in this package calls it."""
         i = self.node_id(node)
-        nodes, row = self.nodes, self.rows[i]
+        nodes, row = self.nodes, self.row(i)
         turn = CostVector(*row[0][1:])  # shared by the 7 rotations
         return tuple(LatticeEdge(nodes[i], nodes[dst], "A", turn) if w2 == 1
                      else LatticeEdge(nodes[i], nodes[dst], "B", CostVector(w1, w2, w3))
@@ -150,6 +156,8 @@ def build_lattice(wmap: WorkspaceMap, model: RobotModel, delta: float) -> Lattic
     """
     finite_number(delta, "delta", positive=True, error=LatticeError)
     ratio = delta / wmap.resolution
+    if not math.isfinite(ratio):
+        raise LatticeError(f"delta {delta} is too large for resolution {wmap.resolution}")
     if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
         raise LatticeError(
             f"delta {delta} is not an integer multiple of resolution {wmap.resolution}")
@@ -171,8 +179,8 @@ def build_lattice(wmap: WorkspaceMap, model: RobotModel, delta: float) -> Lattic
 
     # Type-B: dst[p, k] is the position that heading k steps to from
     # position p, -1 when it is not a lattice position; the swept footprint
-    # decides which of those steps are edges, and target[p, k] is then the
-    # destination node id, else -1
+    # decides which of those steps are edges, and target[p, k], the moves
+    # entry of id 8 * p + k, is then the destination node id, else -1
     index = np.full((ny + 2, nx + 2), -1, dtype=np.intp)  # framed, as steps reach past the map
     index[piy + 1, pix + 1] = np.arange(len(phis))
     steps = np.array([HEADING_STEP[h] for h in HEADINGS])
@@ -182,14 +190,4 @@ def build_lattice(wmap: WorkspaceMap, model: RobotModel, delta: float) -> Lattic
     target = np.full_like(dst, -1)
     target[src, heading] = np.where(free_step, 8 * dst[src, heading] + heading, -1)
 
-    step = [delta if h in AXIS_HEADINGS else SQRT2 * delta for h in HEADINGS]
-    rows: list[tuple[tuple[int, float, int, float], ...]] = []
-    for base, w1, targets in zip(range(0, 8 * len(phis), 8), phis, target.tolist()):
-        # one row entry per heading, shared by the position's 8 rows
-        turns = tuple([(base + k, w1, 1, 0.0) for k in range(8)])
-        for k, d in enumerate(targets):
-            # Type-A: every other heading at this position, ascending
-            row = turns[:k] + turns[k + 1:]
-            rows.append(row + ((d, phis[d >> 3], 0, step[k]),) if d >= 0 else row)
-
-    return LatticeGraph(delta, nx, ny, phi, rows)
+    return LatticeGraph(delta, nx, ny, phi, target.ravel().tolist())

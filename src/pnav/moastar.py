@@ -39,27 +39,27 @@ test and the comparison with the former search in the tests check costs and
 paths.
 
 plan_pareto runs on the lattice's integer node ids (see pnav.lattice): it
-reads successors from LatticeGraph.rows and nothing else of the edges, keeps
-its labels, bounds and goal flags in lists indexed by id, and builds nodes,
-through LatticeGraph.node, only for the paths it returns.  A label is a list
-of its g, its node id, its parent label and a live flag; a node's list holds
-its labels, and a label removed from it by a dominator is marked dead, so a
-pop skips it in O(1).
+reads phi and moves, keeps its labels, bounds and goal flags in lists
+indexed by id, and builds nodes only for the paths it returns.  An expansion
+prices its 7 rotations once and its translation once.  A label is [g1, g2,
+g3, id, parent, live]; one scan of a child's node list finds a label that
+prunes the child or the labels it removes, which are marked dead.
 
 plan_pareto's front carries deterministic search counters in its metadata:
 labels generated and expanded, labels pruned at a node and pruned by a
 solution (at pop plus at generation), dead_ends (lattice nodes with no path
 to the goal), peak_open (the largest open-list size) and front_size.
-generated counts the whole row of each expanded label, the skipped
-rotations included, so it equals the count of a search without the skip;
+generated counts every edge out of each expanded label, skipped rotations
+included, so it equals the count of a search without the skip;
 pruned_at_node and pruned_by_solution count only the labels that are
 actually built, so they do not count the skipped rotations.
 
 brute_force_front is the independent oracle: exhaustive depth-first path
 enumeration (no repeated (position, heading) state within a path), with
 branch-and-bound pruning against already collected solutions.  It walks the
-same rows on integer ids, builds the nodes of its stored paths as the search
-does, and shares only the lattice and the octile bound with the search.
+rows of LatticeGraph.row on integer ids, builds the nodes of its stored
+paths as the search does, and shares only the lattice and the octile bound
+with the search.
 """
 
 from __future__ import annotations
@@ -187,63 +187,60 @@ def _ideal_bounds(graph: LatticeGraph, goal: GoalSpec) -> tuple[list, list]:
     """(h1, h2), indexed by node id: the least obstruction sum and the least
     turn count still needed to reach a goal node, each minimised on its own
     by a backward pass over reversed edges.  Both are inf at a node with no
-    path to the goal.  Rotations are all-to-all at a position, so a node's
-    rotation predecessors are its own row[:7] at the same costs, and
-    `mover` holds its one translation predecessor (see pnav.lattice).
+    path to the goal.  Rotations are all-to-all at a position, and `mover`,
+    the inverse of moves, holds a node's one translation predecessor; an
+    edge of either kind into u weighs phi(u) in h1.
 
     h1 is a Dijkstra pass on a heap.  h2 weighs a rotation 1 and a
     translation 0, so it is a 0-1 BFS: a translation predecessor joins the
     front of the deque at the same count, the rotation predecessors its back
     at one more, and the deque pops counts in non-decreasing order.  In both
     passes only the first heading settled at a position relaxes its
-    rotations: a later one settles at d' >= d, and fl(d' + w) >= fl(d + w)
-    improves no distance."""
-    rows = graph.rows
-    mover = [-1] * len(rows)  # id -> the node whose row[7] leads to it
-    for src, row in enumerate(rows):
-        if len(row) == 8:
-            mover[row[7][0]] = src
+    rotations, to all 8 ids there (d + w >= d leaves u as it is): a later one
+    settles at d' >= d, and fl(d' + w) >= fl(d + w) improves no distance."""
+    moves = graph.moves
+    mover = [-1] * len(moves)  # id -> the node whose translation leads to it
+    for src, dst in enumerate(moves):
+        if dst >= 0:
+            mover[dst] = src
+    phis = list(graph.phi.values())
     targets = _goal_ids(graph, goal)
 
-    h1 = [math.inf] * len(rows)
+    h1 = [math.inf] * len(moves)
     for t in targets:
         h1[t] = 0
+    h2 = h1.copy()
     heap = [(0, t) for t in targets]
-    turned = [False] * (len(rows) // 8)  # by position: rotations relaxed
+    turned = [False] * len(phis)  # by position: rotations relaxed
     while heap:
         d, u = heapq.heappop(heap)
         if d > h1[u]:
             continue
-        if not turned[u // 8]:
-            turned[u // 8] = True
-            for p in rows[u][:7]:
-                nd = d + p[1]
-                if nd < h1[p[0]]:
-                    h1[p[0]] = nd
-                    heapq.heappush(heap, (nd, p[0]))
+        nd = d + phis[u >> 3]
+        if not turned[u >> 3]:
+            turned[u >> 3] = True
+            for v in range(u & ~7, (u & ~7) + 8):
+                if nd < h1[v]:
+                    h1[v] = nd
+                    heapq.heappush(heap, (nd, v))
         p = mover[u]
-        if p >= 0:
-            nd = d + rows[p][7][1]
-            if nd < h1[p]:
-                h1[p] = nd
-                heapq.heappush(heap, (nd, p))
+        if p >= 0 and nd < h1[p]:
+            h1[p] = nd
+            heapq.heappush(heap, (nd, p))
 
-    h2 = [math.inf] * len(rows)
-    for t in targets:
-        h2[t] = 0
     queue = deque((0, t) for t in targets)
-    turned = [False] * (len(rows) // 8)
+    turned = [False] * len(phis)
     while queue:
         d, u = queue.popleft()
         if d > h2[u]:
             continue
-        if not turned[u // 8]:
-            turned[u // 8] = True
+        if not turned[u >> 3]:
+            turned[u >> 3] = True
             nd = d + 1
-            for p in rows[u][:7]:
-                if nd < h2[p[0]]:
-                    h2[p[0]] = nd
-                    queue.append((nd, p[0]))
+            for v in range(u & ~7, (u & ~7) + 8):
+                if nd < h2[v]:
+                    h2[v] = nd
+                    queue.append((nd, v))
         p = mover[u]
         if p >= 0 and d < h2[p]:
             h2[p] = d
@@ -286,83 +283,86 @@ def plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> Pare
     """
     _check_query(graph, start, goal)
 
-    rows = graph.rows
+    moves, steps = graph.moves, graph.steps
+    phis = list(graph.phi.values())
     H1, H2 = _ideal_bounds(graph, goal)
     H3 = _octile_bounds(graph, goal)
-    is_goal = [False] * len(rows)
-    for t in _goal_ids(graph, goal):
-        is_goal[t] = True
+    goal_ids = set(_goal_ids(graph, goal))
     inf, tol = math.inf, FLOAT_TOL
     heappush, heappop = heapq.heappush, heapq.heappop
 
     s = graph.node_id(start)
-    counter = itertools.count()
     # a label is [g1, g2, g3, node id, parent label, live]; live is cleared
     # when a dominator removes the label from its node's list
     root = [0.0, 0, 0.0, s, None, True]
     # empty at once when the start has no path to the goal
-    open_heap = [(H3[s], 0, 0.0, next(counter), root)] if H1[s] < inf else []
+    open_heap = [(H3[s], 0, 0.0, 0, root)] if H1[s] < inf else []
+    tick = 0  # the push count: ties pop in push order
     # per node id: the non-dominated labels known there (open or expanded)
-    labels: list[list | None] = [None] * len(rows)
-    labels[s] = [root]
+    labels: list[list] = [[] for _ in moves]
+    labels[s].append(root)
     solutions: list[list] = []  # goal labels
     sol = _least_v(solutions)  # [inf]: prunes nothing
+    top = len(sol) - 1
     generated = expanded = at_node = by_solution = 0
     peak_open = len(open_heap)
 
-    # The node scans below are _prunes(old, child) and its converse, inlined.
+    # Inlined below: _prunes(old, child) and its converse, and min(n, top).
     while open_heap:
         lab = heappop(open_heap)[4]
         if not lab[5]:  # removed by a dominator
             continue
         g1, g2, g3, u, parent, _ = lab
-        if sol[min(g2 + H2[u], len(sol) - 1)] <= (g1 + H1[u]) + tol:
+        n = g2 + H2[u]
+        if sol[n if n < top else top] <= (g1 + H1[u]) + tol:
             by_solution += 1
             continue
 
-        if is_goal[u]:
+        if u in goal_ids:
             solutions[:] = [sg for sg in solutions if not _prunes(lab, sg)]
             solutions.append(lab)
             sol = _least_v(solutions)
+            top = len(sol) - 1
             # any extension strictly worsens some component; no expansion
             continue
 
         expanded += 1
-        row = rows[u]
-        generated += len(row)
-        if parent is not None and parent[3] >> 3 == u >> 3:
-            row = row[7:]  # reached by a rotation: never rotate twice
-        for v, w1, w2, w3 in row:
-            h1 = H1[v]
-            if h1 == inf:  # v cannot reach the goal
-                continue
-            a, b, c = g1 + w1, g2 + w2, g3 + w3
-            existing = labels[v]
-            if existing is None:
-                existing = labels[v] = []
+        m = moves[u]
+        generated += 7 + (m >= 0)
+        # the rotations, unless a rotation reached the label, then the translation
+        groups = [] if parent is not None and parent[3] >> 3 == u >> 3 else [
+            (g1 + phis[u >> 3], g2 + 1, g3, [v for v in range(u & ~7, (u | 7) + 1) if v != u])]
+        if m >= 0:
+            groups.append((g1 + phis[m >> 3], g2, g3 + steps[u & 7], (m,)))
+        for a, b, c, dsts in groups:
             a_tol, c_tol = a + tol, c + tol
-            pruned = False
-            for old in existing:
-                if old[0] <= a_tol and old[1] <= b and old[2] <= c_tol:
-                    pruned = True
-                    break
-            if pruned:
-                at_node += 1
-                continue
-            if sol[min(b + H2[v], len(sol) - 1)] <= (a + h1) + tol:
-                by_solution += 1
-                continue
-            dead = [old for old in existing
-                    if a <= old[0] + tol and b <= old[1] and c <= old[2] + tol]
-            if dead:
-                for old in dead:
-                    old[5] = False
-                existing[:] = [old for old in existing if old[5]]
-            child = [a, b, c, v, lab, True]
-            existing.append(child)
-            heappush(open_heap, (c + H3[v], b, a, next(counter), child))
-            if len(open_heap) > peak_open:
-                peak_open = len(open_heap)
+            for v in dsts:
+                h1 = H1[v]
+                if h1 == inf:  # v cannot reach the goal
+                    continue
+                existing = labels[v]
+                dead = []
+                for old in existing:
+                    if old[0] <= a_tol and old[1] <= b and old[2] <= c_tol:
+                        at_node += 1
+                        break
+                    if a <= old[0] + tol and b <= old[1] and c <= old[2] + tol:
+                        dead.append(old)
+                else:
+                    n = b + H2[v]
+                    if sol[n if n < top else top] <= (a + h1) + tol:
+                        by_solution += 1
+                        continue
+                    if dead:
+                        for old in dead:
+                            old[5] = False
+                        existing[:] = [old for old in existing if old[5]]
+                    child = [a, b, c, v, lab, True]
+                    existing.append(child)
+                    tick += 1
+                    heappush(open_heap, (c + H3[v], b, a, tick, child))
+        if len(open_heap) > peak_open:
+            peak_open = len(open_heap)
 
     entries = _sorted_front([(sl[:3], _path(sl, graph)) for sl in solutions])
     metadata = {"generated": generated, "expanded": expanded,
@@ -393,19 +393,19 @@ def brute_force_front(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -
             f"of {BRUTE_FORCE_NODE_GUARD}")
     _check_query(graph, start, goal)
 
-    rows = graph.rows
     H3 = _octile_bounds(graph, goal)
     targets = set(_goal_ids(graph, goal))
     # deterministic successor order biased toward the goal so pruning bites
     # early: nearer first, translations before rotations, then by heading
-    succ = [sorted(row, key=lambda e: (H3[e[0]], e[2] == 1, e[0] % 8)) for row in rows]
+    succ = [sorted(graph.row(i), key=lambda e: (H3[e[0]], e[2] == 1, e[0] % 8))
+            for i in range(len(graph))]
     solutions: list[tuple[tuple, list[LatticeNode]]] = []
 
     s = graph.node_id(start)
     path = [s]
-    on_path = [False] * len(rows)
+    on_path = [False] * len(graph)
     on_path[s] = True
-    seen: list[list[tuple]] = [[] for _ in rows]
+    seen: list[list[tuple]] = [[] for _ in succ]
 
     def visit(u: int, g: tuple):
         f = (g[0], g[1], g[2] + H3[u])

@@ -289,15 +289,16 @@ def _slotted(obj, texts: list):
     return obj
 
 
-def dump_json(doc) -> str:
-    """json.dumps(doc, indent=1, sort_keys=True, allow_nan=False), with each
-    JsonText value spliced in verbatim where the dump holds a placeholder
-    string for it."""
+def dump_json(doc, depth: int = 0) -> str:
+    """json.dumps(doc, indent=1, sort_keys=True, allow_nan=False) for a slot
+    at depth (every later line indented depth more), with each JsonText value,
+    written for its slot, spliced in verbatim where the dump holds a placeholder."""
     texts = []
     parts = json.dumps(_slotted(doc, texts), indent=1, sort_keys=True,
                        allow_nan=False).split(json.dumps(_SLOT))
     if len(parts) != len(texts) + 1:
         raise RuntimeError(f"dump has {len(parts) - 1} text slots for {len(texts)} JSON texts")
+    parts = [part.replace("\n", "\n" + " " * depth) for part in parts] if depth else parts
     return "".join(part + text for part, text in zip(parts, texts + [""]))
 
 
@@ -317,12 +318,12 @@ def distinct_texts(values: np.ndarray, fmt) -> tuple[str, ...]:
     return tuple(texts[inverse.ravel()].tolist())
 
 
-def sample_blocks(timeds: list[TimedTrajectory]) -> list[JsonText]:
+def sample_blocks(timeds: list[TimedTrajectory], depth: int = 0) -> list[JsonText]:
     """The "samples" list text of each trajectory, as timed_to_json writes
-    it: one fixed per-sample template over the samples' float.__repr__ text,
-    which is what json writes for a finite float.  A non-finite sample
-    raises TrajectoryError naming it (json would write NaN, which
-    timed_from_json rejects).
+    it at the same depth: one fixed per-sample template over the samples'
+    float.__repr__ text, which is what json writes for a finite float.  A
+    non-finite sample raises TrajectoryError naming it (json would write
+    NaN, which timed_from_json rejects).
 
     The trajectories of a front share most of their values (the tick column,
     positions and headings), so their columns are formatted together, each
@@ -337,35 +338,36 @@ def sample_blocks(timeds: list[TimedTrajectory]) -> list[JsonText]:
                                   f"number, not {float(s[i, k])!r}")
         cols.append(s[:, [0, 3, 1, 2]])  # t, theta_deg, x, y
     values = distinct_texts(np.concatenate(cols or [np.empty((0, 4))]), repr)
+    sample = " " * depth + _SAMPLE_JSON.replace("\n", "\n" + " " * depth)
     blocks, at = [], 0
     for c in cols:
         n = len(c)
         if not n:
             blocks.append(JsonText("[]"))
             continue
-        blocks.append(JsonText("[\n" + (",\n".join([_SAMPLE_JSON] * n)
-                                        % values[at:at + 4 * n]) + "\n ]"))
+        blocks.append(JsonText("[\n" + (",\n".join([sample] * n)
+                                        % values[at:at + 4 * n]) + "\n " + " " * depth + "]"))
         at += 4 * n
     return blocks
 
 
 def timed_to_json(timed: TimedTrajectory, samples: JsonText | None = None,
-                  **fields) -> str:
+                  depth: int = 0, **fields) -> str:
     """The trajectory document with any extra top-level fields, exactly the
     text of
 
         dump_json({"v": v, "omega_deg": omega_deg, "dt": dt,
                    "samples": [{"t": t, "x": x, "y": y, "theta_deg": th}, ...],
-                   **fields})
+                   **fields}, depth)
 
-    samples is timed's block from sample_blocks, which formats the
-    trajectories of a front together; without it, timed_to_json formats
-    timed's alone.
+    samples is timed's block from sample_blocks at the same depth, which
+    formats the trajectories of a front together; without it, timed_to_json
+    formats timed's alone.
     """
     if samples is None:
-        [samples] = sample_blocks([timed])
+        [samples] = sample_blocks([timed], depth)
     return dump_json(dict(v=timed.v, omega_deg=timed.omega_deg, dt=timed.dt,
-                          samples=samples, **fields))
+                          samples=samples, **fields), depth)
 
 
 def timed_from_json(text: str | dict) -> TimedTrajectory:

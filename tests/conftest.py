@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pnav.gridmap import RobotModel, WorkspaceMap, load_map
+from pnav.lattice import AXIS_HEADINGS, HEADINGS, SQRT2
 
 
 def make_map(rows, resolution=1.0, origin=(0.0, 0.0)):
@@ -24,6 +25,25 @@ def dump_map(wmap):
     return json.dumps({"width": wmap.width, "height": wmap.height,
                        "resolution": wmap.resolution, "origin": list(wmap.origin),
                        "rows": rows}, indent=1)
+
+
+def former_rows(graph):
+    """The rows that build_lattice stored before the graph kept only phi
+    and moves: per node id, its (dst id, w1, w2, w3) edges, the 7 rotations
+    and then the translation.  The former build's row loop, verbatim but
+    for its targets, which it had as the array that is now graph.moves."""
+    delta, phis = graph.delta, list(graph.phi.values())
+    target = [graph.moves[i:i + 8] for i in range(0, len(graph.moves), 8)]
+    step = [delta if h in AXIS_HEADINGS else SQRT2 * delta for h in HEADINGS]
+    rows: list[tuple[tuple[int, float, int, float], ...]] = []
+    for base, w1, targets in zip(range(0, 8 * len(phis), 8), phis, target):
+        # one row entry per heading, shared by the position's 8 rows
+        turns = tuple([(base + k, w1, 1, 0.0) for k in range(8)])
+        for k, d in enumerate(targets):
+            # Type-A: every other heading at this position, ascending
+            row = turns[:k] + turns[k + 1:]
+            rows.append(row + ((d, phis[d >> 3], 0, step[k]),) if d >= 0 else row)
+    return rows
 
 
 def in_bounds(wmap, ix, iy):

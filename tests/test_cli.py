@@ -740,6 +740,16 @@ class TestNumericInputs:
         assert "r 1e+300 gives a disc window of more than" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_huge_delta_is_an_input_error(self, map_file, tmp_path, capsys):
+        # delta / resolution = 1e308 / 0.5 is inf: refused before it is rounded
+        argv = ["plan", "--map", map_file(museum_map()), "--start", "3.5,3.5,0",
+                "--goal", "18.5,3.5", "--delta", "1e308", "--rho", "0.3", "--r", "2",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: delta 1e+308 is too large for resolution 0.5\n"
+        assert not (tmp_path / "out").exists()
+
     def test_huge_camera_radius_is_an_input_error(self, map_file, tmp_path, capsys):
         # r = 1000 m on 0.5 m cells is a window of about 16,000^2 subsamples
         # per point: refused by arithmetic before any buffer is built

@@ -1,6 +1,6 @@
-import collections
 import dataclasses
 import random
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from pnav.lattice import (AXIS_HEADINGS, HEADING_STEP, HEADINGS, SQRT2,
 from pnav.moastar import GoalSpec, brute_force_front, plan_pareto
 from pnav.validate import finite_number
 
-from conftest import free_map, make_map
+from conftest import former_rows, free_map, make_map
 
 SMALL = RobotModel(footprint_radius=0.2, camera_clearance_radius=0.4)
 
@@ -45,6 +45,12 @@ class TestBuild:
     def test_delta_must_divide_resolution(self):
         with pytest.raises(LatticeError, match="multiple"):
             build_lattice(free_map(4, 4, resolution=0.5), SMALL, 0.75)
+
+    @pytest.mark.parametrize("delta, resolution", [(1e308, 0.5), (1.0, 5e-324)])
+    def test_delta_over_resolution_past_the_float_range(self, delta, resolution):
+        # the ratio is inf, which round() cannot take
+        with pytest.raises(LatticeError, match=re.escape(f"delta {delta!r} is too large")):
+            build_lattice(free_map(2, 2, resolution=resolution), SMALL, delta)
 
     def test_blocked_map_gives_empty_graph(self):
         g = build_lattice(make_map(["##", "##"]), SMALL, 1.0)
@@ -256,18 +262,18 @@ def random_map(rng, w, h, density):
 
 
 class TestRows:
-    """rows[id] is neighbors(nodes[id]) on integer ids, entry for entry."""
+    """row(id) is neighbors(nodes[id]) on integer ids, entry for entry."""
 
     @staticmethod
     def assert_rows_match_edges(g):
-        assert len(g.rows) == len(g.nodes) == len(g)
+        assert len(g.moves) == len(g.nodes) == len(g)
         positions = sorted(g.phi)
         for i, node in enumerate(g.nodes):
             assert i == 8 * positions.index((node.ix, node.iy)) + HEADINGS.index(node.heading)
             assert g.node_id(node) == i
             edges = g.neighbors(node)
-            assert len(g.rows[i]) == len(edges)
-            for (dst, w1, w2, w3), e in zip(g.rows[i], edges):
+            assert len(g.row(i)) == len(edges)
+            for (dst, w1, w2, w3), e in zip(g.row(i), edges):
                 assert g.nodes[dst] == e.dst
                 # bit-equal: same type and same repr, so -0.0 differs from 0.0
                 got = [(type(w), repr(w)) for w in (w1, w2, w3)]
@@ -295,7 +301,7 @@ class TestRows:
 
     def test_blocked_map_has_no_rows(self):
         g = build_lattice(make_map(["##", "##"]), SMALL, 1.0)
-        assert g.rows == [] and g.nodes == ()
+        assert g.moves == [] and g.nodes == () and former_rows(g) == []
 
     def test_unknown_node_id(self):
         g = build_lattice(free_map(2, 2), SMALL, 1.0)
@@ -309,7 +315,9 @@ class TestNodeIds:
 
     def test_node_inverts_node_id(self, museum):
         for g in (build_lattice(*museum, 1.0), build_lattice(make_map(["##", "##"]), SMALL, 1.0)):
-            assert len(g) == 8 * len(g.phi) == len(g.rows)
+            assert len(g) == 8 * len(g.phi) == len(g.moves)
+            derived = [g.row(i) for i in range(len(g))]
+            assert repr(derived) == repr(former_rows(g))
             every = [LatticeNode(ix, iy, h) for ix, iy in g.phi for h in HEADINGS]
             for node in every:
                 assert g.node(g.node_id(node)) == node
@@ -425,13 +433,16 @@ def maps_and_models(draw):
 
 
 class TestFormerBuild:
-    """neighbors() and rows equal, bit for bit, what the former build stored."""
+    """neighbors() and the rows derived from phi and moves equal, bit for
+    bit, what the former build stored."""
 
     @staticmethod
     def assert_same_as_former(wmap, model, delta):
         g = build_lattice(wmap, model, delta)
         adjacency, rows = former_build(wmap, model, delta)
-        assert g.rows == rows and repr(g.rows) == repr(rows)
+        derived = [g.row(i) for i in range(len(g))]
+        assert derived == rows and repr(derived) == repr(rows)
+        assert repr(former_rows(g)) == repr(rows)
         assert g.nodes == tuple(adjacency)
         got = [(n, g.neighbors(n)) for n in g.nodes]
         assert got == list(adjacency.items())
@@ -465,29 +476,35 @@ class TestFormerBuild:
 
 
 class TestRowLayout:
-    """The row layout that the MOA* bounds read their reversed edges from."""
+    """The layout of moves, which the MOA* bounds invert: moves[id] is the
+    node's one heading step, or -1, and no id is the target of two nodes;
+    and the row that row(id) derives from it: the implied rotations, then
+    that translation."""
 
     @staticmethod
     def assert_layout(g):
-        into = collections.Counter()
-        for i, row in enumerate(g.rows):
-            node, base, k = g.nodes[i], i - i % 8, i % 8
-            phi = g.phi[(node.ix, node.iy)]
-            # entries 0-6: the other 7 headings here, ascending, at (phi, 1, 0.0)
-            assert [e[0] for e in row[:7]] == [base + j for j in range(8) if j != k]
-            assert [repr(e[1:]) for e in row[:7]] == [repr((phi, 1, 0.0))] * 7
-            # 8 entries exactly when the row holds a translation, and it is row[7]
-            assert len(row) in (7, 8)
-            assert [e[2] for e in row].count(0) == len(row) - 7
-            for dst, _, w2, _ in row:
-                into[dst] += w2 == 0
-            if len(row) == 8:
+        assert len(g.moves) == len(g)
+        for i, d in enumerate(g.moves):
+            node, k = g.node(i), i % 8
+            # one heading step along the node's heading, keeping the heading
+            assert type(d) is int and -1 <= d < len(g)
+            translation = ()
+            if d >= 0:
                 dx, dy = HEADING_STEP[node.heading]
-                assert g.nodes[row[7][0]] == LatticeNode(node.ix + dx, node.iy + dy,
-                                                         node.heading)
+                there = LatticeNode(node.ix + dx, node.iy + dy, node.heading)
+                assert g.node(d) == there
+                step = g.delta if node.heading in AXIS_HEADINGS else SQRT2 * g.delta
+                translation = ((d, g.phi[(there.ix, there.iy)], 0, step),)
+            # the row: the other 7 headings here, ascending, at (phi, 1,
+            # 0.0), then the translation
+            row, phi = g.row(i), g.phi[(node.ix, node.iy)]
+            assert [e[0] for e in row[:7]] == [i - k + j for j in range(8) if j != k]
+            assert [repr(e[1:]) for e in row[:7]] == [repr((phi, 1, 0.0))] * 7
+            assert repr(row[7:]) == repr(translation)
         # every translation target has exactly one translation predecessor
-        assert set(into.values()) <= {0, 1}
-        return sum(into.values())
+        targets = [d for d in g.moves if d >= 0]
+        assert len(set(targets)) == len(targets)
+        return len(targets)
 
     def test_museum(self, museum):
         assert self.assert_layout(build_lattice(*museum, 1.0)) > 1000

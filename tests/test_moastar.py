@@ -20,12 +20,12 @@ SMALL = RobotModel(footprint_radius=0.2, camera_clearance_radius=0.4)
 
 
 def row_path_costs(g, path):
-    """Cost-to-come at each node of a node path, summed from the rows' entries."""
+    """Cost-to-come at each node of a node path, summed from the row entries."""
     acc = (0.0, 0, 0.0)
     out = [acc]
     for a, b in zip(path, path[1:]):
         ib = g.node_id(b)
-        w = [e[1:] for e in g.rows[g.node_id(a)] if e[0] == ib]
+        w = [e[1:] for e in g.row(g.node_id(a)) if e[0] == ib]
         assert len(w) == 1, (a, b)
         acc = tuple(x + y for x, y in zip(acc, w[0]))
         out.append(acc)
@@ -269,30 +269,43 @@ class TestLeastVTable:
         assert not any(self.prunes(sol, 1e300, n) for n in (0, 1, 99))
 
     def test_rebuild_after_a_tie_removes_a_solution(self):
-        # Two positions, start S = (0, 0) and goal G = (1, 0), phi 0, and h3
-        # 0 (delta 0); S's heading k translates to G's heading k by a leg
-        # whose w2 stands for the turns of a longer path.  The goal labels
-        # pop as A (V 1, N 3, D 5), then B, which equals A up to
-        # FLOAT_TOL in V and D with a turn fewer and so removes it, then C,
-        # which A would prune (1 <= V_C + FLOAT_TOL) and B does not.  A table
-        # that kept A's V would drop C.
+        # Chains of crafted moves lead from S = (0, 0), heading 45, to
+        # G = (3, 3), any heading; phi is 0 except at the first position
+        # after S of each chain, and h3 is admissible on every chain.  The
+        # goal labels pop as A (V 1, N 1, D 1 + s + s + s, s = sqrt 2), then
+        # B (V 1 + FLOAT_TOL / 2, N 0, D s + s + 1 + s, one ulp longer by the
+        # order of its axis and diagonal steps), which equals A up to
+        # FLOAT_TOL in V and D with a turn fewer and so removes it, then C
+        # (V 1 - 0.7 FLOAT_TOL, N 2, D 4 + s), which A would prune
+        # (1 <= V_C + FLOAT_TOL) and B does not.  C's goal label is generated
+        # at key 4 + 1, before A pops, so only the table can prune it.  A
+        # table that kept A's V would drop C.
         eps = FLOAT_TOL
-        legs = {0: (1.0 + eps / 2, 2, 5.0 + 2.0 ** -40),  # B, no rotation
-                1: (1.0, 2, 5.0),  # A, after one rotation
-                2: (1.0 - 0.7 * eps, 3, 6.0)}  # C, after one rotation
-        rows = []
-        for p in range(2):
-            for k in range(8):
-                row = tuple((8 * p + j, 0.0, 1, 0.0) for j in range(8) if j != k)
-                rows.append(row + ((8 + k, *legs[k]),) if p == 0 and k in legs else row)
-        g = LatticeGraph(0.0, 2, 1, {(0, 0): 0.0, (1, 0): 0.0}, rows)
-        start, goal = LatticeNode(0, 0, 0), GoalSpec(1, 0)
+        chains = [[((0, 0), 0), ((1, 4), 45), ((2, 5), 135), ((2, 4), 225), ((3, 3), 0)],
+                  [((0, 0), 45), ((5, 5), 45), ((3, 5), 90), ((4, 4), 315), ((3, 3), 45)],
+                  [((0, 0), 90), ((2, 0), 0), ((3, 0), 90), ((3, 1), 90), ((3, 2), 90)],
+                  [((3, 2), 45), ((3, 3), 90)]]  # C after its rotation at (3, 2)
+        phi = dict.fromkeys(sorted({pos for chain in chains for pos, _ in chain}), 0.0)
+        phi.update({(1, 4): 1.0, (5, 5): 1.0 + eps / 2, (2, 0): 1.0 - 0.7 * eps})
+        first_id = {pos: 8 * p for p, pos in enumerate(phi)}
+        moves = [-1] * (8 * len(phi))
+        for chain in chains:
+            for (p, h), (q, k) in zip(chain, chain[1:]):
+                moves[first_id[p] + HEADINGS.index(h)] = first_id[q] + HEADINGS.index(k)
+        g = LatticeGraph(1.0, 6, 6, phi, moves)
+        start, goal = LatticeNode(0, 0, 45), GoalSpec(3, 3)
         front = plan_pareto(g, start, goal)
+        s = SQRT2
         assert [c.as_tuple() for c in front.costs()] == [
-            (1.0 + eps / 2, 2, 5.0 + 2.0 ** -40), (1.0 - 0.7 * eps, 4, 6.0)]
-        assert [p[-1] for _, p in front.entries] == [LatticeNode(1, 0, 0),
-                                                     LatticeNode(1, 0, 90)]
+            (1.0 + eps / 2, 0, s + s + 1 + s), (1.0 - 0.7 * eps, 2, 4 + s)]
+        assert 1 + s + s + s < s + s + 1 + s <= 1 + s + s + s + eps
+        assert [p[-1] for _, p in front.entries] == [LatticeNode(3, 3, 45),
+                                                     LatticeNode(3, 3, 90)]
         assert_same_search(g, start, goal)
+        # without B, A stands and prunes C
+        moves[first_id[(0, 0)] + HEADINGS.index(45)] = -1
+        assert [c.as_tuple() for c in plan_pareto(g, start, goal).costs()] == [
+            (1.0, 1, 1 + s + s + s)]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.floats(0, 10), st.integers(0, 8), st.floats(0, 10)),
@@ -418,7 +431,7 @@ class TestIdealBounds:
         assert front.metadata["expanded"] == front.metadata["generated"] == 0
         assert front.metadata["dead_ends"] == 8
 
-    def test_search_reads_only_rows(self, monkeypatch):
+    def test_search_reads_only_phi_and_moves(self, monkeypatch):
         rows = ["............",
                 "..#....#....",
                 "....#.....#.",
@@ -432,10 +445,24 @@ class TestIdealBounds:
         start, goal = LatticeNode(0, 0, 0), GoalSpec(11, 8)
         ref = reference_plan_pareto(g, start, goal)  # walks neighbors()
 
-        def refuse(graph, node):
-            raise AssertionError("plan_pareto called LatticeGraph.neighbors")
+        read = set()
+
+        class Recorded(LatticeGraph):
+            def __getattribute__(self, name):
+                read.add(name)
+                return super().__getattribute__(name)
+
+        def refuse(graph, *args):
+            raise AssertionError("plan_pareto read an edge row")
         monkeypatch.setattr(LatticeGraph, "neighbors", refuse)
+        monkeypatch.setattr(LatticeGraph, "row", refuse)
+        g.__class__ = Recorded
         front = plan_pareto(g, start, goal)
+        g.__class__ = LatticeGraph
+        # the edge data it reads: phi and moves, with delta and the steps
+        # it fixes; node and node_id map the start and the paths
+        assert read == {"phi", "moves", "delta", "steps", "node_id", "_first_id",
+                        "node", "_positions"}
         meta = front.metadata
         assert front.entries == ref.entries
         assert len(front) > 0 and meta["front_size"] == len(front)

@@ -1,6 +1,6 @@
 """plan_pareto and brute_force_front against the code they replaced.
 
-The search now runs on integer node ids over the lattice's successor rows.
+The search now runs on integer node ids over the lattice's phi and moves.
 reference_plan_pareto below is the former search, on LatticeNode keys and
 LatticeEdge objects, copied verbatim together with its _Label,
 _ideal_bounds, _distance_bound and heuristic.  The adaptations: the former
@@ -23,14 +23,16 @@ the goal.
 
 reference_brute_force_front is the former exhaustive oracle, which walked
 neighbors() edge objects, copied verbatim but for its name and the same
-return-line adaptation.  The oracle now walks the rows on integer ids; both
-must give the same entries: the repr of every cost component and every
+return-line adaptation.  The oracle now walks LatticeGraph.row on integer
+ids; both must give the same entries: the repr of every cost component and every
 node path.
 
 former_row_bounds is the _ideal_bounds that followed, on integer ids: it
-copied every edge once more into reversed predecessor lists, where today's
-reads the predecessors off the rows.  Both must give equal h1 and h2 lists,
-down to their repr.
+copied every edge of the rows that the lattice stored then once more into
+reversed predecessor lists, where today's reads the predecessors off phi
+and moves.  It reads those rows as conftest.former_rows rebuilds them, and
+is otherwise verbatim.  Both must give equal h1 and h2 lists, down to their
+repr.
 """
 
 import heapq
@@ -52,7 +54,7 @@ from pnav.moastar import (BRUTE_FORCE_NODE_GUARD, GoalSpec, ParetoFront, Plannin
                           _goal_ids, _prunes, _sorted_front, brute_force_front,
                           costs_equal, octile, pareto_filter, plan_pareto)
 
-from conftest import make_map
+from conftest import former_rows, make_map
 
 
 # -- the former search, verbatim ----------------------------------------------
@@ -311,7 +313,7 @@ def former_row_bounds(graph: LatticeGraph, goal: GoalSpec) -> tuple[list, list]:
     turn count still needed to reach a goal node, each minimised on its own
     by a backward Dijkstra pass over reversed edges.  Both are inf at a node
     with no path to the goal."""
-    rows = graph.rows
+    rows = former_rows(graph)
     preds: list[list[tuple[int, float, int]]] = [[] for _ in rows]
     for src, row in enumerate(rows):
         for dst, w1, w2, _ in row:

@@ -572,7 +572,7 @@ VALUE = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | T
                      lambda inner: st.lists(inner, max_size=3)
                      | st.dictionaries(TEXT, inner, max_size=3), max_leaves=12)
 FIELDS = st.dictionaries(
-    TEXT.filter(lambda key: key not in ("timed", "v", "omega_deg", "dt", "samples")),
+    TEXT.filter(lambda key: key not in ("timed", "v", "omega_deg", "dt", "samples", "depth")),
     VALUE, max_size=4)
 
 
@@ -590,6 +590,8 @@ class TestTrajectoryWriter:
                 timed_to_json(timed, **fields)
             return
         assert timed_to_json(timed, **fields) == expected
+        # at depth 2 of an enclosing document: every later line 2 spaces in
+        assert timed_to_json(timed, depth=2, **fields) == expected.replace("\n", "\n  ")
 
     # values that trajectories of one front share, always with the pairs
     # that compare equal, or nearly, as floats but write differently
@@ -601,9 +603,11 @@ class TestTrajectoryWriter:
         timeds = [TimedTrajectory(np.array(r, dtype=float).reshape(-1, 4), v, omega_deg, dt)
                   for r, v, omega_deg, dt in data.draw(
                       st.lists(st.tuples(rows, SCALAR, SCALAR, SCALAR), min_size=1, max_size=4))]
-        blocks = sample_blocks(timeds)
-        assert ([timed_to_json(timed, block) for timed, block in zip(timeds, blocks)]
-                == [reference_timed_json(timed) for timed in timeds])
+        for depth in (0, data.draw(st.integers(1, 5))):
+            blocks = sample_blocks(timeds, depth)
+            assert ([timed_to_json(timed, block, depth) for timed, block in zip(timeds, blocks)]
+                    == [reference_timed_json(timed).replace("\n", "\n" + " " * depth)
+                        for timed in timeds])
 
     def test_lattice_and_polyline_trajectories(self):
         wmap = free_map(6, 6)
@@ -638,6 +642,10 @@ class TestDumpJson:
         doc = {"z": [3, {"k": self.INNER}], "top": self.INNER, "s": "a\0b", "t": (1, 2)}
         spliced = dict(doc, z=[3, {"k": self.at_depth(3)}], top=self.at_depth(1))
         assert dump_json(spliced) == json.dumps(doc, indent=1, sort_keys=True)
+        # the same document at depth 2 of another: its texts at depth 2 more
+        deeper = dict(doc, z=[3, {"k": self.at_depth(5)}], top=self.at_depth(3))
+        assert dump_json(deeper, 2) == json.dumps(doc, indent=1, sort_keys=True).replace(
+            "\n", "\n  ")
 
     def test_keeps_no_reference_to_its_texts(self):
         # a front's texts are most of its memory; held in a reference cycle
