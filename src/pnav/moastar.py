@@ -188,7 +188,8 @@ def _ideal_bounds(graph: LatticeGraph, goal: GoalSpec) -> tuple[list, list]:
     turn count still needed to reach a goal node, each minimised on its own
     by a backward pass over reversed edges.  Both are inf at a node with no
     path to the goal.  Rotations are all-to-all at a position, and `mover`,
-    the inverse of moves, holds a node's one translation predecessor; an
+    the inverse of moves, holds a node's one translation predecessor; a
+    graph in which two nodes translate to one raises PlanningError.  An
     edge of either kind into u weighs phi(u) in h1.
 
     h1 is a Dijkstra pass on a heap.  h2 weighs a rotation 1 and a
@@ -202,6 +203,9 @@ def _ideal_bounds(graph: LatticeGraph, goal: GoalSpec) -> tuple[list, list]:
     mover = [-1] * len(moves)  # id -> the node whose translation leads to it
     for src, dst in enumerate(moves):
         if dst >= 0:
+            if mover[dst] >= 0:
+                raise PlanningError(f"nodes {graph.node(mover[dst])} and {graph.node(src)} "
+                                    f"both translate to {graph.node(dst)}")
             mover[dst] = src
     phis = list(graph.phi.values())
     targets = _goal_ids(graph, goal)
@@ -279,7 +283,8 @@ def plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> Pare
 
     Goal labels across the 8 headings are pooled when the goal heading is
     free.  Deterministic for identical inputs.  The front's metadata holds
-    the search counters described in the module docstring.
+    the search counters described in the module docstring.  A graph in
+    which two nodes translate to one raises PlanningError.
     """
     _check_query(graph, start, goal)
 

@@ -3,12 +3,14 @@ import json
 import math
 import pickle
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pnav import gridmap
 from pnav.fixtures import museum_map
 from pnav.gridmap import (DISC_SAMPLES_PER_CELL, MAX_WINDOW_SUBSAMPLES, MapFormatError,
                           RobotModel, WorkspaceMap, _clear_sweeps, _sweeps_free,
@@ -709,7 +711,7 @@ class TestBatchBroadPhase:
         """Compare on every sweep; the number the batch clears."""
         a = np.array([p0 for p0, _ in sweeps], dtype=float).reshape(-1, 2)
         b = np.array([p1 for _, p1 in sweeps], dtype=float).reshape(-1, 2)
-        clear = _clear_sweeps(wmap, a, b, rho).tolist()
+        clear = _clear_sweeps(wmap, a, b, rho)[0].tolist()
         exact = [swept_footprint_free(wmap, p0, p1, rho) for p0, p1 in sweeps]
         for (p0, p1), got, free in zip(sweeps, clear, exact):
             assert got == self.scalar_clears(wmap, p0, p1, rho), (p0, p1, rho)
@@ -740,7 +742,7 @@ class TestBatchBroadPhase:
     def test_empty_batch(self):
         wmap = WorkspaceMap(3, 2, 0.5, (0.0, 0.0), np.zeros((2, 3), dtype=bool))
         empty = np.empty((0, 2))
-        assert _clear_sweeps(wmap, empty, empty, 0.2).shape == (0,)
+        assert _clear_sweeps(wmap, empty, empty, 0.2)[0].shape == (0,)
         assert _sweeps_free(wmap, empty, empty, 0.2) == []
 
     @pytest.mark.parametrize("rho", [0.0, -0.1, math.nan, math.inf, 1e-170, 5e-324])
@@ -750,6 +752,111 @@ class TestBatchBroadPhase:
             _clear_sweeps(wmap, np.empty((0, 2)), np.empty((0, 2)), rho)
         with pytest.raises(ValueError, match="rho must be a finite number > 0"):
             swept_footprint_free(wmap, (0.75, 0.5), (0.75, 0.5), rho)
+
+
+class TestBatchNarrowPhase:
+    """_sweeps_free's batch narrow phase decides as swept_footprint_free and
+    as the one-pass oracle, _exact_swept_footprint_free, on the cases the
+    random batches seldom draw."""
+
+    @staticmethod
+    def decide(wmap, sweeps, rho):
+        """The batch's answers, after comparing them with both scalars."""
+        a = np.array([p0 for p0, _ in sweeps], dtype=float).reshape(-1, 2)
+        b = np.array([p1 for _, p1 in sweeps], dtype=float).reshape(-1, 2)
+        got = _sweeps_free(wmap, a, b, rho)
+        assert got == [swept_footprint_free(wmap, p0, p1, rho) for p0, p1 in sweeps]
+        assert got == [_exact_swept_footprint_free(wmap, p0, p1, rho) for p0, p1 in sweeps]
+        return got
+
+    def test_tangent_to_a_corner_collides(self):
+        # corner (2, 2) of cell (2, 2); rho^2 rounds up past d^2 = 1/8
+        wmap, rho = cells_map(5, 5, [(2, 2)]), math.sqrt(0.125)
+        sweeps = [((1.75, 1.75), (1.75, 1.75)),  # standing: b's term
+                  ((1.25, 2.25), (2.25, 1.25)),  # the corner's term, t = 0.5
+                  ((1.75, 1.75), (1.25, 1.25)),  # a's term
+                  ((1.75 - 2.0 ** -20, 1.75), (1.75 - 2.0 ** -20, 1.75))]
+        assert self.decide(wmap, sweeps, rho) == [False, False, False, True]
+
+    def test_axis_parallel_sweeps(self):
+        # cell (4, 3) is [4, 5] x [3, 4]: each sweep has p == 0 on two sides,
+        # with q < 0 where it runs outside one of them and q >= 0 where not
+        wmap, rho = cells_map(8, 7, [(4, 3)]), 0.25
+        cases = [(((1.5, 3.5), (6.5, 3.5)), False),  # through the square
+                 (((1.5, 3.5), (3.5, 3.5)), True),  # stops 0.5 before it
+                 (((6.5, 3.5), (5.25, 3.5)), True),  # stops tangent to it, from the right
+                 (((1.5, 3.0), (6.5, 3.0)), False),  # along its side, q == 0
+                 (((1.5, 2.75), (6.5, 2.75)), True),  # below, tangent: d^2 == rho^2
+                 (((6.5, 2.8), (1.5, 2.8)), False),  # below, 0.2 away
+                 (((4.5, 0.5), (4.5, 6.5)), False),
+                 (((3.75, 6.5), (3.75, 0.5)), True),  # left of it, tangent
+                 (((5.2, 0.5), (5.2, 6.5)), False),  # right of it, 0.2 away
+                 (((4.5, 0.5), (4.5, 2.5)), True)]
+        sweeps, expected = zip(*cases)
+        assert self.decide(wmap, list(sweeps), rho) == list(expected)
+
+    @pytest.mark.parametrize("rho", [0.25, 0.5, 1.0, math.sqrt(0.5)])
+    def test_zero_length_sweeps_on_cell_corners(self, rho):
+        # vv == 0: t is 0 where the division is masked
+        wmap = cells_map(9, 8, [(4, 3), (1, 6), (6, 6), (7, 1)])
+        corners = [((x, y), (x, y)) for x in range(10) for y in range(9)]
+        got = self.decide(wmap, corners, rho)
+        assert 0 < sum(got) < len(got)
+
+    def test_windows_of_many_sizes_in_one_batch(self, monkeypatch):
+        # standing discs, lattice steps and long diagonals interleaved, so
+        # each sweep's cells follow from its own window width; with a chunk
+        # of 7 pairs, windows straddle chunks too
+        occ = np.random.default_rng(17).random((20, 24)) < 0.12
+        wmap = WorkspaceMap(24, 20, 0.5, (-1.25, 0.75), occ)
+        xmin, ymin, xmax, ymax = wmap.world_bounds
+        lo, hi = np.array([xmin, ymin]) + 0.5, np.array([xmax, ymax]) - 0.5
+        rng = np.random.default_rng(18)
+        a = rng.uniform(lo, hi, (300, 2))
+        step = rng.choice([0.0, 0.5, 1.0, 3.0, 7.5], (300, 1)) * rng.choice([-1, 1], (300, 2))
+        b = np.clip(a + step, lo, hi)
+        sweeps = list(zip(map(tuple, a.tolist()), map(tuple, b.tolist())))
+        rho = 0.3
+        got = self.decide(wmap, sweeps, rho)
+        standing = [free for (p0, p1), free in zip(sweeps, got) if p0 == p1]
+        moving = [free for (p0, p1), free in zip(sweeps, got) if p0 != p1]
+        assert 0 < sum(standing) < len(standing) and 0 < sum(moving) < len(moving)
+        monkeypatch.setattr(gridmap, "_CHUNK_WINDOW_CELLS", 7)
+        assert self.decide(wmap, sweeps, rho) == got
+
+    def test_large_rho_on_a_fine_map_spans_chunks(self):
+        occ = np.random.default_rng(19).random((120, 140)) < 0.0005
+        wmap = WorkspaceMap(140, 120, 0.05, (0.0, 0.0), occ)
+        rho = 1.2  # a window of 49 x 49 cells standing
+        rng = np.random.default_rng(20)
+        a = rng.uniform([1.25, 1.25], [5.75, 4.75], (60, 2))
+        b = np.clip(a + rng.normal(0.0, 0.5, (60, 2)), 1.25, [5.75, 4.75])
+        b[::4] = a[::4]
+        sweeps = list(zip(map(tuple, a.tolist()), map(tuple, b.tolist())))
+        lo, hi = np.minimum(a, b) - rho, np.maximum(a, b) + rho
+        cells = np.prod(np.floor(hi / 0.05) - np.floor(lo / 0.05) + 1, axis=1).sum()
+        assert cells > 10 * gridmap._CHUNK_WINDOW_CELLS
+        got = self.decide(wmap, sweeps, rho)
+        clear = _clear_sweeps(wmap, a, b, rho)[0]
+        narrow = [free for free, cleared in zip(got, clear) if not cleared]
+        assert 0 < sum(narrow) < len(narrow) - 20
+
+    def test_working_memory_does_not_grow_with_the_window(self):
+        # 1,000,000 window cells a sweep: unchunked, each float buffer of the
+        # narrow phase would take 8 MB a sweep
+        occ = np.zeros((1000, 1000), dtype=bool)
+        occ[::97, ::89] = True
+        wmap = WorkspaceMap(1000, 1000, 0.02, (0.0, 0.0), occ)
+        a = np.array([[10.0, 10.0], [10.0, 10.0], [9.0, 11.0]])
+        b = np.array([[10.0, 10.0], [10.01, 9.99], [11.0, 9.0]])
+        tracemalloc.start()
+        try:
+            got = _sweeps_free(wmap, a, b, 9.99)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == [False, False, False]
+        assert peak < 4 * 2 ** 20
 
 
 def cells_map(width, height, cells):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pnav import gridmap
 from pnav.fixtures import MUSEUM_GOAL, MUSEUM_START
 from pnav.gridmap import (RobotModel, footprint_free, obstruction_ratios,
                           swept_footprint_free)
@@ -466,6 +467,33 @@ class TestFormerBuild:
     @given(maps_and_models())
     def test_random_maps(self, map_and_model):
         self.assert_same_as_former(*map_and_model, 1.0)
+
+    @pytest.mark.parametrize("rho", [0.3, 0.7])
+    def test_no_in_bounds_sweep_reaches_the_scalar(self, monkeypatch, rho):
+        # the batch narrow phase decides every sweep that stays in the map;
+        # at rho 0.7 the standing discs next to the border leave it, and
+        # only those reach swept_footprint_free
+        rng = np.random.default_rng(29)
+        wmap = make_map(["".join(np.where(rng.random(40) < 0.15, "#", "."))
+                         for _ in range(30)], resolution=0.5)
+        model = RobotModel(rho, 2.0)
+        calls = []
+
+        def counted(wmap, p0, p1, rho):
+            calls.append((p0, p1))
+            return swept_footprint_free(wmap, p0, p1, rho)
+        monkeypatch.setattr(gridmap, "swept_footprint_free", counted)
+        g = build_lattice(wmap, model, 1.0)
+        monkeypatch.undo()
+        xmin, ymin, xmax, ymax = wmap.world_bounds
+        for p0, p1 in calls:
+            assert p0 == p1
+            assert not (xmin <= p0[0] - rho and p0[0] + rho <= xmax
+                        and ymin <= p0[1] - rho and p0[1] + rho <= ymax)
+        assert len(calls) == (0 if rho < 0.5 else 2 * (20 + 15) - 4)
+        _, rows = former_build(wmap, model, 1.0)
+        assert repr(former_rows(g)) == repr(rows)
+        assert 0 < sum(d >= 0 for d in g.moves) < len(g.moves) / 2
 
     def test_neighbors_before_any_other_call(self):
         # the edges of one node are built on their own, in any call order

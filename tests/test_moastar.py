@@ -415,6 +415,26 @@ class TestIdealBounds:
                 checked += 1
         assert checked >= 30
 
+    def test_two_translation_predecessors_rejected(self):
+        # (0,0,0) and (1,0,0) both translate to (2,0,0): one inverse entry
+        # would keep only the last source and give h1 = inf at (0,0), an
+        # empty front although (0,0,0) -> (2,0,0) reaches the goal
+        phi = {(0, 0): 0.0, (1, 0): 0.5, (2, 0): 0.0}
+        moves = [-1] * 24
+        moves[0] = moves[8] = 16
+        g = LatticeGraph(1.0, 3, 1, phi, moves)
+        message = (r"nodes LatticeNode\(ix=0, iy=0, heading=0\) and "
+                   r"LatticeNode\(ix=1, iy=0, heading=0\) both translate to "
+                   r"LatticeNode\(ix=2, iy=0, heading=0\)")
+        with pytest.raises(PlanningError, match=message):
+            _ideal_bounds(g, GoalSpec(2, 0))
+        with pytest.raises(PlanningError, match=message):
+            plan_pareto(g, LatticeNode(0, 0, 0), GoalSpec(2, 0))
+        moves[8] = -1  # one predecessor: the path reaches the goal
+        front = plan_pareto(LatticeGraph(1.0, 3, 1, phi, moves), LatticeNode(0, 0, 0),
+                            GoalSpec(2, 0))
+        assert [c.as_tuple() for c in front.costs()] == [(0.0, 0, 1.0)]
+
     def test_walled_pocket_counts_dead_ends(self):
         g = build_lattice(make_map(POCKET), SMALL, 1.0)
         start, goal = LatticeNode(0, 0, 0), GoalSpec(5, 4)
