@@ -141,12 +141,15 @@ class WorkspaceMap:
         finite_number(self.width, "width", positive=True, integer=True)
         finite_number(self.height, "height", positive=True, integer=True)
         finite_number(self.resolution, "resolution", positive=True)
-        for i, (v, n) in enumerate(zip(self.origin, (self.width, self.height))):
+        for i, (v, n, name) in enumerate(zip(self.origin, (self.width, self.height),
+                                             ("width", "height"))):
             finite_number(v, f"origin[{i}]")
             # keeps cell indices exact to far less than a cell, which the
             # collision test's windows need (see swept_footprint_free)
             if abs(v) / self.resolution + n > _MAX_CELL_COORDINATE:
                 raise ValueError(f"origin[{i}] {v!r} puts the map past 2**50 cells")
+            if not math.isfinite(v + n * self.resolution):
+                raise ValueError(f"origin[{i}] + {name} * resolution is not a finite number")
         if np.shape(self.occupancy) != (self.height, self.width):
             raise ValueError("occupancy shape must be (height, width)")
         framed = np.ones((self.height + 2, self.width + 2), dtype=bool)

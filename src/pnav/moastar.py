@@ -34,9 +34,9 @@ already prunes it at the node, or a solution prunes both.  The gap:
 tolerance dominance is not transitive, so when the single rotation's label
 is removed by one up to FLOAT_TOL better, and that one by another, the
 label that stands in for it can be worse by up to 2 FLOAT_TOL in g1 or g3,
-and the skipped rotation might then have been kept.  The exhaustive oracle
-test and the comparison with the former search in the tests check costs and
-paths.
+and the skipped rotation might then have been kept.  The oracle test checks
+the costs, and the comparison with the former search in the tests the costs
+and paths.
 
 plan_pareto runs on the lattice's integer node ids (see pnav.lattice): it
 reads phi and moves, keeps its labels, bounds and goal flags in lists
@@ -54,12 +54,12 @@ included, so it equals the count of a search without the skip;
 pruned_at_node and pruned_by_solution count only the labels that are
 actually built, so they do not count the skipped rotations.
 
-brute_force_front is the independent oracle: exhaustive depth-first path
-enumeration (no repeated (position, heading) state within a path), with
-branch-and-bound pruning against already collected solutions.  It walks the
-rows of LatticeGraph.row on integer ids, builds the nodes of its stored
-paths as the search does, and shares only the lattice and the octile bound
-with the search.
+brute_force_front is the independent oracle: the multiobjective
+label-correcting method (Martins 1984; Skriver 2000), run to its fixpoint in
+FIFO order over the rows of LatticeGraph.row, with no bound, heuristic or
+pop order.  It keeps its labels as the search does and shares with it only
+the rows, _prunes, the goal ids, the query check and the path and front
+builders.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import sys
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -76,8 +75,6 @@ from .lattice import HEADINGS, SQRT2, CostVector, LatticeGraph, LatticeNode
 # Cost vectors closer than this (absolute, on the float components) are the
 # same vector for the one-representative-per-vector rule.  w2 is exact.
 FLOAT_TOL = 1e-9
-
-BRUTE_FORCE_NODE_GUARD = 512
 
 
 class PlanningError(ValueError):
@@ -378,75 +375,44 @@ def plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> Pare
 
 
 def brute_force_front(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> ParetoFront:
-    """Oracle: depth-first enumeration of paths that never revisit a
-    (position, heading) state, keeping goal-reaching cost vectors and
-    filtering them with the search's own pruning relation, so that the
-    oracle and the search call the same vectors dominated.
+    """Oracle: the multiobjective label-correcting fixpoint (Martins 1984;
+    Skriver 2000) over LatticeGraph.row, with no bound and no pop order.
 
-    Two prunings keep it tractable without changing the returned vector set,
-    both sound because edge costs are non-negative and every cycle strictly
-    increases a component (rotations add a turn, translations add distance):
-    a branch is cut when its cost plus the octile lower bound is matched or
-    beaten by a known solution, or when an earlier partial path reached the
-    same state no worse in every component (any completion of the current
-    branch appended to that earlier prefix is a walk that decycles to a path
-    at least as good).  Refuses graphs above the size guard.
+    Labels are extended in FIFO order, goal labels excepted, until none is
+    left.  A node keeps the labels that no other there prunes, in the
+    search's own _prunes sense, and a pruned label is not extended; every
+    cycle strictly increases a component, so the fixpoint is reached.  The
+    goal nodes' labels, pooled in id order, are filtered once more with
+    _prunes, the first of an equal pair kept.
     """
-    if len(graph) > BRUTE_FORCE_NODE_GUARD:
-        raise PlanningError(
-            f"graph has {len(graph)} nodes, above the brute-force guard "
-            f"of {BRUTE_FORCE_NODE_GUARD}")
     _check_query(graph, start, goal)
 
-    H3 = _octile_bounds(graph, goal)
-    targets = set(_goal_ids(graph, goal))
-    # deterministic successor order biased toward the goal so pruning bites
-    # early: nearer first, translations before rotations, then by heading
-    succ = [sorted(graph.row(i), key=lambda e: (H3[e[0]], e[2] == 1, e[0] % 8))
-            for i in range(len(graph))]
-    solutions: list[tuple[tuple, list[LatticeNode]]] = []
-
+    goal_ids = _goal_ids(graph, goal)
+    targets = set(goal_ids)
     s = graph.node_id(start)
-    path = [s]
-    on_path = [False] * len(graph)
-    on_path[s] = True
-    seen: list[list[tuple]] = [[] for _ in succ]
-
-    def visit(u: int, g: tuple):
-        f = (g[0], g[1], g[2] + H3[u])
-        if any(_prunes(sg, f) for sg, _ in solutions):
-            return
-        known = seen[u]
-        if any(_prunes(old, g) for old in known):
-            return
-        known[:] = [old for old in known if not _prunes(g, old)]
-        known.append(g)
-        if u in targets:
-            solutions.append((g, [graph.node(i) for i in path]))
-            return
-        for v, w1, w2, w3 in succ[u]:
-            if on_path[v]:
+    root = [0.0, 0, 0.0, s, None, True]  # a label, as in plan_pareto
+    labels: list[list] = [[] for _ in range(len(graph))]
+    labels[s].append(root)
+    queue = deque([root])
+    while queue:
+        lab = queue.popleft()
+        u = lab[3]
+        if not lab[5] or u in targets:
+            continue
+        for v, w1, w2, w3 in graph.row(u):
+            child = [lab[0] + w1, lab[1] + w2, lab[2] + w3, v, lab, True]
+            existing = labels[v]
+            if any(_prunes(old, child) for old in existing):
                 continue
-            path.append(v)
-            on_path[v] = True
-            visit(v, (g[0] + w1, g[1] + w2, g[2] + w3))
-            on_path[v] = False
-            path.pop()
+            for old in existing:
+                old[5] = not _prunes(child, old)
+            existing[:] = [old for old in existing if old[5]]
+            existing.append(child)
+            queue.append(child)
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, len(graph) * 4 + 100))
-    try:
-        visit(s, (0.0, 0, 0.0))
-    finally:
-        sys.setrecursionlimit(old_limit)
-
-    # keep the first-discovered path of each vector, then drop each vector
-    # that another prunes as the search prunes, FLOAT_TOL included: two
-    # lengths equal in exact arithmetic can differ by an ulp as float sums
-    first: list[tuple[tuple, list[LatticeNode]]] = []
-    for g, p in solutions:
-        if not any(costs_equal(h, g) for h, _ in first):
-            first.append((g, p))
-    front = [(g, p) for i, (g, p) in enumerate(first)
-             if not any(j != i and _prunes(h, g) for j, (h, _) in enumerate(first))]
-    return ParetoFront(_sorted_front(front))
+    front: list[list] = []
+    for lab in (lab for i in goal_ids for lab in labels[i]):
+        if not any(_prunes(kept, lab) for kept in front):
+            front = [kept for kept in front if not _prunes(lab, kept)]
+            front.append(lab)
+    return ParetoFront(_sorted_front([(lab[:3], _path(lab, graph)) for lab in front]))

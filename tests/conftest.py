@@ -70,3 +70,16 @@ def small_model():
 def museum():
     from pnav.fixtures import museum_map, museum_model
     return museum_map(), museum_model()
+
+
+def row_path_costs(g, path):
+    """Cost-to-come at each node of a node path, summed from the row entries."""
+    acc = (0.0, 0, 0.0)
+    out = [acc]
+    for a, b in zip(path, path[1:]):
+        ib = g.node_id(b)
+        w = [e[1:] for e in g.row(g.node_id(a)) if e[0] == ib]
+        assert len(w) == 1, (a, b)
+        acc = tuple(x + y for x, y in zip(acc, w[0]))
+        out.append(acc)
+    return out

@@ -699,6 +699,21 @@ class TestNumericInputs:
         assert run_plan(str(path), tmp_path / "out") == 1
         assert f"'{field}' must be a finite" in capsys.readouterr().err
 
+    def test_map_whose_world_bounds_overflow(self, tmp_path, capsys):
+        # each header field is finite, but origin + width * resolution is not;
+        # with a pose, delta and radii on that scale the lattice build would
+        # index its tables out of range
+        doc = json.loads(dump_map(free_map(7, 3)))
+        doc["resolution"] = 5e307
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(doc))
+        assert main(["plan", "--map", str(path), "--start", "2.5e307,2.5e307,0",
+                     "--goal", "1.25e308,2.5e307", "--delta", "5e307", "--rho", "1e306",
+                     "--r", "1e307", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: origin[0] + width * resolution is not a finite number")
+        assert "Traceback" not in err
+
     def test_tiny_dt_is_an_input_error(self, map_file, tmp_path, capsys):
         # about 3e9 ticks per entry: refused by arithmetic before any is built
         assert run_plan(map_file(free_map(3, 3)), tmp_path / "out",

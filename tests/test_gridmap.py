@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -652,6 +653,19 @@ class TestBroadPhase:
     def test_origin_past_the_cell_bound_rejected(self, origin):
         with pytest.raises(ValueError, match=r"origin\[\d\] .* past 2\*\*50 cells"):
             WorkspaceMap(4, 4, 0.5, origin, np.zeros((4, 4), dtype=bool))
+
+    @pytest.mark.parametrize("width, height, origin, named", [
+        (7, 3, (0.0, 0.0), "origin[0] + width * resolution"),
+        (3, 7, (0.0, 0.0), "origin[1] + height * resolution"),
+        (1, 1, (1.79e308, 0.0), "origin[0] + width * resolution"),
+    ])
+    def test_world_bounds_past_the_float_range_rejected(self, width, height, origin, named):
+        # every field is finite, but a bound origin + cells * resolution is not
+        occ = np.zeros((height, width), dtype=bool)
+        with pytest.raises(ValueError, match=re.escape(f"{named} is not a finite number")):
+            WorkspaceMap(width, height, 5e307, origin, occ)
+        # near the float range, finite bounds are kept
+        assert WorkspaceMap(1, 1, 5e307, (0.0, -1.79e308), occ[:1, :1]).world_bounds[3] < 0
 
     @settings(max_examples=300, deadline=None)
     @given(st.tuples(st.floats(-3.0, 2.0), st.floats(1.0, 6.0)),

@@ -21,11 +21,15 @@ FLOAT_TOL and the first generated label must win, dyadic phi values, where
 they tie exactly, free and fixed goal headings, and starts with no path to
 the goal.
 
-reference_brute_force_front is the former exhaustive oracle, which walked
-neighbors() edge objects, copied verbatim but for its name and the same
-return-line adaptation.  The oracle now walks LatticeGraph.row on integer
-ids; both must give the same entries: the repr of every cost component and every
-node path.
+reference_brute_force_front is the former exhaustive oracle, a recursive
+depth-first path enumeration over neighbors() edge objects, copied verbatim
+but for its name and the same return-line adaptation; its size guard,
+BRUTE_FORCE_NODE_GUARD, is kept here beside it.  The oracle is now a
+label-correcting fixpoint over LatticeGraph.row on integer ids.  Both must
+give the same costs, down to the repr of every component.  Where paths tie
+in cost the two may keep different ones, so each path of today's oracle is
+checked on its own: it starts at the start, steps along row entries, ends
+on a goal node, and its row weights sum to its cost down to the repr.
 
 former_row_bounds is the _ideal_bounds that followed, on integer ids: it
 copied every edge of the rows that the lattice stored then once more into
@@ -50,11 +54,11 @@ import pnav.moastar
 from pnav.fixtures import MUSEUM_DELTA, MUSEUM_GOAL, MUSEUM_START, museum_map, museum_model
 from pnav.gridmap import RobotModel
 from pnav.lattice import HEADINGS, CostVector, LatticeGraph, LatticeNode, build_lattice
-from pnav.moastar import (BRUTE_FORCE_NODE_GUARD, GoalSpec, ParetoFront, PlanningError,
-                          _goal_ids, _prunes, _sorted_front, brute_force_front,
-                          costs_equal, octile, pareto_filter, plan_pareto)
+from pnav.moastar import (GoalSpec, ParetoFront, PlanningError, _goal_ids, _prunes,
+                          _sorted_front, brute_force_front, costs_equal, octile,
+                          pareto_filter, plan_pareto)
 
-from conftest import former_rows, make_map
+from conftest import former_rows, make_map, row_path_costs
 
 
 # -- the former search, verbatim ----------------------------------------------
@@ -222,6 +226,10 @@ def reference_plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpe
 
 
 # -- the former oracle, verbatim ------------------------------------------------
+
+
+# the former oracle's size guard, which it refers to
+BRUTE_FORCE_NODE_GUARD = 512
 
 
 def reference_brute_force_front(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> ParetoFront:
@@ -446,11 +454,20 @@ def test_matches_the_former_search_around_a_pocket(start, goal):
 # -- the oracle against the former edge-object walk -------------------------------
 
 
+def assert_path_has_cost(graph, start, goal, path, cost):
+    """path runs from start along row entries to a goal node, and its row
+    weights, summed in path order, are cost down to the repr."""
+    assert path[0] == start and goal.satisfied_by(path[-1])
+    g = row_path_costs(graph, path)[-1]
+    assert tuple(map(repr, g)) == (repr(cost.w1), repr(cost.w2), repr(cost.w3))
+
+
 def test_oracle_matches_the_former_oracle_on_random_maps(monkeypatch):
     # maps of the 100-map oracle gate's sizes and densities, from another
     # seed, with three camera radii and the phi modes above for exact and
-    # within-tolerance ties.  The oracle's time per map is heavy-tailed (one
-    # 4x4 map can take 15 s); this seed's 100 maps take about 6 s for both.
+    # within-tolerance ties.  The former oracle's time per map is
+    # heavy-tailed (one 4x4 map can take 15 s); this seed's 100 maps take it
+    # 3-5 s, and today's oracle well under 1 s.
     rng = random.Random("former-oracle-2")
     totals = dict.fromkeys(["several", "unreachable"], 0)
     for k in range(100):
@@ -469,7 +486,8 @@ def test_oracle_matches_the_former_oracle_on_random_maps(monkeypatch):
         ref = reference_brute_force_front(graph, start, goal)
         assert ([(repr(c.w1), repr(c.w2), repr(c.w3)) for c in got.costs()]
                 == [(repr(c.w1), repr(c.w2), repr(c.w3)) for c in ref.costs()])
-        assert [path for _, path in got.entries] == [path for _, path in ref.entries]
+        for cost, path in got.entries:
+            assert_path_has_cost(graph, start, goal, path, cost)
         totals["several"] += len(ref) > 1
         totals["unreachable"] += len(ref) == 0
     assert totals["several"] >= 10 and totals["unreachable"] >= 2, totals
