@@ -191,13 +191,17 @@ def load_map(source: str | bytes | dict) -> WorkspaceMap:
               for i, v in enumerate(origin)]
 
     rows = data["rows"]
-    if not isinstance(rows, list) or not rows:
+    if not isinstance(rows, list):
+        raise MapFormatError("'rows' must be a list of strings")
+    if not rows:
         raise MapFormatError("'rows' has zero rows")
     if len(rows) != height:
         raise MapFormatError(f"'rows' count {len(rows)} does not match height {height}")
 
     for i, row in enumerate(rows):  # before allocating width * height cells
-        if not isinstance(row, str) or len(row) != width:
+        if not isinstance(row, str):
+            raise MapFormatError(f"'rows[{i}]' must be a string")
+        if len(row) != width:
             raise MapFormatError(f"'rows[{i}]' length does not match width {width}")
     occ = np.zeros((height, width), dtype=bool)
     for i, row in enumerate(rows):

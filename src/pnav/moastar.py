@@ -43,12 +43,18 @@ reads phi and moves, keeps its labels, bounds and goal flags in lists
 indexed by id, and builds nodes only for the paths it returns.  An expansion
 prices its 7 rotations once and its translation once.  A label is [g1, g2,
 g3, id, parent, live]; one scan of a child's node list finds a label that
-prunes the child or the labels it removes, which are marked dead.
+prunes the child or the labels it removes, which are marked dead.  The open
+list holds one entry for the rotation labels an expansion keeps: they share
+one key, (g3 + h3, g2 + 1, g1 + phi), and a label pushed one by one would
+take consecutive push counts, so no other label sorts between them.  The
+search takes the entry's labels in push order while it is the heap's top,
+which is the pop order of one entry per label.
 
 plan_pareto's front carries deterministic search counters in its metadata:
 labels generated and expanded, labels pruned at a node and pruned by a
 solution (at pop plus at generation), dead_ends (lattice nodes with no path
-to the goal), peak_open (the largest open-list size) and front_size.
+to the goal), peak_open (the most labels in the open list, dead ones
+included, not heap entries) and front_size.
 generated counts every edge out of each expanded label, skipped rotations
 included, so it equals the count of a search without the skip;
 pruned_at_node and pruned_by_solution count only the labels that are
@@ -191,11 +197,17 @@ def _ideal_bounds(graph: LatticeGraph, goal: GoalSpec) -> tuple[list, list]:
 
     h1 is a Dijkstra pass on a heap.  h2 weighs a rotation 1 and a
     translation 0, so it is a 0-1 BFS: a translation predecessor joins the
-    front of the deque at the same count, the rotation predecessors its back
+    front of the deque at the same count, a position's rotations its back
     at one more, and the deque pops counts in non-decreasing order.  In both
     passes only the first heading settled at a position relaxes its
-    rotations, to all 8 ids there (d + w >= d leaves u as it is): a later one
-    settles at d' >= d, and fl(d' + w) >= fl(d + w) improves no distance."""
+    rotations (d + w >= d leaves that heading as it is): a later one settles
+    at d' >= d, and fl(d' + w) >= fl(d + w) improves no distance.  It pushes
+    one entry for the position, (d + w, ~position), not one per heading.
+    Popped, the entry settles each heading there still above d + w at that
+    value and relaxes the heading's translation predecessor at once, as the
+    heading's own entry would have when popped.  The values are the least
+    fixpoint of the same float sums, and each pass makes at most one entry
+    per position and one per translation predecessor."""
     moves = graph.moves
     mover = [-1] * len(moves)  # id -> the node whose translation leads to it
     for src, dst in enumerate(moves):
@@ -212,18 +224,25 @@ def _ideal_bounds(graph: LatticeGraph, goal: GoalSpec) -> tuple[list, list]:
         h1[t] = 0
     h2 = h1.copy()
     heap = [(0, t) for t in targets]
-    turned = [False] * len(phis)  # by position: rotations relaxed
+    turned = [False] * len(phis)  # by position: rotation entry pushed
     while heap:
         d, u = heapq.heappop(heap)
+        if u < 0:  # the rotations into position ~u
+            nd = d + phis[~u]
+            for v in range(~u << 3, (~u << 3) + 8):
+                if d < h1[v]:
+                    h1[v] = d
+                    p = mover[v]
+                    if p >= 0 and nd < h1[p]:
+                        h1[p] = nd
+                        heapq.heappush(heap, (nd, p))
+            continue
         if d > h1[u]:
             continue
         nd = d + phis[u >> 3]
         if not turned[u >> 3]:
             turned[u >> 3] = True
-            for v in range(u & ~7, (u & ~7) + 8):
-                if nd < h1[v]:
-                    h1[v] = nd
-                    heapq.heappush(heap, (nd, v))
+            heapq.heappush(heap, (nd, ~(u >> 3)))
         p = mover[u]
         if p >= 0 and nd < h1[p]:
             h1[p] = nd
@@ -233,15 +252,20 @@ def _ideal_bounds(graph: LatticeGraph, goal: GoalSpec) -> tuple[list, list]:
     turned = [False] * len(phis)
     while queue:
         d, u = queue.popleft()
+        if u < 0:
+            for v in range(~u << 3, (~u << 3) + 8):
+                if d < h2[v]:
+                    h2[v] = d
+                    p = mover[v]
+                    if p >= 0 and d < h2[p]:
+                        h2[p] = d
+                        queue.appendleft((d, p))
+            continue
         if d > h2[u]:
             continue
         if not turned[u >> 3]:
             turned[u >> 3] = True
-            nd = d + 1
-            for v in range(u & ~7, (u & ~7) + 8):
-                if nd < h2[v]:
-                    h2[v] = nd
-                    queue.append((nd, v))
+            queue.append((d + 1, ~(u >> 3)))
         p = mover[u]
         if p >= 0 and d < h2[p]:
             h2[p] = d
@@ -280,8 +304,11 @@ def plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> Pare
 
     Goal labels across the 8 headings are pooled when the goal heading is
     free.  Deterministic for identical inputs.  The front's metadata holds
-    the search counters described in the module docstring.  A graph in
-    which two nodes translate to one raises PlanningError.
+    the search counters described in the module docstring.  The open list
+    keeps an expansion's rotation labels as one heap entry (see the module
+    docstring); the order in which labels are taken is that of one entry per
+    label.  A graph in which two nodes translate to one raises
+    PlanningError.
     """
     _check_query(graph, start, goal)
 
@@ -297,9 +324,12 @@ def plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> Pare
     # a label is [g1, g2, g3, node id, parent label, live]; live is cleared
     # when a dominator removes the label from its node's list
     root = [0.0, 0, 0.0, s, None, True]
-    # empty at once when the start has no path to the goal
-    open_heap = [(H3[s], 0, 0.0, 0, root)] if H1[s] < inf else []
+    # an entry is (f3, g2, g1, tick, labels): the labels of one expansion
+    # that share that key, in reverse push order; empty at once when the
+    # start has no path to the goal
+    open_heap = [(H3[s], 0, 0.0, 0, [root])] if H1[s] < inf else []
     tick = 0  # the push count: ties pop in push order
+    n_open = len(open_heap)  # labels in open_heap
     # per node id: the non-dominated labels known there (open or expanded)
     labels: list[list] = [[] for _ in moves]
     labels[s].append(root)
@@ -307,11 +337,16 @@ def plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> Pare
     sol = _least_v(solutions)  # [inf]: prunes nothing
     top = len(sol) - 1
     generated = expanded = at_node = by_solution = 0
-    peak_open = len(open_heap)
+    peak_open = n_open
 
     # Inlined below: _prunes(old, child) and its converse, and min(n, top).
     while open_heap:
-        lab = heappop(open_heap)[4]
+        # the top entry's next label; no other entry sorts between two of them
+        head = open_heap[0][4]
+        lab = head.pop()
+        if not head:
+            heappop(open_heap)
+        n_open -= 1
         if not lab[5]:  # removed by a dominator
             continue
         g1, g2, g3, u, parent, _ = lab
@@ -331,13 +366,16 @@ def plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> Pare
         expanded += 1
         m = moves[u]
         generated += 7 + (m >= 0)
-        # the rotations, unless a rotation reached the label, then the translation
+        # the rotations, unless a rotation reached the label, then the
+        # translation; rotations by descending id, as a batch is taken from
+        # its end
         groups = [] if parent is not None and parent[3] >> 3 == u >> 3 else [
-            (g1 + phis[u >> 3], g2 + 1, g3, [v for v in range(u & ~7, (u | 7) + 1) if v != u])]
+            (g1 + phis[u >> 3], g2 + 1, g3, [v for v in range(u | 7, (u & ~7) - 1, -1) if v != u])]
         if m >= 0:
             groups.append((g1 + phis[m >> 3], g2, g3 + steps[u & 7], (m,)))
         for a, b, c, dsts in groups:
             a_tol, c_tol = a + tol, c + tol
+            batch = []
             for v in dsts:
                 h1 = H1[v]
                 if h1 == inf:  # v cannot reach the goal
@@ -361,10 +399,13 @@ def plan_pareto(graph: LatticeGraph, start: LatticeNode, goal: GoalSpec) -> Pare
                         existing[:] = [old for old in existing if old[5]]
                     child = [a, b, c, v, lab, True]
                     existing.append(child)
-                    tick += 1
-                    heappush(open_heap, (c + H3[v], b, a, tick, child))
-        if len(open_heap) > peak_open:
-            peak_open = len(open_heap)
+                    batch.append(child)
+            if batch:
+                tick += 1
+                heappush(open_heap, (c + H3[dsts[0]], b, a, tick, batch))
+                n_open += len(batch)
+        if n_open > peak_open:
+            peak_open = n_open
 
     entries = _sorted_front([(sl[:3], _path(sl, graph)) for sl in solutions])
     metadata = {"generated": generated, "expanded": expanded,

@@ -79,6 +79,19 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows,message", [
+        ("......", "'rows' must be a list of strings"),
+        (["...", 3, "..."], "'rows[1]' must be a string"),
+    ])
+    def test_rows_of_the_wrong_type(self, tmp_path, capsys, rows, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"width": 3, "height": 3, "resolution": 1.0,
+                                   "origin": [0, 0], "rows": rows}))
+        assert run_plan(str(bad), tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_unreadable_map(self, tmp_path):
         assert run_plan(str(tmp_path / "missing.json"), tmp_path / "out") == 1
 

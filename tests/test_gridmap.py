@@ -36,6 +36,17 @@ class TestLoadMap:
         with pytest.raises(MapFormatError, match="zero rows"):
             load_map(json.dumps(doc))
 
+    @pytest.mark.parametrize("rows,message", [
+        ("..", "'rows' must be a list of strings"),
+        ({"0": ".."}, "'rows' must be a list of strings"),
+        (["..", 7], "'rows[1]' must be a string"),
+        ([["#", "."], ".."], "'rows[0]' must be a string"),
+    ])
+    def test_rows_of_the_wrong_type_rejected(self, rows, message):
+        doc = {"width": 2, "height": 2, "resolution": 1.0, "origin": [0, 0], "rows": rows}
+        with pytest.raises(MapFormatError, match=re.escape(message)):
+            load_map(json.dumps(doc))
+
     @pytest.mark.parametrize("field,bad", [
         ("resolution", 0.0),
         ("resolution", -0.5),
@@ -105,7 +116,8 @@ class TestLoadMap:
         # be named before numpy is asked for it
         doc = {"width": 10 ** 15, "height": 1, "resolution": 1.0,
                "origin": [0, 0], "rows": [row]}
-        with pytest.raises(MapFormatError, match="'rows\\[0\\]' length"):
+        fault = "length" if isinstance(row, str) else "must be a string"
+        with pytest.raises(MapFormatError, match=f"'rows\\[0\\]' {fault}"):
             load_map(json.dumps(doc))
 
     def test_dump_round_trip(self):

@@ -1,11 +1,15 @@
+import heapq
 import math
 import random
 import re
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pnav.moastar
+from pnav.fixtures import MUSEUM_DELTA, MUSEUM_GOAL, MUSEUM_START, museum_map, museum_model
 from pnav.gridmap import RobotModel
 from pnav.lattice import HEADINGS, CostVector, LatticeGraph, LatticeNode, build_lattice
 from pnav.moastar import (FLOAT_TOL, GoalSpec, PlanningError, _ideal_bounds,
@@ -305,6 +309,28 @@ class TestLeastVTable:
         assert self.prunes(_least_v(solutions), f1, f2) == scan
 
 
+def gate_style_queries(rng, count, lo, hi):
+    """count (graph, start, goal) queries on maps of lo-hi cells a side,
+    drawn as the oracle gate draws its maps, with a random density up to
+    0.3; a map with no free position is drawn again."""
+    tried = 0
+    while tried < count:
+        w, h = rng.randint(lo, hi), rng.randint(lo, hi)
+        density = rng.uniform(0.0, 0.30)
+        rows = ["".join("#" if rng.random() < density else "."
+                        for _ in range(w)) for _ in range(h)]
+        g = build_lattice(make_map(rows),
+                          RobotModel(footprint_radius=0.2,
+                                     camera_clearance_radius=1.0), 1.0)
+        free = sorted(g.phi)
+        if not free:
+            continue
+        tried += 1
+        start = LatticeNode(*rng.choice(free), rng.choice(HEADINGS))
+        goal = GoalSpec(*rng.choice(free), rng.choice([None] + list(HEADINGS)))
+        yield g, start, goal
+
+
 class TestBruteForce:
     def test_single_node(self):
         g = build_lattice(free_map(1, 1), SMALL, 1.0)
@@ -356,26 +382,22 @@ class TestBruteForce:
         # maps of 6-12 cells a side (up to 1,152 nodes), built as the oracle
         # gate builds its 2-5 cell maps: more paths tie within FLOAT_TOL here,
         # so a few fronts match only within it, one of this seed's 50
-        rng = random.Random(1)
-        tried = inexact = 0
-        while tried < 50:
-            w, h = rng.randint(6, 12), rng.randint(6, 12)
-            density = rng.uniform(0.0, 0.30)
-            rows = ["".join("#" if rng.random() < density else "."
-                            for _ in range(w)) for _ in range(h)]
-            g = build_lattice(make_map(rows),
-                              RobotModel(footprint_radius=0.2,
-                                         camera_clearance_radius=1.0), 1.0)
-            free = sorted(g.phi)
-            if not free:
-                continue
-            tried += 1
-            start = LatticeNode(*rng.choice(free), rng.choice(HEADINGS))
-            goal = GoalSpec(*rng.choice(free), rng.choice([None] + list(HEADINGS)))
+        inexact = 0
+        for g, start, goal in gate_style_queries(random.Random(1), 50, 6, 12):
             got, want = plan_pareto(g, start, goal), brute_force_front(g, start, goal)
             assert_fronts_equal(got, want)
             inexact += sorted(got.costs()) != sorted(want.costs())
         assert inexact >= 1
+
+    def test_matches_planner_on_maps_of_12_to_16_cells(self):
+        # up to 2,048 nodes (this seed's reach 1,600), fronts of up to 16
+        # entries: long paths, where the search's tie rules bite
+        sizes = []
+        for g, start, goal in gate_style_queries(random.Random(2), 10, 12, 16):
+            got = plan_pareto(g, start, goal)
+            assert_fronts_equal(got, brute_force_front(g, start, goal))
+            sizes.append(len(got))
+        assert max(sizes) >= 3, sizes
 
     def test_obstacle_insertion_never_improves(self):
         base = make_map(["....", "....", "....", "...."])
@@ -504,3 +526,66 @@ class TestIdealBounds:
         assert meta["generated"] == ref.metadata["generated"]
         assert meta["pruned_at_node"] + meta["pruned_by_solution"] <= meta["generated"]
         assert meta["peak_open"] >= 1
+
+
+def pool_map_1():
+    """perfbench's grid pool map 1: 60 x 44 cells of 0.5 m, a walled border
+    and 6% interior obstacles, one draw per interior cell from row 0 up."""
+    rng = random.Random(1)
+    occ = [[r in (0, 43) or c in (0, 59) or rng.random() < 0.06 for c in range(60)]
+           for r in range(44)]
+    return make_map(["".join("#" if cell else "." for cell in row) for row in reversed(occ)],
+                    resolution=0.5)
+
+
+def entry_query(name):
+    if name == "museum":
+        return (build_lattice(museum_map(), museum_model(), MUSEUM_DELTA),
+                LatticeNode(*MUSEUM_START), GoalSpec(*MUSEUM_GOAL))
+    pool = build_lattice(pool_map_1(), RobotModel(0.3, 2.0), 1.0)
+    return pool, LatticeNode(*min(pool.phi), 45), GoalSpec(*max(pool.phi), 90)
+
+
+class TestEntryCounts:
+    """A position's rotations are one entry: one heap push or deque append
+    per position in the bound passes, and one heap push for all the
+    rotation labels an expansion keeps in the search."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"push": 0, "append": 0}
+        heappush = heapq.heappush
+
+        def push(heap, item):
+            counts["push"] += 1
+            heappush(heap, item)
+
+        class Deque(deque):
+            def append(self, item):
+                counts["append"] += 1
+                super().append(item)
+
+            def appendleft(self, item):
+                counts["append"] += 1
+                super().appendleft(item)
+
+        monkeypatch.setattr(heapq, "heappush", push)
+        monkeypatch.setattr(pnav.moastar, "deque", Deque)
+        return counts
+
+    @pytest.mark.parametrize("query", ["museum", "pool_map_1"])
+    def test_one_entry_per_position_and_relaxation(self, counts, query):
+        graph, start, goal = entry_query(query)
+        _ideal_bounds(graph, goal)
+        # each position's rotations, and each translation predecessor once
+        limit = len(graph.phi) + sum(d >= 0 for d in graph.moves)
+        assert counts["push"] <= limit and counts["append"] <= limit, (counts, limit)
+
+    @pytest.mark.parametrize("query", ["museum", "pool_map_1"])
+    def test_search_pushes_at_most_one_entry_per_expansion(self, counts, query):
+        graph, start, goal = entry_query(query)
+        _ideal_bounds(graph, goal)
+        bound_pushes, counts["push"] = counts["push"], 0
+        front = plan_pareto(graph, start, goal)  # runs the same bound pass
+        assert len(front) > 0
+        assert counts["push"] - bound_pushes <= front.metadata["expanded"]
